@@ -1,25 +1,43 @@
 """Layer-wise linear probes: how separable is each endpoint's representation.
 
 Features are flattened endpoint activations from single center-crop forward
-passes. Probes are a binary hinge-loss SVM and a 2-way softmax classifier,
-both trained by deterministic full-batch (sub)gradient descent with the
-step schedule 1/(lambda * t) over a fixed iteration budget, with the L2
-penalty on weights only. Regularization strength comes from nested
-cross-validation on the training folds; ties prefer the smaller lambda.
+passes. `extract_features` collects every requested endpoint from the same
+forward pass per batch, so probing all endpoints costs one pass over the
+images and holds n x (sum of requested widths) x 4 bytes of float32 features.
+
+Probes are a binary hinge-loss SVM and a 2-way softmax classifier, both
+trained by deterministic full-batch (sub)gradient descent with the step
+schedule 1/(lambda * t) over a fixed iteration budget, with the L2 penalty on
+weights only and an unregularized bias. Regularization strength comes from
+nested cross-validation on the training folds; ties prefer the smaller
+lambda.
+
+The descent runs in the dual. It starts from w = 0 and every step maps w to
+(1 - 1/t) w + x^T c for per-row coefficients c, so w = x^T alpha throughout
+with one alpha entry per fitting row (the Pegasos schedule of Shalev-Shwartz
+et al. 2007). Iterating on alpha costs min(n^2, 2nd) multiply-adds per
+lambda and iteration for n rows of width d: the n x n Gram x x^T when
+n <= d, x (x^T alpha) otherwise. Every inner fold and every lambda of the
+grid advance together in one loop; the fitting sets are zero-padded to a
+common row count and masked, and each is standardized by its own rows only.
+
+The dual gives the primal weights up to rounding, except where the iteration
+itself amplifies rounding: a softmax fit at lambda <= 1e-3 can take steps
+long enough that any two summation orders, the primal's among them, end
+apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .checkpoint import Checkpoint
 from .data import ViewSource, stratified_kfold
 from .errors import ConfigError, DataError
-from .network import NetworkSpec, forward
-from .ops import softmax as _softmax_rows
+from .network import NetworkSpec, forward, infer_shapes
 
 Array = np.ndarray
 
@@ -32,23 +50,31 @@ def extract_features(
     spec: NetworkSpec,
     ckpt: Checkpoint,
     source: ViewSource,
-    endpoint: str,
+    endpoint: str | Sequence[str],
     pre_activation: bool = False,
     batch_size: int = 32,
-) -> Array:
-    """Float32 feature matrix [n, d]: flattened endpoint activations.
+) -> Array | dict[str, Array]:
+    """Float32 feature matrices [n, d]: flattened endpoint activations.
 
-    One center-crop forward pass per image, streamed in small batches so
-    memory stays bounded; row order matches the source order.
+    A single endpoint name returns its matrix; a sequence of names returns
+    {name: matrix}, all filled from the same forward passes. One center-crop
+    forward pass per image, streamed in small batches; row order matches the
+    source order.
     """
-    if endpoint not in spec.endpoints:
-        raise ConfigError(f"unknown endpoint {endpoint!r}; expected one of {spec.endpoints}")
-    rows: list[Array] = []
+    names = (endpoint,) if isinstance(endpoint, str) else tuple(endpoint)
+    for name in names:
+        if name not in spec.endpoints:
+            raise ConfigError(f"unknown endpoint {name!r}; expected one of {spec.endpoints}")
+    shapes = infer_shapes(spec)
+    out = {name: np.empty((source.n, int(np.prod(shapes[name]))), dtype=np.float32) for name in names}
+    start = 0
     for x, _ in source.eval_batches(batch_size):
         state = forward(spec, ckpt, x)
-        act = state.endpoint(endpoint, pre_activation=pre_activation)
-        rows.append(np.ascontiguousarray(act.reshape(act.shape[0], -1), dtype=np.float32))
-    return np.vstack(rows)
+        for name, rows in out.items():
+            act = state.endpoint(name, pre_activation=pre_activation)
+            rows[start : start + len(x)] = act.reshape(len(x), -1)
+        start += len(x)
+    return out[endpoint] if isinstance(endpoint, str) else out
 
 
 @dataclass
@@ -79,60 +105,104 @@ class ProbeModel:
         return values.argmax(axis=1)
 
 
-def _standardizer(x: Array) -> tuple[Array, Array]:
+def _fitting_set(features: Array, rows: Array, standardize: bool) -> tuple[Array, Array | None, Array | None]:
+    """Float64 copy of the given rows, standardized by statistics of those rows only."""
+    x = np.asarray(features[rows], dtype=np.float64)
+    if not standardize:
+        return x, None, None
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
     scale = np.where(scale > 0, scale, 1.0)  # constant columns pass through
-    return mean, scale
+    x -= mean  # in place: every fitting set stays alive until its weights are built
+    x /= scale
+    return x, mean, scale
 
 
-def _fit_svm(x: Array, y01: Array, lam: float, iters: int) -> tuple[Array, Array]:
-    n, d = x.shape
-    y = np.where(y01 > 0, 1.0, -1.0)
-    w = np.zeros(d)
-    b = np.zeros(())
-    for t in range(1, iters + 1):
-        step = 1.0 / (lam * t)
-        scores = x @ w + b
-        active = (1.0 - y * scores) > 0
-        coeff = np.where(active, y, 0.0) / n
-        grad_w = lam * w - x.T @ coeff
-        grad_b = -coeff.sum()
-        w -= step * grad_w
-        b -= step * grad_b
-    return w, b
+def _kernel_product(sets: Sequence[Array], rows: int) -> Callable[[Array], Array]:
+    """a [F, rows, m] -> K a, where K_f = x_f x_f^T for the f-th set zero-padded to `rows`.
+
+    Per column of a, the Gram costs rows^2 and going through x^T a costs
+    2 rows d; forming the Gram costs rows^2 d once, so it is formed only
+    when rows <= d.
+    """
+    width = sets[0].shape[1]
+    if rows <= width:
+        gram = np.zeros((len(sets), rows, rows))
+        for f, x in enumerate(sets):
+            gram[f, : len(x), : len(x)] = x @ x.T
+        return lambda a: gram @ a
+    stacked = np.zeros((len(sets), rows, width))
+    for f, x in enumerate(sets):
+        stacked[f, : len(x)] = x
+    return lambda a: stacked @ (stacked.transpose(0, 2, 1) @ a)
 
 
-def _fit_softmax(x: Array, y01: Array, lam: float, iters: int) -> tuple[Array, Array]:
-    n, d = x.shape
-    w = np.zeros((d, 2))
-    b = np.zeros(2)
-    onehot = np.zeros((n, 2))
-    onehot[np.arange(n), y01] = 1.0
-    for t in range(1, iters + 1):
-        step = 1.0 / (lam * t)
-        probs = _softmax_rows(x @ w + b)
-        delta = (probs - onehot) / n
-        grad_w = lam * w + x.T @ delta
-        grad_b = delta.sum(axis=0)
-        w -= step * grad_w
-        b -= step * grad_b
-    return w, b
+def _solve_dual(
+    kernel: Callable[[Array], Array], y01: Array, live: Array, kind: str, lams: Sequence[float], iters: int
+) -> tuple[Array, Array]:
+    """Full-batch descent on alpha for F padded fitting sets and every lambda at once.
 
-
-def _fit_one(x: Array, y: Array, kind: str, lam: float, standardize: bool, iters: int) -> ProbeModel:
-    x64 = np.asarray(x, dtype=np.float64)
-    mean = scale = None
-    if standardize:
-        mean, scale = _standardizer(x64)
-        x64 = (x64 - mean) / scale
+    y01 and live are [F, n]; a padded row (live False) adds nothing to scores,
+    gradients or row counts. Returns alpha [F, n, L] and bias [F, L] for svm,
+    alpha [F, n, L, 2] and bias [F, L, 2] for softmax; set f's weights at
+    lams[l] are x_f^T alpha[f, :, l].
+    """
+    sets, n = live.shape
+    lam = np.asarray(lams, dtype=np.float64)[:, None]  # [L, 1], against [..., L, classes]
+    count = live.sum(axis=1)[:, None, None, None]  # every set divides by its own row count
+    live = live[:, :, None, None]
     if kind == "svm":
-        w, b = _fit_svm(x64, y, lam, iters)
-    elif kind == "softmax":
-        w, b = _fit_softmax(x64, y, lam, iters)
+        y = np.where(y01 > 0, 1.0, -1.0)[:, :, None, None]
+        classes = 1
     else:
-        raise ConfigError(f"unknown probe kind {kind!r}; expected one of {PROBE_KINDS}")
-    return ProbeModel(kind=kind, lam=lam, weights=w, bias=b, mean=mean, scale=scale)
+        onehot = (y01[:, :, None, None] == np.arange(2)).astype(np.float64)
+        classes = 2
+    alpha = np.zeros((sets, n, len(lams), classes))
+    bias = np.zeros((sets, len(lams), classes))
+    for t in range(1, iters + 1):
+        step = 1.0 / (lam * t)
+        scores = kernel(alpha.reshape(sets, n, -1)).reshape(alpha.shape) + bias[:, None]
+        if kind == "svm":
+            active = live & ((1.0 - y * scores) > 0)
+            grad = np.where(active, -y, 0.0) / count  # mean hinge loss, by score
+        else:
+            # ops.softmax's max-shifted formula, bit for bit, without its slow 2-wide row reductions
+            e = np.exp(scores - np.maximum(scores[..., :1], scores[..., 1:]))
+            probs = e / (e[..., :1] + e[..., 1:])
+            grad = np.where(live, probs - onehot, 0.0) / count  # mean cross-entropy, by score
+        alpha -= step * (lam * alpha + grad)
+        bias -= step * grad.sum(axis=1)
+    if kind == "svm":
+        return alpha[..., 0], bias[..., 0]
+    return alpha, bias
+
+
+def _fit_sets(
+    features: Array,
+    labels: Array,
+    kind: str,
+    lams: Sequence[float],
+    row_sets: Sequence[Array],
+    standardize: bool,
+    iters: int,
+) -> list[list[ProbeModel]]:
+    """One probe per (fitting set, lambda), all fitted in one dual loop."""
+    fitted = [_fitting_set(features, rows, standardize) for rows in row_sets]
+    n = max(len(rows) for rows in row_sets)
+    live = np.zeros((len(row_sets), n), dtype=bool)
+    y01 = np.zeros((len(row_sets), n), dtype=np.int64)
+    for f, rows in enumerate(row_sets):
+        live[f, : len(rows)] = True
+        y01[f, : len(rows)] = labels[rows]
+    kernel = _kernel_product([x for x, _, _ in fitted], n)
+    alpha, bias = _solve_dual(kernel, y01, live, kind, lams, iters)
+    return [
+        [
+            ProbeModel(kind, lam, x.T @ alpha[f, : len(x), l], bias[f, l, ...], mean, scale)
+            for l, lam in enumerate(lams)
+        ]
+        for f, (x, mean, scale) in enumerate(fitted)
+    ]
 
 
 def fit_probe(
@@ -156,10 +226,14 @@ def fit_probe(
     labels = np.asarray(labels, dtype=np.int64)
     if features.ndim != 2 or len(features) != len(labels):
         raise DataError(f"features {features.shape} do not match {len(labels)} labels")
+    if len(labels) == 0:
+        raise DataError("no rows to fit a probe on")
     if not lambda_grid or any(l <= 0 for l in lambda_grid):
         raise ConfigError(f"lambda grid must be positive, got {lambda_grid}")
     if labels.min() < 0 or labels.max() > 1:
         raise DataError("probe labels must be binary 0/1")
+    if kind not in PROBE_KINDS:
+        raise ConfigError(f"unknown probe kind {kind!r}; expected one of {PROBE_KINDS}")
 
     grid = sorted(set(float(l) for l in lambda_grid))
     if len(grid) == 1:
@@ -167,18 +241,21 @@ def fit_probe(
         lam = grid[0]
     else:
         inner = stratified_kfold(labels, inner_folds, seed)
+        models = _fit_sets(
+            features, labels, kind, grid, [np.flatnonzero(inner != f) for f in range(inner_folds)],
+            standardize, iters,
+        )
         scores: dict[float, float] = {}
-        for lam_cand in grid:
+        for l, lam_cand in enumerate(grid):
             accs = []
             for f in range(inner_folds):
-                tr, va = inner != f, inner == f
-                model = _fit_one(features[tr], labels[tr], kind, lam_cand, standardize, iters)
-                accs.append(float((model.predict(features[va]) == labels[va]).mean()))
+                va = inner == f
+                accs.append(float((models[f][l].predict(features[va]) == labels[va]).mean()))
             scores[lam_cand] = float(np.mean(accs))
         best = max(scores.values())
         lam = min(l for l, s in scores.items() if s == best)
         chosen = scores
-    model = _fit_one(features, labels, kind, lam, standardize, iters)
+    model = _fit_sets(features, labels, kind, [lam], [np.arange(len(labels))], standardize, iters)[0][0]
     return model, chosen
 
 
@@ -277,8 +354,9 @@ def probe_all_layers(
     names = tuple(endpoints) if endpoints is not None else spec.endpoints
     fold_ids = sorted(int(f) for f in np.unique(folds))
     rows: list[ProbeRow] = []
+    by_endpoint = extract_features(spec, ckpt, source, names, pre_activation=pre_activation)
     for endpoint in names:
-        features = extract_features(spec, ckpt, source, endpoint, pre_activation=pre_activation)
+        features = by_endpoint.pop(endpoint)  # freed once its probes are fitted
         for kind in kinds:
             for f in fold_ids:
                 tr, te = folds != f, folds == f

@@ -163,3 +163,83 @@ def numeric_grad(objective, array: Array, eps: float = 1e-3) -> Array:
         flat[j] = orig
         grad[j] = (plus - minus) / (2 * eps)
     return grad.reshape(array.shape)
+
+
+def probe_fit_primal(x: Array, y01: Array, kind: str, lam: float, iters: int, standardize: bool = True):
+    """Linear probe trained on its weights directly, one lambda and one fitting set.
+
+    Full-batch (sub)gradient descent from w = 0 with step 1/(lam * t), the L2
+    penalty on w only, an unregularized bias and the loss averaged over the
+    rows. Columns are standardized by the fitting rows' own mean and standard
+    deviation (constant columns pass through). Returns (w, b, mean, scale);
+    w is [d] for "svm" (hinge loss on +-1 labels) and [d, 2] for "softmax"
+    (cross-entropy), mean and scale are None without standardization.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y01 = np.asarray(y01, dtype=np.int64)
+    mean = scale = None
+    if standardize:
+        mean = x.mean(axis=0)
+        scale = x.std(axis=0)
+        scale = np.where(scale > 0, scale, 1.0)
+        x = (x - mean) / scale
+    n, d = x.shape
+    if kind == "svm":
+        y = np.where(y01 > 0, 1.0, -1.0)
+        w = np.zeros(d)
+        b = np.zeros(())
+        for t in range(1, iters + 1):
+            step = 1.0 / (lam * t)
+            scores = x @ w + b
+            active = (1.0 - y * scores) > 0
+            coeff = np.where(active, y, 0.0) / n
+            grad_w = lam * w - x.T @ coeff
+            grad_b = -coeff.sum()
+            w -= step * grad_w
+            b -= step * grad_b
+        return w, b, mean, scale
+    w = np.zeros((d, 2))
+    b = np.zeros(2)
+    onehot = np.zeros((n, 2))
+    onehot[np.arange(n), y01] = 1.0
+    for t in range(1, iters + 1):
+        step = 1.0 / (lam * t)
+        logits = x @ w + b
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        delta = (probs - onehot) / n
+        grad_w = lam * w + x.T @ delta
+        grad_b = delta.sum(axis=0)
+        w -= step * grad_w
+        b -= step * grad_b
+    return w, b, mean, scale
+
+
+def probe_predict_primal(x: Array, kind: str, w: Array, b: Array, mean, scale) -> Array:
+    """Class predictions of a probe from probe_fit_primal."""
+    x = np.asarray(x, dtype=np.float64)
+    if mean is not None:
+        x = (x - mean) / scale
+    values = x @ w + b
+    if kind == "svm":
+        return (values > 0).astype(np.int64)
+    return values.argmax(axis=1)
+
+
+def probe_select_primal(x: Array, y01: Array, kind: str, grid, inner: Array, iters: int, standardize: bool = True):
+    """Inner-CV accuracy per lambda and the chosen lambda, one primal fit at a time.
+
+    inner holds an inner fold id per row; each fold is scored by a probe fit
+    on all other rows. The best mean accuracy wins, ties to the smaller lambda.
+    """
+    y01 = np.asarray(y01, dtype=np.int64)
+    scores = {}
+    for lam in sorted(grid):
+        accs = []
+        for f in sorted(set(inner.tolist())):
+            tr, va = inner != f, inner == f
+            fit = probe_fit_primal(x[tr], y01[tr], kind, lam, iters, standardize)
+            accs.append(float((probe_predict_primal(x[va], kind, *fit) == y01[va]).mean()))
+        scores[lam] = float(np.mean(accs))
+    best = max(scores.values())
+    return scores, min(l for l, s in scores.items() if s == best)

@@ -506,6 +506,26 @@ class TestCli:
         assert 0.0 <= payload["accuracy"] <= 1.0
         assert payload["n"] == 16
 
+    def test_probe_with_an_empty_training_fold_exits_two(self, tiny_corpus, tmp_path, capsys):
+        # a manifest whose rows all sit in fold 0 leaves that fold no training rows
+        lines = tiny_corpus.read_text().splitlines()
+        rows = [line.rsplit(",", 1)[0] for line in lines[1:]]
+        manifest = tmp_path / "one_fold.csv"
+        manifest.write_text(
+            "path,label,fold\n" + "".join(f"{tiny_corpus.parent / row},0\n" for row in rows)
+        )
+        config = config_from_dict(
+            {
+                "dataset": {"manifest": str(manifest)},
+                "experiment": {"probe": {"endpoints": ["fc8"], "kinds": ["svm"],
+                                         "lambda_grid": [0.1], "iters": 5}},
+            }
+        )
+        save_config(config, tmp_path / "c.json")
+        code = cli.main(["probe", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "p")])
+        assert code == 2
+        assert "no rows" in capsys.readouterr().err
+
     def test_evaluate_without_checkpoint_exits_one(self, tiny_corpus, tmp_path, capsys):
         save_config(tiny_config(tiny_corpus), tmp_path / "c.json")
         code = cli.main([

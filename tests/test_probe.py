@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from sentnet.data import ViewSource
+from oracles import probe_fit_primal, probe_predict_primal, probe_select_primal
+from sentnet import probe as probe_mod
+from sentnet.data import ViewSource, stratified_kfold
 from sentnet.errors import ConfigError, DataError
 from sentnet.network import LayerKind, LayerSpec, NetworkSpec, init_params
 from sentnet.probe import (
@@ -77,6 +79,37 @@ class TestExtractFeatures:
         spec = mini_spec()
         with pytest.raises(ConfigError, match="endpoint"):
             extract_features(spec, init_params(spec, seed=0), mini_source(), "c9")
+        with pytest.raises(ConfigError, match="endpoint"):
+            extract_features(spec, init_params(spec, seed=0), mini_source(), ("f1", "c9"))
+
+    @pytest.mark.parametrize("pre_activation", [False, True])
+    @pytest.mark.parametrize("batch_size", [3, 32])
+    def test_one_pass_matches_single_endpoint_form(self, pre_activation, batch_size):
+        spec = mini_spec()
+        ckpt = init_params(spec, seed=0)
+        src = mini_source(n=13)
+        together = extract_features(spec, ckpt, src, spec.endpoints, pre_activation, batch_size)
+        assert list(together) == list(spec.endpoints)
+        for name in spec.endpoints:
+            alone = extract_features(spec, ckpt, src, name, pre_activation, batch_size)
+            assert together[name].dtype == alone.dtype == np.float32
+            assert together[name].shape == alone.shape
+            assert together[name].tobytes() == alone.tobytes()
+
+    def test_probe_all_layers_runs_one_forward_pass_per_batch(self, monkeypatch):
+        spec = mini_spec()
+        ckpt = init_params(spec, seed=0)
+        src = mini_source(n=40)
+        calls = []
+
+        def counting_forward(*args, **kwargs):
+            calls.append(len(args[2]))
+            return forward(*args, **kwargs)
+
+        forward = probe_mod.forward
+        monkeypatch.setattr(probe_mod, "forward", counting_forward)
+        probe_all_layers(spec, ckpt, src, np.arange(40) % 2, lambda_grid=(0.1,), iters=5)
+        assert calls == [32, 8]  # ceil(40 / 32) passes cover every endpoint
 
 
 class TestFitProbe:
@@ -139,6 +172,10 @@ class TestFitProbe:
         with pytest.raises(DataError, match="binary"):
             fit_probe(x, np.array([0, 1, 2] * 3), "svm")
 
+    def test_zero_rows_rejected(self):
+        with pytest.raises(DataError, match="no rows"):
+            fit_probe(np.zeros((0, 3), dtype=np.float32), np.zeros(0, dtype=np.int64), "svm")
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError, match="labels"):
             fit_probe(np.zeros((4, 2)), np.array([0, 1]), "svm")
@@ -157,6 +194,56 @@ class TestFitProbe:
 
     def test_default_grid_is_log_spaced(self):
         assert DEFAULT_LAMBDA_GRID == (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
+
+
+def oracle_case(n, d, seed=0):
+    """Noisy, not separable, binary data: hinge activity changes over the run.
+
+    Columns stay near unit scale: the first steps of the 1/(lambda t) schedule
+    are long, and on badly scaled raw columns they amplify rounding so much
+    that no two summation orders agree, the primal's own included.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0, 1, size=(n, d)) + 0.5
+    labels = (x[:, 0] + x[:, 1] + rng.normal(0, 1.0, size=n) > 1).astype(np.int64)
+    return x.astype(np.float32), labels
+
+
+class TestDualMatchesPrimalOracle:
+    """fit_probe (dual, batched over lambda and inner folds) against one primal fit at a time."""
+
+    GRID = (0.01, 0.1, 1.0)
+    ITERS = 150
+
+    @pytest.mark.parametrize("kind", ["svm", "softmax"])
+    @pytest.mark.parametrize("standardize", [True, False])
+    @pytest.mark.parametrize("d", [50, 5], ids=["n<d", "n>d"])
+    def test_selection_and_refit_match(self, kind, standardize, d):
+        x, y = oracle_case(31, d)
+        inner = stratified_kfold(y, 3, 4)
+        fitting_sizes = {int((inner != f).sum()) for f in range(3)}
+        assert len(fitting_sizes) > 1  # unequal inner fitting sets, so padding is exercised
+
+        model, scores = fit_probe(x, y, kind, self.GRID, 3, standardize, seed=4, iters=self.ITERS)
+        want_scores, want_lam = probe_select_primal(x, y, kind, self.GRID, inner, self.ITERS, standardize)
+        assert scores == want_scores
+        assert model.lam == want_lam
+
+        w, b, mean, scale = probe_fit_primal(x, y, kind, want_lam, self.ITERS, standardize)
+        np.testing.assert_allclose(model.weights, w, rtol=1e-9, atol=1e-12 * np.abs(w).max())
+        np.testing.assert_allclose(model.bias, b, rtol=1e-9, atol=1e-12)
+        assert model.weights.shape == w.shape and np.shape(model.bias) == np.shape(b)
+        np.testing.assert_array_equal(model.predict(x), probe_predict_primal(x, kind, w, b, mean, scale))
+
+    @pytest.mark.parametrize("kind", ["svm", "softmax"])
+    @pytest.mark.parametrize("d", [50, 5], ids=["n<d", "n>d"])
+    def test_single_lambda_matches(self, kind, d):
+        x, y = oracle_case(31, d, seed=1)
+        model, _ = fit_probe(x, y, kind, lambda_grid=(0.05,), iters=self.ITERS)
+        w, b, mean, scale = probe_fit_primal(x, y, kind, 0.05, self.ITERS)
+        np.testing.assert_allclose(model.weights, w, rtol=1e-9, atol=1e-12 * np.abs(w).max())
+        np.testing.assert_allclose(model.bias, b, rtol=1e-9, atol=1e-12)
+        np.testing.assert_array_equal(model.predict(x), probe_predict_primal(x, kind, w, b, mean, scale))
 
 
 class TestProbeAllLayers:
@@ -216,6 +303,29 @@ class TestProbeAllLayers:
         assert "post-activation" in text
         assert "standardized" in text
         assert "center" in text
+
+    def test_test_rows_never_reach_selection(self, monkeypatch):
+        """Perturbing fold f's test rows leaves fold f's chosen lambda alone."""
+        x, y = oracle_case(36, 8, seed=2)
+        folds = np.arange(36) % 3
+        src = ViewSource(np.zeros((36, 3, 8, 8), dtype=np.float32), y, crop=8)
+
+        def chosen(feats):
+            monkeypatch.setattr(probe_mod, "extract_features", lambda *a, **k: {"f1": feats})
+            report = probe_all_layers(self.spec, self.ckpt, src, folds, endpoints=("f1",), kinds=("svm",),
+                                      lambda_grid=(1e-3, 1e-2, 1e-1, 1.0), iters=60)
+            return {r.fold: r.lam for r in report.rows}
+
+        clean = chosen(x)
+        moved = []
+        for f in range(3):
+            noisy = x.copy()
+            te = folds == f
+            noisy[te] = np.random.default_rng(f).normal(0, 100.0, size=noisy[te].shape)
+            got = chosen(noisy)
+            assert got[f] == clean[f]
+            moved += [g for g in got if got[g] != clean[g]]
+        assert moved  # the perturbation does reach the folds that train on those rows
 
     def test_fold_length_mismatch(self):
         with pytest.raises(DataError, match="fold"):
