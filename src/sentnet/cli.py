@@ -133,7 +133,9 @@ def _cmd_pretrain(args) -> int:
     spec = harness._arch_spec(config.experiment.arch, num_classes)
     ckpt = init_params(spec, config.seeds.init)
     squares = decode_squares(manifest, config.preprocess)
-    means = compute_channel_means(iter(squares))
+    means = harness.resolve_means(config)
+    if means is None:
+        means = compute_channel_means(iter(squares))
     write_means(out / "means.txt", means)
     source = ViewSource(squares, labels, config.preprocess.crop, means)
     base_lr = config.train.base_lr if config.train.base_lr is not None else 0.01

@@ -41,12 +41,32 @@ class SurgeryError(SentnetError):
     """Surgery plan is invalid for the given spec or checkpoint."""
 
 
-class DivergenceError(SentnetError):
-    """Training produced a non-finite loss."""
+class NonFiniteError(FloatingPointError):
+    """An op produced inf or nan; layer names the network layer it ran for."""
 
-    def __init__(self, epoch: int, detail: str | None = None):
+    def __init__(self, op: str, layer: str | None = None):
+        self.op = op
+        self.layer = layer
+        where = f" at layer {layer}" if layer else ""
+        super().__init__(f"{op}: non-finite values in result{where}")
+
+
+class DivergenceError(SentnetError):
+    """Training produced a non-finite value, at the given epoch, batch and layer."""
+
+    def __init__(
+        self,
+        epoch: int,
+        detail: str | None = None,
+        batch: int | None = None,
+        layer: str | None = None,
+    ):
         self.epoch = epoch
-        message = f"training diverged at epoch {epoch}: loss is not finite"
-        if detail:
-            message = f"training diverged at epoch {epoch}: {detail}"
-        super().__init__(message)
+        self.batch = batch
+        self.layer = layer
+        where = f"epoch {epoch}"
+        if batch is not None:
+            where += f", batch {batch}"
+        if layer:
+            where += f", layer {layer}"
+        super().__init__(f"training diverged at {where}: {detail or 'loss is not finite'}")

@@ -432,6 +432,19 @@ def _assumptions(config: ExperimentConfig, plan: SurgeryPlan, base_lr: float, fo
     return notes
 
 
+def resolve_means(config: ExperimentConfig) -> Array | None:
+    """Channel means fixed by the config, or None.
+
+    preprocess.channel_means wins over the dataset.means file. None tells the
+    caller to compute means over its own training rows.
+    """
+    if config.preprocess.channel_means is not None:
+        return np.asarray(config.preprocess.channel_means, dtype=np.float32)
+    if config.dataset.means is not None:
+        return read_means(config.dataset.means)
+    return None
+
+
 def _load_folds(manifest: DatasetManifest, config: ExperimentConfig) -> tuple[Array, str]:
     if manifest.folds is not None:
         folds = manifest.folds
@@ -464,11 +477,7 @@ def cross_validate(config: ExperimentConfig, out_dir: str | Path, label: str | N
         labels_eff = labels
 
     crop = config.preprocess.crop
-    fixed_means = None
-    if config.preprocess.channel_means is not None:
-        fixed_means = np.asarray(config.preprocess.channel_means, dtype=np.float32)
-    elif config.dataset.means is not None:
-        fixed_means = read_means(config.dataset.means)
+    fixed_means = resolve_means(config)
 
     outcomes: list[FoldOutcome] = []
     for f, (train_idx, test_idx) in enumerate(splits):
@@ -551,11 +560,8 @@ def run_probe_experiment(config: ExperimentConfig, out_dir: str | Path, label: s
     folds, folds_note = _load_folds(manifest, config)
     audit_folds(folds)
     squares = decode_squares(manifest, config.preprocess)
-    if config.preprocess.channel_means is not None:
-        means = np.asarray(config.preprocess.channel_means, dtype=np.float32)
-    elif config.dataset.means is not None:
-        means = read_means(config.dataset.means)
-    else:
+    means = resolve_means(config)
+    if means is None:
         means = compute_channel_means(iter(squares))
     source = ViewSource(squares, manifest.labels, config.preprocess.crop, means)
     p = exp.probe

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import ops
 from .checkpoint import Checkpoint
-from .errors import ShapeError
+from .errors import NonFiniteError, ShapeError
 
 Array = np.ndarray
 
@@ -232,8 +232,9 @@ class ForwardState:
     """Everything retained by a forward pass.
 
     pre holds pre-activation outputs, post the named endpoint values (equal
-    when the layer has no fused ReLU). aux carries per-layer pullbacks when
-    the pass was run with retain=True.
+    when the layer has no fused ReLU). aux carries each layer's GradPair,
+    fused-ReLU pullback and pre-flatten shape when the pass was run with
+    retain=True.
     """
 
     batch: Array
@@ -276,39 +277,42 @@ def forward(
     x = batch
     for layer in spec.layers:
         flat_shape = None
-        if layer.kind == LayerKind.CONV:
-            w, b = ckpt.entries[layer.name]
-            pair = ops.conv2d(x, w, b, stride=layer.stride, pad=layer.pad)
-        elif layer.kind == LayerKind.POOL:
-            pair, _ = ops.max_pool2d(x, size=layer.kernel, stride=layer.stride)
-        elif layer.kind == LayerKind.NORM:
-            pair = ops.local_response_norm(
-                x, size=layer.norm_size, k=layer.norm_k, alpha=layer.norm_alpha, beta=layer.norm_beta
-            )
-        elif layer.kind == LayerKind.FC:
-            w, b = ckpt.entries[layer.name]
-            if x.ndim > 2:
-                flat_shape = x.shape
-                x = x.reshape(x.shape[0], -1)
-            pair = ops.affine(x, w, b)
-        elif layer.kind == LayerKind.RELU:
-            pair = ops.relu(x)
-        elif layer.kind == LayerKind.SOFTMAX:
-            value = ops.softmax(x if x.ndim == 2 else x.reshape(x.shape[0], -1))
-            pre[layer.name] = post[layer.name] = value
-            x = value
-            continue
+        try:
+            if layer.kind == LayerKind.CONV:
+                w, b = ckpt.entries[layer.name]
+                pair = ops.conv2d(x, w, b, stride=layer.stride, pad=layer.pad)
+            elif layer.kind == LayerKind.POOL:
+                pair, _ = ops.max_pool2d(x, size=layer.kernel, stride=layer.stride)
+            elif layer.kind == LayerKind.NORM:
+                pair = ops.local_response_norm(
+                    x, size=layer.norm_size, k=layer.norm_k, alpha=layer.norm_alpha, beta=layer.norm_beta
+                )
+            elif layer.kind == LayerKind.FC:
+                w, b = ckpt.entries[layer.name]
+                if x.ndim > 2:
+                    flat_shape = x.shape
+                    x = x.reshape(x.shape[0], -1)
+                pair = ops.affine(x, w, b)
+            elif layer.kind == LayerKind.RELU:
+                pair = ops.relu(x)
+            elif layer.kind == LayerKind.SOFTMAX:
+                value = ops.softmax(x if x.ndim == 2 else x.reshape(x.shape[0], -1))
+                pre[layer.name] = post[layer.name] = value
+                x = value
+                continue
+        except NonFiniteError as exc:
+            raise NonFiniteError(exc.op, layer=layer.name) from None
         out = pair.value
         pre[layer.name] = out
         if layer.relu and layer.kind in (LayerKind.CONV, LayerKind.FC):
             act = ops.relu(out)
             post[layer.name] = act.value
             if retain:
-                aux[layer.name] = (pair.pullback, act.pullback, flat_shape)
+                aux[layer.name] = (pair, act.pullback, flat_shape)
         else:
             post[layer.name] = out
             if retain:
-                aux[layer.name] = (pair.pullback, None, flat_shape)
+                aux[layer.name] = (pair, None, flat_shape)
         x = post[layer.name]
     return ForwardState(batch=batch, pre=pre, post=post, aux=aux, retained=retain)
 
@@ -323,6 +327,12 @@ def backward(
 
     top_grad is the loss gradient with respect to the post-activation output
     of the layer feeding the softmax (the loss owns the softmax pullback).
+
+    The pass ends at the lowest trained layer (parameters and lr_mult > 0):
+    no gradient below it is ever read, so layers under it get no pullback
+    call and it computes only its parameter gradients. The result holds every
+    parameterized layer from the top down to that layer; frozen layers above
+    it are included, frozen layers below it are not.
     """
     if not state.retained:
         raise ShapeError("backward requires a forward pass run with retain=True")
@@ -332,17 +342,21 @@ def backward(
     if g.shape != state.post[top].shape:
         raise ShapeError(f"top gradient shape {g.shape} does not match {state.post[top].shape}")
     below = [l for l in spec.layers if l.kind != LayerKind.SOFTMAX]
-    for layer in reversed(below):
-        pullback, relu_pullback, flat_shape = state.aux[layer.name]
+    lowest = next((i for i, l in enumerate(below) if l.has_params and l.lr_mult > 0), len(below))
+    for i in reversed(range(lowest, len(below))):
+        layer = below[i]
+        pair, relu_pullback, flat_shape = state.aux[layer.name]
         if relu_pullback is not None:
             (g,) = relu_pullback(g)
-        if layer.kind in (LayerKind.CONV, LayerKind.FC):
-            g, dw, db = pullback(g)
+        if i == lowest and pair.param_pullback is not None:
+            grads[layer.name] = pair.param_pullback(g)
+        elif layer.has_params:
+            g, dw, db = pair.pullback(g)
             grads[layer.name] = (dw, db)
             if flat_shape is not None:
                 g = g.reshape(flat_shape)
         else:
-            (g,) = pullback(g)
+            (g,) = pair.pullback(g)
     return grads
 
 

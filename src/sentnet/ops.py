@@ -15,22 +15,28 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ShapeError
+from .errors import NonFiniteError, ShapeError
 
 Array = np.ndarray
 
 
 @dataclass(frozen=True)
 class GradPair:
-    """Forward value plus a pullback from upstream gradient to input gradients."""
+    """Forward value plus a pullback from upstream gradient to input gradients.
+
+    Ops with parameters also set param_pullback, which returns only the
+    parameter gradients (dw, db) and skips the input gradient: the cheaper
+    call for a bottom layer, whose input gradient nothing reads.
+    """
 
     value: Array
     pullback: Callable[[Array], tuple[Array, ...]]
+    param_pullback: Callable[[Array], tuple[Array, ...]] | None = None
 
 
 def _check_finite(arr: Array, op: str) -> None:
     if not np.isfinite(arr).all():
-        raise FloatingPointError(f"{op}: non-finite values in result")
+        raise NonFiniteError(op)
 
 
 def _as_float(x, name: str, op: str) -> Array:
@@ -80,7 +86,8 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
         )
 
     if pad:
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad : pad + h, pad : pad + wd] = x
     else:
         xp = x
     cols, out_h, out_w = _im2col(xp, kh, kw, stride)
@@ -90,10 +97,17 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
     out = out.reshape(n, k, out_h, out_w)
     _check_finite(out, "conv2d")
 
-    def pullback(g: Array) -> tuple[Array, Array, Array]:
+    def flat_param_grads(g: Array) -> tuple[Array, Array, Array]:
         g = np.ascontiguousarray(g, dtype=out.dtype).reshape(n, k, out_h * out_w)
         db = g.sum(axis=(0, 2))
         dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        return g, dw, db
+
+    def param_pullback(g: Array) -> tuple[Array, Array]:
+        return flat_param_grads(g)[1:]
+
+    def pullback(g: Array) -> tuple[Array, Array, Array]:
+        g, dw, db = flat_param_grads(g)
         dcols = np.matmul(w_flat.T[None], g)
         dcols = dcols.reshape(n, c, kh, kw, out_h, out_w)
         dxp = np.zeros_like(xp)
@@ -105,7 +119,7 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
         dx = dxp[:, :, pad : pad + h, pad : pad + wd] if pad else dxp
         return dx, dw, db
 
-    return GradPair(out, pullback)
+    return GradPair(out, pullback, param_pullback)
 
 
 def max_pool2d(x, size: int, stride: int) -> tuple[GradPair, Array]:
@@ -118,34 +132,48 @@ def max_pool2d(x, size: int, stride: int) -> tuple[GradPair, Array]:
     x = _as_float(x, "x", "max_pool2d")
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d: expected 4d input, got {x.shape}")
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if size < 1 or stride < 1:
         raise ShapeError(f"max_pool2d: invalid size {size} or stride {stride}")
     if size > h or size > w:
         raise ShapeError(f"max_pool2d: window {size} exceeds input {h}x{w}")
     out_h = (h - size) // stride + 1
     out_w = (w - size) // stride + 1
-    windows = sliding_window_view(x, (size, size), axis=(2, 3))[:, :, ::stride, ::stride]
-    windows = windows[:, :, :out_h, :out_w]
-    flat = windows.reshape(n, c, out_h, out_w, size * size)
-    argmax = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
-    out = np.ascontiguousarray(out)
-    _check_finite(out, "max_pool2d")
 
-    rows = argmax // size
-    cols = argmax % size
-    base_r = (np.arange(out_h) * stride)[None, None, :, None]
-    base_c = (np.arange(out_w) * stride)[None, None, None, :]
-    abs_r = rows + base_r
-    abs_c = cols + base_c
+    def at(a: Array, idx: int) -> Array:
+        """View of a at window offset idx (row-major), one element per output."""
+        r, s = divmod(idx, size)
+        return a[:, :, r : r + stride * (out_h - 1) + 1 : stride, s : s + stride * (out_w - 1) + 1 : stride]
+
+    count = size * size
+    out = np.array(at(x, 0))
+    for idx in range(1, count):
+        np.maximum(out, at(x, idx), out=out)
+    # The argmax is the first offset in scan order whose element equals the max.
+    seen = at(x, 0) == out
+    first_at = np.zeros(out.shape, dtype=np.min_scalar_type(count - 1))
+    for idx in range(1, count):
+        first = (at(x, idx) == out) > seen
+        seen |= first
+        first_at += np.multiply(first, idx, dtype=first_at.dtype)
+    argmax = first_at.astype(np.intp)
+    # np.maximum may pick either of two tied zeros, so a zero max takes the
+    # sign of the element at the argmax.
+    zero = np.flatnonzero(out == 0)
+    ni, ci, oy, ox = np.unravel_index(zero, out.shape)
+    r, s = np.divmod(argmax.flat[zero], size)
+    out.flat[zero] = x[ni, ci, oy * stride + r, ox * stride + s]
+    _check_finite(out, "max_pool2d")
 
     def pullback(g: Array) -> tuple[Array]:
         g = np.asarray(g, dtype=out.dtype)
         dx = np.zeros_like(x)
-        ni = np.arange(n)[:, None, None, None]
-        ci = np.arange(c)[None, :, None, None]
-        np.add.at(dx, (ni, ci, abs_r, abs_c), g)
+        # Descending offsets add overlapping windows' shares in output scan
+        # order, as np.add.at over the argmax positions would, so every sum
+        # rounds the same; the masked-out terms are zeros, which leave a sum
+        # unchanged while g is finite.
+        for idx in reversed(range(count)):
+            at(dx, idx)[...] += g * (first_at == idx)
         return (dx,)
 
     return GradPair(out, pullback), argmax
@@ -163,14 +191,9 @@ def local_response_norm(x, size: int = 5, k: float = 2.0, alpha: float = 1e-4, b
         raise ShapeError(f"local_response_norm: expected 4d input, got {x.shape}")
     if size < 1:
         raise ShapeError(f"local_response_norm: window size {size} must be >= 1")
-    n, c, h, w = x.shape
     lo = (size - 1) // 2
     hi = size // 2
-    sq = x * x
-    denom_base = np.empty_like(x)
-    for ch in range(c):
-        start, stop = max(0, ch - lo), min(c, ch + hi + 1)
-        denom_base[:, ch] = sq[:, start:stop].sum(axis=1)
+    denom_base = _channel_window_sum(x * x, lo, hi)
     denom_base *= alpha / size
     denom_base += k
     scale = denom_base ** (-beta)
@@ -181,14 +204,27 @@ def local_response_norm(x, size: int = 5, k: float = 2.0, alpha: float = 1e-4, b
         g = np.asarray(g, dtype=out.dtype)
         # d out[c]/d x[i] couples channel i to every window containing it.
         t = g * x * denom_base ** (-beta - 1.0)
-        coupled = np.empty_like(x)
-        for ch in range(c):
-            start, stop = max(0, ch - hi), min(c, ch + lo + 1)
-            coupled[:, ch] = t[:, start:stop].sum(axis=1)
+        coupled = _channel_window_sum(t, hi, lo)
         dx = g * scale - (2.0 * alpha * beta / size) * x * coupled
         return (dx,)
 
     return GradPair(out, pullback)
+
+
+def _channel_window_sum(a: Array, below: int, above: int) -> Array:
+    """out[:, ch] = sum of a[:, j] for ch - below <= j <= ch + above, clipped.
+
+    One slice add per window offset. Each output adds its channels in
+    ascending order starting from zero, the order numpy's own sum over a
+    channel slice takes, so the result is the same bit for bit.
+    """
+    c = a.shape[1]
+    out = np.zeros_like(a)
+    for off in range(-below, above + 1):
+        start, stop = max(0, -off), min(c, c - off)
+        if start < stop:
+            out[:, start:stop] += a[:, start + off : stop + off]
+    return out
 
 
 def affine(x, w, b) -> GradPair:
@@ -205,11 +241,15 @@ def affine(x, w, b) -> GradPair:
     out = x @ w + b
     _check_finite(out, "affine")
 
+    def param_pullback(g: Array) -> tuple[Array, Array]:
+        g = np.asarray(g, dtype=out.dtype)
+        return x.T @ g, g.sum(axis=0)
+
     def pullback(g: Array) -> tuple[Array, Array, Array]:
         g = np.asarray(g, dtype=out.dtype)
-        return g @ w.T, x.T @ g, g.sum(axis=0)
+        return (g @ w.T, *param_pullback(g))
 
-    return GradPair(out, pullback)
+    return GradPair(out, pullback, param_pullback)
 
 
 def relu(x) -> GradPair:

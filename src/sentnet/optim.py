@@ -13,13 +13,14 @@ bit-identical to their initial values.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 from typing import Iterable, Protocol
 
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, NonFiniteError
 from .network import NetworkSpec, backward, forward
 from .ops import cross_entropy_loss
 
@@ -158,35 +159,40 @@ def train(
 
     Shuffling and augmentation draws are seeded per epoch from
     (config.seed, epoch), so runs are reproducible and the input checkpoint
-    is never mutated. A non-finite batch loss raises DivergenceError naming
-    the epoch.
+    is never mutated. A non-finite value in the forward pass or the loss
+    raises DivergenceError naming the epoch, the batch within it and the
+    layer (the softmax layer for the loss). Each epoch logs one INFO line
+    with its loss, train accuracy, learning rate and seconds.
     """
     spec.validate_for_training()
     out = ckpt.copy()
     state = OptState.for_checkpoint(out)
     lr_mults = {l.name: l.lr_mult for l in spec.parameterized}
     top = spec.top_name
+    loss_layer = spec.layers[-1].name
     history: list[HistoryRow] = []
     for epoch in range(config.epochs):
+        started = time.perf_counter()
         lr = lr_at(config, epoch)
         rng = np.random.default_rng([config.seed, epoch])
         perm = rng.permutation(source.n)
         loss_sum = 0.0
         correct = 0
-        for start in range(0, source.n, config.batch_size):
+        for batch, start in enumerate(range(0, source.n, config.batch_size)):
             idx = perm[start : start + config.batch_size]
             x, y = source.train_batch(idx, rng)
             try:
                 fwd = forward(spec, out, x, retain=True)
                 logits = fwd.post[top]
                 pair = cross_entropy_loss(logits, y)
-            except FloatingPointError as exc:
+            except NonFiniteError as exc:
                 # blown-up parameters overflow in the forward pass before the
                 # loss itself can go non-finite
-                raise DivergenceError(epoch, str(exc)) from exc
+                layer = exc.layer or loss_layer
+                raise DivergenceError(epoch, f"{exc.op} produced non-finite values", batch, layer) from exc
             loss = float(pair.value)
             if not np.isfinite(loss):
-                raise DivergenceError(epoch)
+                raise DivergenceError(epoch, batch=batch, layer=loss_layer)
             (dlogits,) = pair.pullback(np.float32(1.0))
             grads = backward(spec, out, fwd, dlogits)
             sgd_step(out, grads, state, lr, lr_mults, config.momentum, config.weight_decay)
@@ -196,6 +202,10 @@ def train(
         train_acc = correct / source.n
         val_acc = accuracy_on(spec, out, val_source) if val_source is not None else None
         history.append(HistoryRow(epoch, loss_sum / source.n, train_acc, val_acc))
+        log.info(
+            "epoch %d: loss %.6f, train accuracy %.4f, lr %g, %.2f s",
+            epoch, loss_sum / source.n, train_acc, lr, time.perf_counter() - started,
+        )
         if config.stop_at_train_acc is not None and train_acc >= config.stop_at_train_acc:
             log.info("early stop at epoch %d: train accuracy %.4f", epoch, train_acc)
             break

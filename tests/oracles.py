@@ -113,6 +113,65 @@ def lrn_direct(x: Array, size: int = 5, k: float = 2.0, alpha: float = 1e-4, bet
     return out
 
 
+def max_pool_add_at(x: Array, size: int, stride: int):
+    """Max pooling by a sliding-window argmax, pulled back with np.add.at.
+
+    Runs in the dtype of x; returns (out, argmax, pullback). This was the
+    package's own formulation, kept so a faster one can be held to the same
+    bits: ties go to the first maximum in row-major window order, and
+    overlapping windows add their shares in output scan order.
+    """
+    x = np.ascontiguousarray(x)
+    n, c, h, w = x.shape
+    out_h = (h - size) // stride + 1
+    out_w = (w - size) // stride + 1
+    windows = np.lib.stride_tricks.sliding_window_view(x, (size, size), axis=(2, 3))
+    flat = windows[:, :, ::stride, ::stride][:, :, :out_h, :out_w].reshape(n, c, out_h, out_w, size * size)
+    argmax = flat.argmax(axis=-1)
+    out = np.ascontiguousarray(np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0])
+    rows = argmax // size + (np.arange(out_h) * stride)[None, None, :, None]
+    cols = argmax % size + (np.arange(out_w) * stride)[None, None, None, :]
+
+    def pullback(g: Array) -> Array:
+        dx = np.zeros_like(x)
+        ni = np.arange(n)[:, None, None, None]
+        ci = np.arange(c)[None, :, None, None]
+        np.add.at(dx, (ni, ci, rows, cols), np.asarray(g, dtype=x.dtype))
+        return dx
+
+    return out, argmax, pullback
+
+
+def lrn_channel_loops(x: Array, size: int = 5, k: float = 2.0, alpha: float = 1e-4, beta: float = 0.75):
+    """Cross-channel normalization with one window sum per channel.
+
+    Runs in the dtype of x; returns (out, pullback). This was the package's
+    own formulation, kept so a faster one can be held to the same bits.
+    """
+    x = np.ascontiguousarray(x)
+    c = x.shape[1]
+    lo = (size - 1) // 2
+    hi = size // 2
+    sq = x * x
+    denom_base = np.empty_like(x)
+    for ch in range(c):
+        denom_base[:, ch] = sq[:, max(0, ch - lo) : min(c, ch + hi + 1)].sum(axis=1)
+    denom_base *= alpha / size
+    denom_base += k
+    scale = denom_base ** (-beta)
+    out = x * scale
+
+    def pullback(g: Array) -> Array:
+        g = np.asarray(g, dtype=x.dtype)
+        t = g * x * denom_base ** (-beta - 1.0)
+        coupled = np.empty_like(x)
+        for ch in range(c):
+            coupled[:, ch] = t[:, max(0, ch - hi) : min(c, ch + lo + 1)].sum(axis=1)
+        return g * scale - (2.0 * alpha * beta / size) * x * coupled
+
+    return out, pullback
+
+
 def matmul_loops(x: Array, w: Array, b: Array) -> Array:
     """Affine map via three nested loops in float64."""
     x = np.asarray(x, dtype=np.float64)

@@ -7,7 +7,7 @@ import pytest
 
 from sentnet import cli, ops
 from sentnet.checkpoint import load_checkpoint
-from sentnet.data import ViewSource, read_means
+from sentnet.data import ViewSource, compute_channel_means, decode_squares, load_manifest, read_means, write_means
 from sentnet.errors import ConfigError, DataError
 from sentnet.harness import (
     ExperimentConfig,
@@ -20,6 +20,7 @@ from sentnet.harness import (
     fuse_scores,
     load_config,
     resolve_base_lr,
+    resolve_means,
     resolve_preset,
     run_probe_experiment,
     save_config,
@@ -477,7 +478,47 @@ class TestCli:
             "pretrain", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o"),
         ])
         assert code == 3
-        assert "diverged" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "diverged at epoch" in err
+        assert ", batch " in err and ", layer " in err
+
+    def test_pretrain_honours_configured_means(self, tiny_corpus, tmp_path):
+        fixed = np.array([101.5, 97.25, 88.0], dtype=np.float32)
+        write_means(tmp_path / "fixed.txt", fixed)
+        base = {
+            "dataset": {"manifest": str(tiny_corpus), "k": 2},
+            "train": {"base_lr": 0.0001, "epochs": 1, "batch_size": 8},
+            "seeds": {"folds": 0, "init": 0, "train": 0},
+        }
+        variants = {
+            "default": base,
+            "config": {**base, "preprocess": {"resize_to": 72, "crop": 64, "channel_means": fixed.tolist()}},
+            "file": {**base, "dataset": {**base["dataset"], "means": str(tmp_path / "fixed.txt")}},
+        }
+        for name, payload in variants.items():
+            save_config(config_from_dict(payload), tmp_path / f"{name}.json")
+            code = cli.main(["pretrain", "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)])
+            assert code == 0, name
+
+        config = config_from_dict(base)
+        own = compute_channel_means(iter(decode_squares(load_manifest(str(tiny_corpus)), config.preprocess)))
+        assert read_means(tmp_path / "default" / "means.txt").tobytes() == own.tobytes()
+        assert read_means(tmp_path / "config" / "means.txt").tobytes() == fixed.tobytes()
+        assert read_means(tmp_path / "file" / "means.txt").tobytes() == fixed.tobytes()
+        ckpt = {name: (tmp_path / name / "pretrained.nsrg").read_bytes() for name in variants}
+        assert ckpt["config"] == ckpt["file"]
+        assert ckpt["config"] != ckpt["default"]
+
+    def test_means_resolve_config_then_file_then_none(self, tmp_path):
+        write_means(tmp_path / "m.txt", np.array([1.0, 2.0, 3.0], dtype=np.float32))
+        both = config_from_dict({
+            "dataset": {"manifest": "x.csv", "means": str(tmp_path / "m.txt")},
+            "preprocess": {"channel_means": [4.0, 5.0, 6.0]},
+        })
+        assert resolve_means(both).tolist() == [4.0, 5.0, 6.0]
+        file_only = config_from_dict({"dataset": {"manifest": "x.csv", "means": str(tmp_path / "m.txt")}})
+        assert resolve_means(file_only).tolist() == [1.0, 2.0, 3.0]
+        assert resolve_means(config_from_dict({"dataset": {"manifest": "x.csv"}})) is None
 
     def test_finetune_and_report_pipeline(self, tiny_corpus, tmp_path, capsys):
         save_config(tiny_config(tiny_corpus), tmp_path / "c.json")

@@ -19,6 +19,7 @@ from sentnet.network import (
     reference_spec_small,
     with_lr_mult,
 )
+from sentnet.optim import TrainConfig, train
 
 from oracles import numeric_grad
 
@@ -375,6 +376,124 @@ class TestBackward:
         state = forward(spec, ckpt, x, retain=True)
         grads = backward(spec, ckpt, state, np.ones((2, 2), dtype=np.float32))
         assert set(grads) == {l.name for l in spec.parameterized}
+
+
+def full_chain_grads(spec, state, g):
+    """Every layer's full pullback, top to bottom, input gradients included."""
+    grads = {}
+    for layer in reversed([l for l in spec.layers if l.kind != LayerKind.SOFTMAX]):
+        pair, relu_pullback, flat_shape = state.aux[layer.name]
+        if relu_pullback is not None:
+            (g,) = relu_pullback(g)
+        if layer.has_params:
+            g, dw, db = pair.pullback(g)
+            grads[layer.name] = (dw, db)
+            if flat_shape is not None:
+                g = g.reshape(flat_shape)
+        else:
+            (g,) = pair.pullback(g)
+    return grads
+
+
+def record_pullbacks(state):
+    """Replace each retained GradPair with one that logs which pullback ran."""
+    calls = []
+
+    def logged(name, kind, fn):
+        def run(g):
+            calls.append((name, kind))
+            return fn(g)
+
+        return None if fn is None else run
+
+    for name, (pair, relu_pullback, flat_shape) in list(state.aux.items()):
+        logged_pair = ops.GradPair(
+            pair.value, logged(name, "full", pair.pullback), logged(name, "params", pair.param_pullback)
+        )
+        state.aux[name] = (logged_pair, relu_pullback, flat_shape)
+    return calls
+
+
+class TestBackwardStopsAtLowestTrainedLayer:
+    FROZEN = {"conv1": 0.0, "conv2": 0.0}
+
+    def step_state(self, spec, seed=0):
+        ckpt = init_params(spec, seed=seed)
+        x = np.random.default_rng(seed + 1).normal(0, 30, size=(4, 3, 64, 64)).astype(np.float32)
+        state = forward(spec, ckpt, x, retain=True)
+        loss = ops.cross_entropy_loss(state.post[spec.top_name], np.array([0, 1, 1, 0]))
+        (g,) = loss.pullback(np.float32(1.0))
+        return ckpt, state, g
+
+    @pytest.mark.parametrize("frozen", [{}, FROZEN, {"conv1": 0.0, "conv2": 0.0, "conv3": 0.0,
+                                                     "conv4": 0.0, "conv5": 0.0}])
+    def test_gradients_equal_the_full_chain_bit_for_bit(self, frozen):
+        spec = with_lr_mult(reference_spec_small(num_classes=2), frozen)
+        ckpt, state, g = self.step_state(spec)
+        grads = backward(spec, ckpt, state, g)
+        want = full_chain_grads(spec, state, g)
+        trained = {l.name for l in spec.parameterized if l.name not in frozen}
+        assert set(grads) == trained
+        for name in trained:
+            assert grads[name][0].tobytes() == want[name][0].tobytes(), name
+            assert grads[name][1].tobytes() == want[name][1].tobytes(), name
+
+    def test_layers_below_get_no_pullback_call(self):
+        spec = with_lr_mult(reference_spec_small(num_classes=2), self.FROZEN)
+        ckpt, state, g = self.step_state(spec)
+        calls = record_pullbacks(state)
+        backward(spec, ckpt, state, g)
+        names = [name for name, _ in calls]
+        assert names == ["fc8", "fc7", "fc6", "pool5", "conv5", "conv4", "conv3"]
+        assert calls[-1] == ("conv3", "params")
+        assert all(kind == "full" for _, kind in calls[:-1])
+
+    def test_bottom_layer_skips_its_input_gradient(self):
+        spec = reference_spec_small(num_classes=2)
+        ckpt, state, g = self.step_state(spec)
+        calls = record_pullbacks(state)
+        backward(spec, ckpt, state, g)
+        assert calls[-1] == ("conv1", "params")
+        assert [kind for _, kind in calls].count("params") == 1
+
+    def test_pullback_without_parameter_form_still_works(self):
+        # a GradPair rebuilt from value and pullback alone (as a wrapper
+        # around the ops would) takes the full pullback at the bottom layer
+        spec = reference_spec_small(num_classes=2)
+        ckpt, state, g = self.step_state(spec)
+        want = backward(spec, ckpt, state, g)
+        for name, (pair, relu_pullback, flat_shape) in list(state.aux.items()):
+            state.aux[name] = (ops.GradPair(pair.value, pair.pullback), relu_pullback, flat_shape)
+        got = backward(spec, ckpt, state, g)
+        for name in want:
+            assert got[name][0].tobytes() == want[name][0].tobytes(), name
+
+    def test_nothing_trained_gives_no_gradients(self):
+        spec = reference_spec_small(num_classes=2)
+        spec = with_lr_mult(spec, {l.name: 0.0 for l in spec.parameterized})
+        ckpt, state, g = self.step_state(spec)
+        calls = record_pullbacks(state)
+        assert backward(spec, ckpt, state, g) == {}
+        assert calls == []
+
+    def test_frozen_lower_layers_stay_byte_identical_through_train(self):
+        spec = with_lr_mult(reference_spec_small(num_classes=2), self.FROZEN)
+        ckpt = init_params(spec, seed=3)
+
+        x = np.random.default_rng(4).normal(0, 30, size=(8, 3, 64, 64)).astype(np.float32)
+        y = np.arange(8) % 2
+
+        class Source:
+            n = 8
+
+            def train_batch(self, idx, rng):
+                return x[idx], y[idx]
+
+        out, _ = train(spec, ckpt, Source(), TrainConfig(base_lr=0.01, epochs=2, batch_size=4))
+        for name in self.FROZEN:
+            for got, before in zip(out.entries[name], ckpt.entries[name]):
+                assert got.tobytes() == before.tobytes(), name
+        assert out.entries["conv3"][0].tobytes() != ckpt.entries["conv3"][0].tobytes()
 
 
 class TestLrMultOverride:

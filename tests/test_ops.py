@@ -11,8 +11,10 @@ from sentnet.errors import ShapeError
 from oracles import (
     conv2d_loops,
     conv2d_patches,
+    lrn_channel_loops,
     lrn_direct,
     matmul_loops,
+    max_pool_add_at,
     max_pool_loops,
 )
 
@@ -187,6 +189,62 @@ class TestLocalResponseNorm:
         out = ops.local_response_norm(x).value
         limit = np.abs(x) / 2.0**0.75 + 1e-6
         assert np.all(np.abs(out) <= limit)
+
+
+def bit_test_input(kind, shape, dtype, seed):
+    """Inputs where a reordered sum or a different tie rule would show."""
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        return rng.integers(-2, 3, size=shape).astype(dtype)
+    if kind == "relu":
+        return np.maximum(rng.standard_normal(shape), 0).astype(dtype)
+    if kind == "signed-zeros":
+        return rng.choice(np.array([-0.0, 0.0, -0.0, 1.0, -1.0]), size=shape).astype(dtype)
+    return (rng.standard_normal(shape) * 3).astype(dtype)
+
+
+def upstream(shape, dtype, seed):
+    g = np.random.default_rng(seed).standard_normal(shape).astype(dtype)
+    g.reshape(-1)[::7] = -0.0
+    return g
+
+
+INPUT_KINDS = ("ties", "relu", "signed-zeros", "normal")
+
+
+class TestBitExactAgainstAddAtAndChannelLoops:
+    """The strided-slice pooling and offset-loop LRN against the formulations
+    they replaced, byte for byte: value, argmax and pullback."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size,stride", [(2, 2), (3, 2), (3, 3), (2, 1)])
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_max_pool2d(self, kind, size, stride, dtype):
+        for seed, shape in enumerate([(2, 3, 7, 7), (3, 2, 8, 9), (1, 4, 6, 5)]):
+            x = bit_test_input(kind, shape, dtype, seed)
+            pair, arg = ops.max_pool2d(x, size=size, stride=stride)
+            want, want_arg, want_pullback = max_pool_add_at(x, size, stride)
+            assert pair.value.dtype == want.dtype and arg.dtype == want_arg.dtype
+            assert pair.value.tobytes() == want.tobytes()
+            assert arg.tobytes() == want_arg.tobytes()
+            g = upstream(want.shape, dtype, seed + 100)
+            (dx,) = pair.pullback(g)
+            assert dx.tobytes() == want_pullback(g).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_local_response_norm(self, kind, size, dtype):
+        # channel counts below, at and above the window
+        for c in (1, 2, 3, 5, 7):
+            for shape in [(2, c, 3, 4), (3, c, 1, 1)]:
+                x = bit_test_input(kind, shape, dtype, c)
+                pair = ops.local_response_norm(x, size=size, alpha=0.5)
+                want, want_pullback = lrn_channel_loops(x, size=size, alpha=0.5)
+                assert pair.value.tobytes() == want.tobytes()
+                g = upstream(shape, dtype, c + 100)
+                (dx,) = pair.pullback(g)
+                assert dx.tobytes() == want_pullback(g).tobytes()
 
 
 class TestAffine:

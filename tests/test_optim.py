@@ -229,8 +229,35 @@ class TestTrainLoop:
         src.x *= 1e6
         with pytest.raises(DivergenceError) as info:
             train(spec, ckpt, src, cfg)
-        assert info.value.epoch >= 0
-        assert str(info.value.epoch) in str(info.value)
+        err = info.value
+        assert err.epoch >= 0
+        assert 0 <= err.batch < 1  # one batch of 16 per epoch
+        assert err.layer in ("f", "prob")
+        assert f"epoch {err.epoch}, batch {err.batch}, layer {err.layer}:" in str(err)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_divergence_names_the_layer_and_batch_that_overflowed(self):
+        # frozen layers keep the weights fixed, so only the one huge row overflows
+        spec = NetworkSpec(
+            input_shape=(1, 2, 2),
+            layers=(
+                LayerSpec("body", LayerKind.FC, units=4, relu=True, init_std=0.5, lr_mult=0.0),
+                LayerSpec("head", LayerKind.FC, units=2, init_std=0.5, lr_mult=0.0),
+                LayerSpec("prob", LayerKind.SOFTMAX),
+            ),
+        )
+        ckpt = init_params(spec, seed=0)
+        ckpt.entries["body"][0][:] = 1e30
+        src = toy_source(n=12)
+        src.x[11] = 1e10
+        cfg = TrainConfig(epochs=1, batch_size=4, seed=0)
+        with pytest.raises(DivergenceError) as info:
+            train(spec, ckpt, src, cfg)
+        perm = np.random.default_rng([0, 0]).permutation(12)
+        err = info.value
+        assert (err.epoch, err.batch, err.layer) == (0, int(np.flatnonzero(perm == 11)[0]) // 4, "body")
+        assert "affine" in str(err)
 
     def test_early_stop_on_train_accuracy(self):
         spec = linear_spec()
@@ -249,6 +276,20 @@ class TestTrainLoop:
         _, hist = train(spec, ckpt, toy_source(), cfg, val_source=toy_source(seed=1))
         assert all(h.val_acc is not None for h in hist)
         assert all(0.0 <= h.val_acc <= 1.0 for h in hist)
+
+    def test_one_log_line_per_epoch(self, caplog):
+        spec = linear_spec()
+        ckpt = init_params(spec, seed=0)
+        cfg = TrainConfig(base_lr=0.02, step_epochs=2, epochs=3, batch_size=8)
+        with caplog.at_level("INFO", logger="sentnet.optim"):
+            _, hist = train(spec, ckpt, toy_source(), cfg)
+        lines = [r.getMessage() for r in caplog.records if r.name == "sentnet.optim"]
+        assert len(lines) == 3
+        for row, line, lr in zip(hist, lines, (0.02, 0.02, 0.002)):
+            assert line.startswith(
+                f"epoch {row.epoch}: loss {row.loss:.6f}, train accuracy {row.train_acc:.4f}, lr {lr:g}, "
+            )
+            assert line.endswith(" s")
 
     def test_epoch_metadata_updated(self):
         spec = linear_spec()
