@@ -9,11 +9,19 @@ Layout, all integers little-endian:
 
 Round trips are bit-identical: tensors are stored as raw little-endian
 float32 and metadata keys are written sorted.
+
+Tensors stream between their own buffers and the file: a save writes each
+array's memory straight to the file and a load reads into a preallocated
+array, so neither holds a second copy of the model. A save writes a
+sibling ``<name>.tmp`` and renames it into place, so a failed save leaves
+any earlier file at the path untouched. A load checks every tensor's
+extents against the bytes left in the file before allocating it.
 """
 
 from __future__ import annotations
 
-import io
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -73,42 +81,72 @@ def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
     return data
 
 
+def _bytes_of(arr: Array) -> memoryview:
+    """Flat byte view of a C-contiguous array's memory (no copy)."""
+    return memoryview(arr.reshape(-1)).cast("B")
+
+
 def _write_tensor(f: BinaryIO, arr: Array) -> None:
+    """rank u8 | extents u64[rank] | float32 LE data, streamed from arr's memory."""
     arr = np.ascontiguousarray(arr, dtype="<f4")
     f.write(struct.pack("<B", arr.ndim))
     f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-    f.write(arr.tobytes())
+    f.write(_bytes_of(arr))
 
 
-def _read_tensor(f: BinaryIO, what: str) -> Array:
+def _read_extents(f: BinaryIO, what: str) -> tuple[int, ...]:
+    """A tensor header: the extents, with rank >= 1."""
     (rank,) = struct.unpack("<B", _read_exact(f, 1, f"{what} rank"))
     if rank == 0:
         raise CheckpointFormatError(f"{what}: zero-rank tensor")
-    extents = struct.unpack(f"<{rank}Q", _read_exact(f, 8 * rank, f"{what} extents"))
-    count = 1
-    for e in extents:
-        count *= e
-    raw = _read_exact(f, 4 * count, f"{what} data")
-    return np.frombuffer(raw, dtype="<f4").reshape(extents).astype(np.float32, copy=True)
+    return struct.unpack(f"<{rank}Q", _read_exact(f, 8 * rank, f"{what} extents"))
+
+
+def _read_data(f: BinaryIO, extents: tuple[int, ...], what: str) -> Array:
+    """The float32 payload of a tensor, read into a fresh array.
+
+    The extents are checked against the bytes left in the file first, so a
+    corrupt header cannot ask for an allocation the file could never fill.
+    """
+    nbytes = 4 * math.prod(extents)
+    if nbytes > os.fstat(f.fileno()).st_size - f.tell():
+        raise CheckpointTruncatedError(f"truncated checkpoint while reading {what} data")
+    try:
+        arr = np.empty(extents, dtype="<f4")
+    except ValueError:  # e.g. (2**63, 0): no bytes, but beyond numpy's limits
+        raise CheckpointFormatError(f"{what}: extents {extents} do not form a tensor") from None
+    if f.readinto(_bytes_of(arr)) != nbytes:
+        raise CheckpointTruncatedError(f"truncated checkpoint while reading {what} data")
+    return arr.astype(np.float32, copy=False)
+
+
+def _read_tensor(f: BinaryIO, what: str) -> Array:
+    return _read_data(f, _read_extents(f, what), what)
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<I", VERSION))
-    buf.write(struct.pack("<I", len(ckpt.entries)))
-    for name, tensors in ckpt.entries.items():
-        encoded = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<B", len(tensors)))
-        for arr in tensors:
-            _write_tensor(buf, arr)
-    meta_text = "".join(f"{k}={ckpt.metadata[k]}\n" for k in sorted(ckpt.metadata))
-    meta_bytes = meta_text.encode("utf-8")
-    buf.write(struct.pack("<I", len(meta_bytes)))
-    buf.write(meta_bytes)
-    Path(path).write_bytes(buf.getvalue())
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", VERSION))
+            f.write(struct.pack("<I", len(ckpt.entries)))
+            for name, tensors in ckpt.entries.items():
+                encoded = name.encode("utf-8")
+                f.write(struct.pack("<H", len(encoded)))
+                f.write(encoded)
+                f.write(struct.pack("<B", len(tensors)))
+                for arr in tensors:
+                    _write_tensor(f, arr)
+            meta_text = "".join(f"{k}={ckpt.metadata[k]}\n" for k in sorted(ckpt.metadata))
+            meta_bytes = meta_text.encode("utf-8")
+            f.write(struct.pack("<I", len(meta_bytes)))
+            f.write(meta_bytes)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path, spec=None) -> Checkpoint:

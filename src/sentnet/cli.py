@@ -24,6 +24,7 @@ from .data import (
     compute_channel_means,
     decode_squares,
     load_manifest,
+    read_means,
     save_manifest,
     stratified_kfold,
     write_means,
@@ -190,9 +191,17 @@ def _cmd_evaluate(args) -> int:
     if config.experiment.base_checkpoint is None:
         raise ConfigError("evaluate needs --checkpoint or experiment.base_checkpoint")
     spec, ckpt = harness._base_network(config)
+    means = harness.resolve_means(config)
+    if means is None:
+        beside = Path(config.experiment.base_checkpoint).parent / "means.txt"
+        if not beside.exists():
+            raise ConfigError(
+                f"evaluate needs the channel means training used: set preprocess.channel_means "
+                f"or dataset.means in the config, or keep the means.txt training wrote at {beside}"
+            )
+        means = read_means(beside)
     manifest = load_manifest(config.dataset.manifest)
     squares = decode_squares(manifest, config.preprocess)
-    means = compute_channel_means(iter(squares))
     source = ViewSource(squares, manifest.labels, config.preprocess.crop, means)
     result = harness.evaluate(spec, ckpt, source, oversample=False)
     payload = {

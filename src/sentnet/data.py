@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import csv
 import logging
-import struct
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .checkpoint import _read_data, _read_extents, _write_tensor
+from .errors import CheckpointFormatError, ConfigError, DataError
 
 log = logging.getLogger(__name__)
 
@@ -197,27 +199,24 @@ def write_ppm(path: str | Path, image: Array) -> None:
 
 
 def write_raw_tensor(path: str | Path, tensor: Array) -> None:
-    """Sidecar format: rank u8, extents u64 LE, float32 LE payload."""
-    arr = np.ascontiguousarray(tensor, dtype="<f4")
+    """Sidecar format: one checkpoint tensor, i.e. rank u8, extents u64 LE,
+    float32 LE payload."""
     with open(path, "wb") as f:
-        f.write(struct.pack("<B", arr.ndim))
-        f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        f.write(arr.tobytes())
+        _write_tensor(f, tensor)
 
 
 def read_raw_tensor(path: str | Path) -> Array:
-    data = Path(path).read_bytes()
-    if len(data) < 1:
-        raise DataError(f"{path}: empty raw tensor file")
-    rank = data[0]
-    header = 1 + 8 * rank
-    if rank == 0 or len(data) < header:
-        raise DataError(f"{path}: malformed raw tensor header")
-    extents = struct.unpack(f"<{rank}Q", data[1:header])
-    count = int(np.prod(extents))
-    if len(data) != header + 4 * count:
-        raise DataError(f"{path}: raw tensor payload size mismatch")
-    return np.frombuffer(data, dtype="<f4", offset=header).reshape(extents).astype(np.float32)
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size == 0:
+            raise DataError(f"{path}: empty raw tensor file")
+        try:
+            extents = _read_extents(f, "raw tensor")
+            if size - f.tell() != 4 * math.prod(extents):
+                raise DataError(f"{path}: raw tensor payload size mismatch")
+            return _read_data(f, extents, "raw tensor")
+        except CheckpointFormatError:
+            raise DataError(f"{path}: malformed raw tensor header") from None
 
 
 def load_image(path: str | Path) -> Array:

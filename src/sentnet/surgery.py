@@ -179,6 +179,11 @@ def plan_spec(plan: SurgeryPlan, spec: NetworkSpec) -> NetworkSpec:
     return new_spec
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bit-level equality of two float32 tensors (NaN-safe), without copies."""
+    return np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
 def apply(
     plan: SurgeryPlan,
     spec: NetworkSpec,
@@ -209,9 +214,9 @@ def apply(
     new_ckpt.validate_against(new_shapes)
 
     bit_exact = all(
-        entries[name][0].tobytes() == ckpt.entries[name][0].tobytes()
-        and entries[name][1].tobytes() == ckpt.entries[name][1].tobytes()
+        _same_bits(new, old)
         for name in retained
+        for new, old in zip(entries[name], ckpt.entries[name])
     )
     report = SurgeryReport(
         label=plan.label or "custom",

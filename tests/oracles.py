@@ -8,6 +8,9 @@ is between two routes that were derived separately.
 
 from __future__ import annotations
 
+import io
+import struct
+
 import numpy as np
 
 Array = np.ndarray
@@ -203,6 +206,83 @@ def momentum_updates(w0: float, grads: list[float], lr: float, momentum: float, 
         w = w + v
         trace.append(w)
     return trace
+
+
+def sgd_step_whole_array(ckpt, grads, state, lr, lr_mults, momentum, weight_decay) -> None:
+    """optim.sgd_step as one whole-array expression per tensor.
+
+    Builds temporaries the size of each tensor; the blocked update must
+    match it bit for bit.
+    """
+    for name, (dw, db) in grads.items():
+        mult = lr_mults.get(name, 1.0)
+        if mult == 0.0:
+            continue
+        step = np.float32(lr * mult)
+        mom = np.float32(momentum)
+        decay = np.float32(weight_decay)
+        for param, grad, vel in zip(ckpt.entries[name], (dw, db), state.velocities[name]):
+            vel *= mom
+            vel -= step * (grad + decay * param)
+            param += vel
+
+
+def _encode_tensor(buf, arr: Array) -> None:
+    arr = np.ascontiguousarray(arr, dtype="<f4")
+    buf.write(struct.pack("<B", arr.ndim))
+    buf.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+    buf.write(arr.tobytes())
+
+
+def checkpoint_bytes(entries: dict, metadata: dict) -> bytes:
+    """A .nsrg file's bytes, assembled in memory with BytesIO and tobytes()."""
+    buf = io.BytesIO()
+    buf.write(b"NSRG")
+    buf.write(struct.pack("<I", 1))
+    buf.write(struct.pack("<I", len(entries)))
+    for name, tensors in entries.items():
+        encoded = name.encode("utf-8")
+        buf.write(struct.pack("<H", len(encoded)))
+        buf.write(encoded)
+        buf.write(struct.pack("<B", len(tensors)))
+        for arr in tensors:
+            _encode_tensor(buf, arr)
+    meta = "".join(f"{k}={metadata[k]}\n" for k in sorted(metadata)).encode("utf-8")
+    buf.write(struct.pack("<I", len(meta)))
+    buf.write(meta)
+    return buf.getvalue()
+
+
+def raw_tensor_bytes(arr: Array) -> bytes:
+    """A .rawt file's bytes: one tensor in the checkpoint tensor layout."""
+    buf = io.BytesIO()
+    _encode_tensor(buf, arr)
+    return buf.getvalue()
+
+
+def checkpoint_entries(raw: bytes) -> dict:
+    """Decode a .nsrg file's tensors with frombuffer over the whole file."""
+    pos = 12
+    (count,) = struct.unpack_from("<I", raw, 8)
+    entries = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", raw, pos)
+        name = raw[pos + 2 : pos + 2 + name_len].decode("utf-8")
+        pos += 2 + name_len
+        (n_tensors,) = struct.unpack_from("<B", raw, pos)
+        pos += 1
+        tensors = []
+        for _ in range(n_tensors):
+            (rank,) = struct.unpack_from("<B", raw, pos)
+            extents = struct.unpack_from(f"<{rank}Q", raw, pos + 1)
+            pos += 1 + 8 * rank
+            count_f = int(np.prod(extents))
+            tensors.append(
+                np.frombuffer(raw, dtype="<f4", count=count_f, offset=pos).reshape(extents).astype(np.float32)
+            )
+            pos += 4 * count_f
+        entries[name] = tuple(tensors)
+    return entries
 
 
 def numeric_grad(objective, array: Array, eps: float = 1e-3) -> Array:

@@ -12,7 +12,12 @@ from sentnet.errors import (
     CheckpointMismatchError,
     CheckpointTruncatedError,
 )
+from sentnet import checkpoint as checkpoint_mod
+from sentnet import cli
+from sentnet.harness import config_from_dict, save_config
 from sentnet.network import init_params, reference_spec_small
+
+from oracles import checkpoint_bytes, checkpoint_entries
 
 
 def sample_checkpoint(seed=0):
@@ -84,6 +89,76 @@ class TestRoundTrip:
         assert struct.unpack("<I", raw[8:12])[0] == 2
 
 
+class TestStreamedCodecMatchesInMemoryCodec:
+    """Streamed save/load against the BytesIO codec in oracles."""
+
+    def check(self, ckpt, tmp_path):
+        path = tmp_path / "a.nsrg"
+        save_checkpoint(ckpt, path)
+        raw = path.read_bytes()
+        assert raw == checkpoint_bytes(ckpt.entries, ckpt.metadata)
+        back = load_checkpoint(path)
+        want = checkpoint_entries(raw)
+        assert list(back.entries) == list(want)
+        for name in want:
+            for got, ref in zip(back.entries[name], want[name]):
+                assert got.dtype == np.float32
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+
+    def test_small_network_checkpoint(self, tmp_path):
+        self.check(init_params(reference_spec_small(num_classes=2), seed=4), tmp_path)
+
+    def test_wide_multi_block_tensor(self, tmp_path):
+        # 3 x 700_001 floats: 8.4 MB, far more than one I/O buffer, odd length
+        rng = np.random.default_rng(9)
+        wide = rng.standard_normal((3, 700_001), dtype=np.float32)
+        ckpt = Checkpoint(entries={"fc6": (wide, rng.standard_normal(700_001, dtype=np.float32)),
+                                   "empty": (np.zeros((2, 0), dtype=np.float32),
+                                             np.zeros(0, dtype=np.float32))},
+                          metadata={"k": "v"})
+        self.check(ckpt, tmp_path)
+
+    def test_non_contiguous_and_float64_tensors_saved_as_float32(self, tmp_path):
+        rng = np.random.default_rng(1)
+        w = rng.standard_normal((5, 7))
+        ckpt = Checkpoint(entries={"f": (w.T, rng.standard_normal(5, dtype=np.float32)[::2])})
+        self.check(ckpt, tmp_path)
+
+
+class TestAtomicSave:
+    class Exploding:
+        """A tensor whose conversion fails part-way through a save."""
+
+        def __array__(self, dtype=None, copy=None):
+            raise OSError("disk full")
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "a.nsrg"
+        save_checkpoint(sample_checkpoint(seed=1), path)
+        before = path.read_bytes()
+        bad = sample_checkpoint(seed=2)
+        bad.entries["later"] = (np.zeros(3, dtype=np.float32), self.Exploding())
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(bad, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.nsrg"]
+
+    def test_failed_first_save_leaves_nothing(self, tmp_path):
+        bad = Checkpoint(entries={"f": (self.Exploding(), np.zeros(1, dtype=np.float32))})
+        with pytest.raises(OSError):
+            save_checkpoint(bad, tmp_path / "a.nsrg")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "a.nsrg"
+        save_checkpoint(sample_checkpoint(seed=1), path)
+        save_checkpoint(sample_checkpoint(seed=2), path)
+        assert path.read_bytes() == checkpoint_bytes(sample_checkpoint(seed=2).entries,
+                                                     sample_checkpoint(seed=2).metadata)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.nsrg"]
+
+
 class TestLoadErrors:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.nsrg"
@@ -106,6 +181,44 @@ class TestLoadErrors:
             cut.write_bytes(raw[:n])
             with pytest.raises(CheckpointTruncatedError):
                 load_checkpoint(cut)
+
+    def oversized(self, tmp_path):
+        # one entry whose weight header claims 2**40 floats, with 8 bytes behind it
+        buf = MAGIC + struct.pack("<I", VERSION) + struct.pack("<I", 1)
+        buf += struct.pack("<H", 3) + b"fc6" + struct.pack("<B", 2)
+        buf += struct.pack("<B", 2) + struct.pack("<2Q", 2**20, 2**20) + b"\x00" * 8
+        path = tmp_path / "huge.nsrg"
+        path.write_bytes(buf)
+        return path
+
+    def test_oversized_extent_rejected_before_allocating(self, tmp_path, monkeypatch):
+        path = self.oversized(tmp_path)
+        real_empty = np.empty
+
+        def guarded_empty(shape, *args, **kwargs):
+            assert int(np.prod(shape, dtype=object)) < 2**30, f"allocation of {shape} attempted"
+            return real_empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(checkpoint_mod.np, "empty", guarded_empty)
+        with pytest.raises(CheckpointTruncatedError, match="fc6 weights"):
+            load_checkpoint(path)
+
+    def test_zero_size_extent_beyond_numpy_limits_rejected(self, tmp_path):
+        buf = MAGIC + struct.pack("<I", VERSION) + struct.pack("<I", 1)
+        buf += struct.pack("<H", 1) + b"f" + struct.pack("<B", 2)
+        buf += struct.pack("<B", 2) + struct.pack("<2Q", 2**63, 0)
+        path = tmp_path / "odd.nsrg"
+        path.write_bytes(buf)
+        with pytest.raises(CheckpointFormatError, match="do not form a tensor"):
+            load_checkpoint(path)
+
+    def test_oversized_extent_exits_two(self, tmp_path, capsys):
+        path = self.oversized(tmp_path)
+        save_config(config_from_dict({"dataset": {"manifest": str(tmp_path / "m.csv")}}), tmp_path / "c.json")
+        code = cli.main(["evaluate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "e"),
+                         "--checkpoint", str(path)])
+        assert code == 2
+        assert "truncated" in capsys.readouterr().err
 
     def test_trailing_garbage_rejected(self, tmp_path):
         path = tmp_path / "a.nsrg"

@@ -1,5 +1,7 @@
 """Tests for manifests, image codecs, preprocessing, crops, and folds."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,9 @@ from sentnet.data import (
     write_ppm,
     write_raw_tensor,
 )
-from sentnet.errors import ConfigError, DataError
+from sentnet.errors import CheckpointError, ConfigError, DataError
+
+from oracles import raw_tensor_bytes
 
 
 def write_text(path, text):
@@ -185,6 +189,35 @@ class TestRawTensor:
     def test_empty_file_rejected(self, tmp_path):
         (tmp_path / "t.rawt").write_bytes(b"")
         with pytest.raises(DataError, match="empty"):
+            read_raw_tensor(tmp_path / "t.rawt")
+
+
+class TestRawTensorCodec:
+    """.rawt files share the checkpoint tensor codec and keep its bytes."""
+
+    def test_bytes_match_in_memory_codec(self, tmp_path):
+        arr = np.random.default_rng(4).normal(size=(3, 70, 1001)).astype(np.float32)
+        write_raw_tensor(tmp_path / "t.rawt", arr)
+        assert (tmp_path / "t.rawt").read_bytes() == raw_tensor_bytes(arr)
+        assert read_raw_tensor(tmp_path / "t.rawt").dtype == np.float32
+
+    def test_oversized_extent_is_a_data_error(self, tmp_path):
+        (tmp_path / "t.rawt").write_bytes(struct.pack("<B2Q", 2, 2**20, 2**20) + b"\x00" * 8)
+        with pytest.raises(DataError, match="mismatch") as info:
+            read_raw_tensor(tmp_path / "t.rawt")
+        assert not isinstance(info.value, CheckpointError)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        write_raw_tensor(tmp_path / "t.rawt", np.zeros((2, 2), dtype=np.float32))
+        with open(tmp_path / "t.rawt", "ab") as f:
+            f.write(b"\x00")
+        with pytest.raises(DataError, match="mismatch"):
+            read_raw_tensor(tmp_path / "t.rawt")
+
+    @pytest.mark.parametrize("raw", [b"\x00", b"\x02" + b"\x00" * 9, struct.pack("<B2Q", 2, 2**63, 0)])
+    def test_bad_header_rejected(self, tmp_path, raw):
+        (tmp_path / "t.rawt").write_bytes(raw)
+        with pytest.raises(DataError, match="malformed"):
             read_raw_tensor(tmp_path / "t.rawt")
 
 

@@ -1,6 +1,11 @@
 """Tests for configs, evaluation, the cross-validation loop, reports, and CLI."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -546,6 +551,68 @@ class TestCli:
         payload = json.loads((tmp_path / "eval" / "evaluation.json").read_text())
         assert 0.0 <= payload["accuracy"] <= 1.0
         assert payload["n"] == 16
+
+    def test_evaluate_uses_the_means_training_used(self, cv_run, tiny_corpus, tmp_path, monkeypatch, capsys):
+        _, cv_out = cv_run
+        seen = []
+
+        class RecordingSource(ViewSource):
+            def __init__(self, squares, labels, crop, means=None):
+                seen.append(np.asarray(means, dtype=np.float32))
+                super().__init__(squares, labels, crop, means)
+
+        monkeypatch.setattr(cli, "ViewSource", RecordingSource)
+        fold_ckpt = cv_out / "fold0" / "checkpoint.nsrg"
+
+        def run(config, checkpoint):
+            save_config(config, tmp_path / "c.json")
+            return cli.main(["evaluate", "--config", str(tmp_path / "c.json"),
+                             "--out", str(tmp_path / "eval"), "--checkpoint", str(checkpoint)])
+
+        # no means in the config: the fold's own means.txt, from its training rows
+        assert run(tiny_config(tiny_corpus), fold_ckpt) == 0
+        assert seen[-1].tobytes() == read_means(cv_out / "fold0" / "means.txt").tobytes()
+
+        # means in the config win over the file beside the checkpoint
+        fixed = [101.5, 97.25, 88.0]
+        payload = config_to_dict(tiny_config(tiny_corpus))
+        payload["preprocess"]["channel_means"] = fixed
+        assert run(config_from_dict(payload), fold_ckpt) == 0
+        assert seen[-1].tolist() == fixed
+
+        # neither: refuse rather than compute means over the evaluation images
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        (bare / "checkpoint.nsrg").write_bytes(fold_ckpt.read_bytes())
+        capsys.readouterr()
+        assert run(tiny_config(tiny_corpus), bare / "checkpoint.nsrg") == 1
+        err = capsys.readouterr().err
+        assert "channel_means" in err and "means.txt" in err
+        assert len(seen) == 2
+
+    def test_cv_artifacts_identical_across_blas_thread_counts(self, tiny_corpus, tmp_path):
+        threads = sorted({1, min(2, os.cpu_count() or 1)})
+        if len(threads) < 2:
+            pytest.skip("needs at least 2 cores to vary the BLAS thread count")
+        payload = config_to_dict(tiny_config(tiny_corpus))
+        payload["train"]["epochs"] = 1
+        save_config(config_from_dict(payload), tmp_path / "c.json")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        digests = {}
+        for n in threads:
+            out = tmp_path / f"threads{n}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(n),
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run(
+                [sys.executable, "-m", "sentnet.cli", "finetune", "--config", str(tmp_path / "c.json"),
+                 "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=600,
+            )
+            files = [out / "summary.json", *sorted(out.rglob("*.nsrg"))]
+            assert len(files) == 3  # summary plus one checkpoint per fold
+            digests[n] = [(f.relative_to(out).as_posix(), hashlib.sha256(f.read_bytes()).hexdigest())
+                          for f in files]
+        assert digests[threads[0]] == digests[threads[1]]
 
     def test_probe_with_an_empty_training_fold_exits_two(self, tiny_corpus, tmp_path, capsys):
         # a manifest whose rows all sit in fold 0 leaves that fold no training rows

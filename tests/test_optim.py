@@ -7,6 +7,7 @@ from sentnet.checkpoint import Checkpoint
 from sentnet.errors import ConfigError, DivergenceError
 from sentnet.network import LayerKind, LayerSpec, NetworkSpec, init_params
 from sentnet.optim import (
+    BLOCK,
     HistoryRow,
     OptState,
     TrainConfig,
@@ -17,7 +18,7 @@ from sentnet.optim import (
     train,
 )
 
-from oracles import momentum_updates
+from oracles import momentum_updates, sgd_step_whole_array
 
 
 def linear_spec(num_classes=2, relu=False):
@@ -165,6 +166,63 @@ class TestSgdStep:
         zero = np.zeros(1, dtype=np.float32)
         sgd_step(ckpt, {"f": (zero, zero)}, state, 0.1, {"f": 1.0}, 0.0, 0.5)
         np.testing.assert_allclose(float(ckpt.entries["f"][0][0]), 9.5, rtol=1e-6)
+
+
+class TestBlockedUpdateMatchesWholeArray:
+    """sgd_step against the whole-array expression in oracles, bit for bit."""
+
+    def run_both(self, entries, lr_mults, steps=2, seed=0):
+        rng = np.random.default_rng(seed)
+        ckpt = Checkpoint(entries=entries)
+        want = ckpt.copy()
+        state = OptState.for_checkpoint(ckpt)
+        want_state = OptState.for_checkpoint(want)
+        for _ in range(steps):
+            grads = {
+                name: tuple(rng.standard_normal(t.shape, dtype=np.float32) for t in tensors)
+                for name, tensors in entries.items()
+            }
+            sgd_step(ckpt, grads, state, 0.01, lr_mults, 0.9, 0.0005)
+            sgd_step_whole_array(want, grads, want_state, 0.01, lr_mults, 0.9, 0.0005)
+        for name in entries:
+            for got, ref in zip(ckpt.entries[name] + state.velocities[name],
+                                want.entries[name] + want_state.velocities[name]):
+                assert got.dtype == np.float32
+                assert got.tobytes() == ref.tobytes(), name
+        return ckpt, state
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_sizes_around_the_block(self, n):
+        rng = np.random.default_rng(n)
+        entries = {"f": (rng.standard_normal(n, dtype=np.float32),
+                         rng.standard_normal(1, dtype=np.float32))}
+        self.run_both(entries, {"f": 10.0})
+
+    def test_fc6_shaped_tensor(self):
+        # the reference net's fc6: 9216 x 4096 weights, 37.7M floats
+        rng = np.random.default_rng(6)
+        w = rng.standard_normal((9216, 4096), dtype=np.float32)
+        w *= np.float32(0.005)
+        entries = {"fc6": (w, np.full(4096, 0.1, dtype=np.float32))}
+        self.run_both(entries, {"fc6": 1.0}, steps=1)
+
+    def test_frozen_layers_skipped(self):
+        rng = np.random.default_rng(2)
+        entries = {
+            "conv1": (rng.standard_normal((4, 3, 3, 3), dtype=np.float32), np.zeros(4, dtype=np.float32)),
+            "fc8": (rng.standard_normal((10, 2), dtype=np.float32), np.zeros(2, dtype=np.float32)),
+        }
+        before = [t.tobytes() for t in entries["conv1"]]
+        ckpt, state = self.run_both(entries, {"conv1": 0.0, "fc8": 10.0})
+        assert [t.tobytes() for t in ckpt.entries["conv1"]] == before
+        assert not any(v.any() for v in state.velocities["conv1"])
+
+    def test_non_contiguous_parameters_rejected(self):
+        w = np.asfortranarray(np.ones((3, 4), dtype=np.float32))
+        ckpt = Checkpoint(entries={"f": (w, np.zeros(4, dtype=np.float32))})
+        grads = {"f": (np.ones((3, 4), dtype=np.float32), np.ones(4, dtype=np.float32))}
+        with pytest.raises(ValueError, match="contiguous"):
+            sgd_step(ckpt, grads, OptState.for_checkpoint(ckpt), 0.1, {"f": 1.0}, 0.9, 0.0)
 
 
 class TestTrainLoop:

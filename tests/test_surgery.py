@@ -23,6 +23,7 @@ from sentnet.surgery import (
     RemoveTop,
     ReplaceTop,
     SurgeryPlan,
+    _same_bits,
     apply,
     plan_spec,
     preset_plan,
@@ -167,6 +168,19 @@ class TestApply:
             assert new_ckpt.entries[layer][0].tobytes() == ckpt.entries[layer][0].tobytes()
             assert new_ckpt.entries[layer][1].tobytes() == ckpt.entries[layer][1].tobytes()
         assert count_parameters(new_spec) == new_ckpt.num_parameters()
+
+    def test_bit_check_compares_bits_not_values(self):
+        nan = np.array([np.nan, 1.0], dtype=np.float32)
+        assert _same_bits(nan, nan.copy())
+        assert not _same_bits(np.array([0.0], dtype=np.float32), np.array([-0.0], dtype=np.float32))
+        assert not _same_bits(np.zeros(3, dtype=np.float32), np.zeros(4, dtype=np.float32))
+
+    def test_retained_nan_weights_still_bit_exact(self, small_setup):
+        spec, ckpt = small_setup
+        ckpt = ckpt.copy()
+        ckpt.entries["conv2"][0][0, 0, 0, 0] = np.nan
+        _, _, report = apply(preset_plan("fc7-2"), spec, ckpt, seed=0)
+        assert report.retained_bit_exact
 
     def test_report_partitions_layers(self, small_setup):
         spec, ckpt = small_setup
