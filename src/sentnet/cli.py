@@ -37,7 +37,7 @@ from .errors import (
     ShapeError,
     SurgeryError,
 )
-from .network import init_params
+from .network import init_params, parameter_shapes
 from .optim import history_to_csv, train
 
 log = logging.getLogger(__name__)
@@ -190,7 +190,13 @@ def _cmd_evaluate(args) -> int:
         )
     if config.experiment.base_checkpoint is None:
         raise ConfigError("evaluate needs --checkpoint or experiment.base_checkpoint")
-    spec, ckpt = harness._base_network(config)
+    base_spec, ckpt = harness._base_network(config)
+    # A fold checkpoint records the preset that shaped it; scoring it as that
+    # preset's network, on that preset's labels, reproduces the fold's result.
+    preset = ckpt.metadata.get("surgery")
+    named = config.experiment.preset
+    if named is not None and preset is not None and named != preset:
+        raise ConfigError(f"the config names preset {named!r} but the checkpoint was made by {preset!r}")
     means = harness.resolve_means(config)
     if means is None:
         beside = Path(config.experiment.base_checkpoint).parent / "means.txt"
@@ -200,23 +206,25 @@ def _cmd_evaluate(args) -> int:
                 f"or dataset.means in the config, or keep the means.txt training wrote at {beside}"
             )
         means = read_means(beside)
-    manifest = load_manifest(config.dataset.manifest)
+    manifest = load_manifest(config.dataset.manifest, allow_multiclass=True)
+    spec, labels = harness.preset_task(preset, base_spec, manifest.labels)
+    ckpt.validate_against(parameter_shapes(spec))
     squares = decode_squares(manifest, config.preprocess)
-    source = ViewSource(squares, manifest.labels, config.preprocess.crop, means)
-    result = harness.evaluate(spec, ckpt, source, oversample=False)
+    source = ViewSource(squares, labels, config.preprocess.crop, means)
+    result = harness.evaluate(
+        spec, ckpt, source, oversample=args.oversample,
+        pre_softmax_fusion=config.experiment.pre_softmax_fusion,
+    )
+    plain = result.plain or result
     payload = {
-        "accuracy": result.accuracy,
-        "per_class": {str(k): v for k, v in result.per_class.items()},
-        "degenerate": result.degenerate,
-        "n": result.n,
+        "accuracy": plain.accuracy,
+        "per_class": {str(k): v for k, v in plain.per_class.items()},
+        "degenerate": plain.degenerate,
+        "n": plain.n,
     }
     if args.oversample:
-        fused = harness.evaluate(
-            spec, ckpt, source, oversample=True,
-            pre_softmax_fusion=config.experiment.pre_softmax_fusion,
-        )
-        payload["accuracy_oversampled"] = fused.accuracy
-        payload["degenerate_oversampled"] = fused.degenerate
+        payload["accuracy_oversampled"] = result.accuracy
+        payload["degenerate_oversampled"] = result.degenerate
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "evaluation.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -35,8 +35,10 @@ from .data import (
 )
 from .errors import ConfigError, DataError, DivergenceError
 from .network import (
+    LayerKind,
     NetworkSpec,
     forward,
+    infer_shapes,
     init_params,
     parameter_shapes,
     reference_spec,
@@ -219,57 +221,67 @@ class EvalResult:
     per_class: dict[int, float]
     degenerate: bool
     n: int
+    plain: EvalResult | None = None  # the center-view result of an oversampled evaluation
 
 
-def _scores_plain(spec: NetworkSpec, ckpt: Checkpoint, source: ViewSource) -> Array:
-    prob_name = spec.layers[-1].name
-    rows = []
-    for x, _ in source.eval_batches(64):
-        state = forward(spec, ckpt, x)
-        rows.append(state.post[prob_name])
-    return np.vstack(rows)
+# ten_crop's view order: four corners, the center, then their mirrors.
+CENTER_VIEW = 4
+TEN_CROP_CHUNK = 6  # images per oversampled forward pass (60 views)
+EVAL_BATCH = 64  # center views per plain forward pass
 
 
-def _scores_oversampled(
-    spec: NetworkSpec, ckpt: Checkpoint, source: ViewSource, pre_softmax: bool
-) -> Array:
-    prob_name = spec.layers[-1].name
-    top_name = spec.top_name
-    crop = spec.input_shape[1]
-    chunk = 6
-    fused_rows = []
-    for start in range(0, source.n, chunk):
-        idx = range(start, min(start + chunk, source.n))
-        views = []
-        for i in idx:
-            views.extend(v.tensor for v in ten_crop(source.square(i), crop, source.means))
-        x = np.stack(views)
-        state = forward(spec, ckpt, x)
-        raw = state.post[top_name] if pre_softmax else state.post[prob_name]
-        raw = raw.reshape(len(list(idx)), 10, -1)
-        fused_rows.append(fuse_scores(raw, pre_softmax=pre_softmax))
-    return np.vstack(fused_rows)
+def _split_head(spec: NetworkSpec, ckpt: Checkpoint) -> tuple[str | None, NetworkSpec, Checkpoint]:
+    """The layers from the first FC (or the softmax) up, as a network of their own.
 
-
-def evaluate(
-    spec: NetworkSpec,
-    ckpt: Checkpoint,
-    source: ViewSource,
-    oversample: bool = False,
-    pre_softmax_fusion: bool = False,
-) -> EvalResult:
-    """Accuracy, confusion, per-class accuracy, and a degenerate flag.
-
-    Without oversampling each image contributes its center view; with it,
-    the ten fixed views are fused by score averaging. Prediction is the
-    argmax of the fused scores, ties resolving to the lowest class index.
+    Returns the name of the layer the head reads (None when it reads the
+    input), the head's spec over that layer's output shape, and the head's
+    tensors. Every layer below the head gives each example the same bits in
+    any batch (convolution runs one GEMM per example; pooling, normalization
+    and ReLU are elementwise), while an FC layer's GEMM rounds a row
+    differently depending on the rows around it.
     """
-    if oversample:
-        scores = _scores_oversampled(spec, ckpt, source, pre_softmax_fusion)
+    k = next(i for i, l in enumerate(spec.layers) if l.kind in (LayerKind.FC, LayerKind.SOFTMAX))
+    below = spec.layers[k - 1].name if k else None
+    shape = infer_shapes(spec)[below] if below else spec.input_shape
+    head = NetworkSpec(input_shape=shape, layers=spec.layers[k:])
+    return below, head, Checkpoint(entries={l.name: ckpt.entries[l.name] for l in head.parameterized})
+
+
+def _view_scores(
+    spec: NetworkSpec, ckpt: Checkpoint, source: ViewSource, oversample: bool, pre_softmax: bool
+) -> tuple[Array, Array | None]:
+    """Center-view probabilities and, with oversample, fused ten-view scores.
+
+    Center views go through the network EVAL_BATCH at a time. Oversampled,
+    each chunk's ten crops run once, and the center views' inputs to the FC
+    head are kept and finished in those same batches, so no view crosses
+    the convolutional layers twice and both results have the bits a
+    separate center-crop pass would give (see _split_head).
+    """
+    prob_name = spec.layers[-1].name
+    if not oversample:
+        batches = (x for x, _ in source.eval_batches(EVAL_BATCH))
+        head, head_ckpt, fused = spec, ckpt, None
     else:
-        scores = _scores_plain(spec, ckpt, source)
+        below, head, head_ckpt = _split_head(spec, ckpt)
+        crop = spec.input_shape[1]
+        centers, fused_rows = [], []
+        for start in range(0, source.n, TEN_CROP_CHUNK):
+            idx = range(start, min(start + TEN_CROP_CHUNK, source.n))
+            x = np.stack([v.tensor for i in idx for v in ten_crop(source.square(i), crop, source.means)])
+            state = forward(spec, ckpt, x)
+            centers.append((state.post[below] if below else x)[CENTER_VIEW::10])
+            raw = state.post[spec.top_name] if pre_softmax else state.post[prob_name]
+            fused_rows.append(fuse_scores(raw.reshape(len(idx), 10, -1), pre_softmax=pre_softmax))
+        fused = np.vstack(fused_rows)
+        center_inputs = np.concatenate(centers)
+        batches = (center_inputs[s : s + EVAL_BATCH] for s in range(0, source.n, EVAL_BATCH))
+    plain = np.vstack([forward(head, head_ckpt, x).post[prob_name] for x in batches])
+    return plain, fused
+
+
+def _result(scores: Array, labels: Array) -> EvalResult:
     preds = scores.argmax(axis=1)
-    labels = source.labels
     accuracy = float((preds == labels).mean())
     true_classes = sorted(int(c) for c in np.unique(labels))
     confusion = np.zeros((len(true_classes), scores.shape[1]), dtype=np.int64)
@@ -287,6 +299,34 @@ def evaluate(
         degenerate=degenerate,
         n=len(labels),
     )
+
+
+def evaluate(
+    spec: NetworkSpec,
+    ckpt: Checkpoint,
+    source: ViewSource,
+    oversample: bool = False,
+    pre_softmax_fusion: bool = False,
+) -> EvalResult:
+    """Accuracy, confusion, per-class accuracy, and a degenerate flag.
+
+    Without oversampling each image contributes its center view; with it,
+    the ten fixed views are fused by score averaging, and the result's
+    `plain` field holds the center-view result of the same forward pass.
+    Prediction is the argmax of the (fused) scores, ties resolving to the
+    lowest class index. A label the network has no output for raises
+    DataError.
+    """
+    classes = infer_shapes(spec)[spec.layers[-1].name][0]
+    if source.n and int(source.labels.max()) >= classes:
+        raise DataError(
+            f"label {int(source.labels.max())} is out of range for a network with {classes} outputs"
+        )
+    plain_scores, fused_scores = _view_scores(spec, ckpt, source, oversample, pre_softmax_fusion)
+    plain = _result(plain_scores, source.labels)
+    if not oversample:
+        return plain
+    return dataclasses.replace(_result(fused_scores, source.labels), plain=plain)
 
 
 def summarize(values: Sequence[float]) -> tuple[float, float]:
@@ -401,17 +441,36 @@ def _train_config(train: TrainSection, base_lr: float, seed: int) -> TrainConfig
 
 
 def _base_network(config: ExperimentConfig) -> tuple[NetworkSpec, Checkpoint]:
+    """The configured checkpoint (or fresh weights) and the arch spec below any preset.
+
+    The spec's fc8 width is the checkpoint's. A checkpoint without fc8 is one
+    a preset removed it from, so the width cannot matter; callers check the
+    checkpoint against the spec their preset makes of this one.
+    """
     exp = config.experiment
     if exp.base_checkpoint is not None:
         ckpt = load_checkpoint(exp.base_checkpoint)
-        if "fc8" not in ckpt.entries:
-            raise DataError(f"{exp.base_checkpoint}: checkpoint has no fc8 head")
-        num_classes = int(ckpt.entries["fc8"][1].shape[0])
-        spec = _arch_spec(exp.arch, num_classes)
-        ckpt.validate_against(parameter_shapes(spec))
-        return spec, ckpt
+        head = ckpt.entries.get("fc8")
+        return _arch_spec(exp.arch, 2 if head is None else int(head[1].shape[0])), ckpt
     spec = _arch_spec(exp.arch, 2)
     return spec, init_params(spec, config.seeds.init)
+
+
+def preset_task(preset: str | None, base_spec: NetworkSpec, labels: Array) -> tuple[NetworkSpec, Array]:
+    """The network a surgery preset makes of base_spec, and the labels it
+    trains and is scored on.
+
+    No preset leaves both as they are. The presets in SWAPPED_LABEL_PRESETS
+    keep a wide head and map positive to class 0, negative to class 1.
+    cross_validate, run_probe_experiment and `sentnet evaluate` all take
+    their spec and labels from here.
+    """
+    if preset is None:
+        return base_spec, labels
+    plan = preset_plan(preset)
+    if plan.label in SWAPPED_LABEL_PRESETS:
+        labels = np.where(labels == 1, 0, 1)
+    return plan_spec(plan, base_spec), labels
 
 
 def _assumptions(config: ExperimentConfig, plan: SurgeryPlan, base_lr: float, folds_from: str) -> list[str]:
@@ -470,11 +529,8 @@ def cross_validate(config: ExperimentConfig, out_dir: str | Path, label: str | N
     splits = audit_folds(folds)
     squares = decode_squares(manifest, config.preprocess)
     base_spec, base_ckpt = _base_network(config)
-
-    if plan.label in SWAPPED_LABEL_PRESETS:
-        labels_eff = np.where(labels == 1, 0, 1)
-    else:
-        labels_eff = labels
+    base_ckpt.validate_against(parameter_shapes(base_spec))
+    _, labels_eff = preset_task(preset, base_spec, labels)
 
     crop = config.preprocess.crop
     fixed_means = resolve_means(config)
@@ -502,14 +558,13 @@ def cross_validate(config: ExperimentConfig, out_dir: str | Path, label: str | N
             outcome.epochs_run = len(history)
             save_checkpoint(trained, fold_dir / "checkpoint.nsrg")
             (fold_dir / "history.csv").write_text(history_to_csv(history))
-            plain = evaluate(spec_f, trained, test_src, oversample=False)
             fused = evaluate(
                 spec_f, trained, test_src, oversample=True,
                 pre_softmax_fusion=config.experiment.pre_softmax_fusion,
             )
-            outcome.accuracy = plain.accuracy
+            outcome.accuracy = fused.plain.accuracy
             outcome.accuracy_oversampled = fused.accuracy
-            outcome.degenerate = plain.degenerate
+            outcome.degenerate = fused.plain.degenerate
             outcome.degenerate_oversampled = fused.degenerate
         except DivergenceError as e:
             outcome.error = str(e)
@@ -552,18 +607,16 @@ def run_probe_experiment(config: ExperimentConfig, out_dir: str | Path, label: s
     out.mkdir(parents=True, exist_ok=True)
     exp = config.experiment
     base_spec, base_ckpt = _base_network(config)
-    spec = plan_spec(preset_plan(exp.preset), base_spec) if exp.preset else base_spec
-    if exp.preset:
-        base_ckpt.validate_against(parameter_shapes(spec))
-
     manifest = load_manifest(config.dataset.manifest)
+    spec, labels = preset_task(exp.preset, base_spec, manifest.labels)
+    base_ckpt.validate_against(parameter_shapes(spec))
     folds, folds_note = _load_folds(manifest, config)
     audit_folds(folds)
     squares = decode_squares(manifest, config.preprocess)
     means = resolve_means(config)
     if means is None:
         means = compute_channel_means(iter(squares))
-    source = ViewSource(squares, manifest.labels, config.preprocess.crop, means)
+    source = ViewSource(squares, labels, config.preprocess.crop, means)
     p = exp.probe
     report = probe_mod.probe_all_layers(
         spec,

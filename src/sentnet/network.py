@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class LayerKind(str, Enum):
     POOL = "pool"
     NORM = "norm"
     FC = "fc"
-    RELU = "relu"
     SOFTMAX = "softmax"
 
 
@@ -164,8 +163,6 @@ def infer_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
             cur = (layer.units,)
         elif layer.kind == LayerKind.SOFTMAX:
             cur = (int(np.prod(cur)),)
-        elif layer.kind == LayerKind.RELU:
-            pass
         shapes[layer.name] = cur
     return shapes
 
@@ -249,9 +246,6 @@ class ForwardState:
             raise ShapeError(f"no endpoint named {name!r}")
         return table[name]
 
-    def activations(self, names: Iterable[str], pre_activation: bool = False) -> dict[str, Array]:
-        return {n: self.endpoint(n, pre_activation) for n in names}
-
 
 def forward(
     spec: NetworkSpec,
@@ -293,8 +287,6 @@ def forward(
                     flat_shape = x.shape
                     x = x.reshape(x.shape[0], -1)
                 pair = ops.affine(x, w, b)
-            elif layer.kind == LayerKind.RELU:
-                pair = ops.relu(x)
             elif layer.kind == LayerKind.SOFTMAX:
                 value = ops.softmax(x if x.ndim == 2 else x.reshape(x.shape[0], -1))
                 pre[layer.name] = post[layer.name] = value

@@ -5,10 +5,18 @@ Each operation validates shapes, computes its forward value, and returns a
 gradient to gradients for every differentiable input, in input order.
 Arithmetic stays in the dtype of the inputs, so training runs in float32
 while the finite-difference checker promotes to float64.
+
+Work that only a pullback reads is deferred to the pullback: max pooling
+builds its argmax map on the first pullback (or argmax) call, and ReLU
+builds its mask there, so a forward-only pass (evaluation, feature
+extraction) never pays for them. Pooling's one exception is an input
+holding a -0, where the argmax also fixes the sign of zero maxima and is
+built in the forward (see max_pool2d).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -122,12 +130,49 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
     return GradPair(out, pullback, param_pullback)
 
 
-def max_pool2d(x, size: int, stride: int) -> tuple[GradPair, Array]:
+def _pool_window(a: Array, idx: int, size: int, stride: int, out_shape: tuple[int, ...]) -> Array:
+    """View of a at window offset idx (row-major), one element per output."""
+    r, s = divmod(idx, size)
+    out_h, out_w = out_shape[-2:]
+    return a[:, :, r : r + stride * (out_h - 1) + 1 : stride, s : s + stride * (out_w - 1) + 1 : stride]
+
+
+def _pool_argmax(x: Array, out: Array, size: int, stride: int) -> Array:
+    """First window offset, in row-major scan order, whose element equals out.
+
+    Returned in the smallest unsigned dtype that holds size*size - 1.
+    """
+    count = size * size
+    seen = _pool_window(x, 0, size, stride, out.shape) == out
+    first_at = np.zeros(out.shape, dtype=np.min_scalar_type(count - 1))
+    for idx in range(1, count):
+        first = (_pool_window(x, idx, size, stride, out.shape) == out) > seen
+        seen |= first
+        first_at += np.multiply(first, idx, dtype=first_at.dtype)
+    return first_at
+
+
+def _has_negative_zero(x: Array) -> bool:
+    bits = np.uint32 if x.dtype == np.float32 else np.uint64
+    return bool((x.view(bits) == np.array(-0.0, dtype=x.dtype).view(bits)).any())
+
+
+def max_pool2d(x, size: int, stride: int) -> tuple[GradPair, Callable[[], Array]]:
     """Max pooling over [N,C,H,W] windows; floor((H - size)/stride) + 1 outputs.
 
-    Returns the GradPair and the flat within-window argmax map [N,C,oh,ow];
-    ties resolve to the first maximum in row-major window scan order, and the
-    pullback routes each upstream element to exactly that input position.
+    Returns the GradPair and a function of no arguments that gives the flat
+    within-window argmax map [N,C,oh,ow] (intp). Ties resolve to the first
+    maximum in row-major window scan order, and the pullback routes each
+    upstream element to exactly that input position.
+
+    The argmax is lazy: the forward takes only the max, and the map is built
+    on the first pullback or argmax call, then cached and shared. The
+    exception: a zero maximum takes the sign of the element at the argmax,
+    and np.maximum may keep either of two tied zeros, so when x holds a -0
+    the forward builds the argmax and copies that element into every zero
+    maximum. With no -0 every zero is +0 and the copy could not change a
+    bit. The pullback and the argmax read x and the value as the forward
+    left them, so neither may be written in place.
     """
     x = _as_float(x, "x", "max_pool2d")
     if x.ndim != 4:
@@ -137,43 +182,41 @@ def max_pool2d(x, size: int, stride: int) -> tuple[GradPair, Array]:
         raise ShapeError(f"max_pool2d: invalid size {size} or stride {stride}")
     if size > h or size > w:
         raise ShapeError(f"max_pool2d: window {size} exceeds input {h}x{w}")
-    out_h = (h - size) // stride + 1
-    out_w = (w - size) // stride + 1
+    out_shape = (*x.shape[:2], (h - size) // stride + 1, (w - size) // stride + 1)
 
     def at(a: Array, idx: int) -> Array:
-        """View of a at window offset idx (row-major), one element per output."""
-        r, s = divmod(idx, size)
-        return a[:, :, r : r + stride * (out_h - 1) + 1 : stride, s : s + stride * (out_w - 1) + 1 : stride]
+        return _pool_window(a, idx, size, stride, out_shape)
 
     count = size * size
     out = np.array(at(x, 0))
     for idx in range(1, count):
         np.maximum(out, at(x, idx), out=out)
-    # The argmax is the first offset in scan order whose element equals the max.
-    seen = at(x, 0) == out
-    first_at = np.zeros(out.shape, dtype=np.min_scalar_type(count - 1))
-    for idx in range(1, count):
-        first = (at(x, idx) == out) > seen
-        seen |= first
-        first_at += np.multiply(first, idx, dtype=first_at.dtype)
-    argmax = first_at.astype(np.intp)
-    # np.maximum may pick either of two tied zeros, so a zero max takes the
-    # sign of the element at the argmax.
-    zero = np.flatnonzero(out == 0)
-    ni, ci, oy, ox = np.unravel_index(zero, out.shape)
-    r, s = np.divmod(argmax.flat[zero], size)
-    out.flat[zero] = x[ni, ci, oy * stride + r, ox * stride + s]
+
+    @functools.cache
+    def first_at() -> Array:
+        return _pool_argmax(x, out, size, stride)
+
+    if _has_negative_zero(x):
+        zero = np.flatnonzero(out == 0)
+        ni, ci, oy, ox = np.unravel_index(zero, out.shape)
+        r, s = np.divmod(first_at().flat[zero], size)
+        out.flat[zero] = x[ni, ci, oy * stride + r, ox * stride + s]
     _check_finite(out, "max_pool2d")
+
+    @functools.cache
+    def argmax() -> Array:
+        return first_at().astype(np.intp)
 
     def pullback(g: Array) -> tuple[Array]:
         g = np.asarray(g, dtype=out.dtype)
+        offsets = first_at()
         dx = np.zeros_like(x)
         # Descending offsets add overlapping windows' shares in output scan
         # order, as np.add.at over the argmax positions would, so every sum
         # rounds the same; the masked-out terms are zeros, which leave a sum
         # unchanged while g is finite.
         for idx in reversed(range(count)):
-            at(dx, idx)[...] += g * (first_at == idx)
+            at(dx, idx)[...] += g * (offsets == idx)
         return (dx,)
 
     return GradPair(out, pullback), argmax
@@ -256,11 +299,10 @@ def relu(x) -> GradPair:
     """Elementwise max(x, 0); subgradient at exactly 0 is 0."""
     x = _as_float(x, "x", "relu")
     out = np.maximum(x, 0)
-    mask = x > 0
 
     def pullback(g: Array) -> tuple[Array]:
         g = np.asarray(g, dtype=out.dtype)
-        return (g * mask,)
+        return (g * (x > 0),)
 
     return GradPair(out, pullback)
 

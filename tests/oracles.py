@@ -145,6 +145,50 @@ def max_pool_add_at(x: Array, size: int, stride: int):
     return out, argmax, pullback
 
 
+def max_pool_eager(x: Array, size: int, stride: int):
+    """Strided-slice max pooling that builds its argmax in the forward.
+
+    Returns (out, argmax, pullback). This was the package's own formulation
+    before the argmax became lazy, kept so the lazy one can be held to the
+    same bits: the argmax is the first offset in scan order equal to the
+    max, every zero max takes the sign of the element at the argmax, and the
+    pullback adds offsets in descending order.
+    """
+    x = np.ascontiguousarray(x)
+    h, w = x.shape[2:]
+    out_h = (h - size) // stride + 1
+    out_w = (w - size) // stride + 1
+
+    def at(a: Array, idx: int) -> Array:
+        r, s = divmod(idx, size)
+        return a[:, :, r : r + stride * (out_h - 1) + 1 : stride, s : s + stride * (out_w - 1) + 1 : stride]
+
+    count = size * size
+    out = np.array(at(x, 0))
+    for idx in range(1, count):
+        np.maximum(out, at(x, idx), out=out)
+    seen = at(x, 0) == out
+    first_at = np.zeros(out.shape, dtype=np.min_scalar_type(count - 1))
+    for idx in range(1, count):
+        first = (at(x, idx) == out) > seen
+        seen |= first
+        first_at += np.multiply(first, idx, dtype=first_at.dtype)
+    argmax = first_at.astype(np.intp)
+    zero = np.flatnonzero(out == 0)
+    ni, ci, oy, ox = np.unravel_index(zero, out.shape)
+    r, s = np.divmod(argmax.flat[zero], size)
+    out.flat[zero] = x[ni, ci, oy * stride + r, ox * stride + s]
+
+    def pullback(g: Array) -> Array:
+        g = np.asarray(g, dtype=out.dtype)
+        dx = np.zeros_like(x)
+        for idx in reversed(range(count)):
+            at(dx, idx)[...] += g * (first_at == idx)
+        return dx
+
+    return out, argmax, pullback
+
+
 def lrn_channel_loops(x: Array, size: int = 5, k: float = 2.0, alpha: float = 1e-4, beta: float = 0.75):
     """Cross-channel normalization with one window sum per channel.
 
@@ -382,3 +426,37 @@ def probe_select_primal(x: Array, y01: Array, kind: str, grid, inner: Array, ite
         scores[lam] = float(np.mean(accs))
     best = max(scores.values())
     return scores, min(l for l, s in scores.items() if s == best)
+
+
+def eval_scores_plain(spec, ckpt, source) -> Array:
+    """Center-view probabilities from a pass over center crops, 64 at a time.
+
+    This and eval_scores_oversampled were the package's two evaluation loops
+    before one pass served both; they run the package's own forward pass, so
+    they pin the batching and fusion, not the layers.
+    """
+    from sentnet.network import forward
+
+    return np.vstack([forward(spec, ckpt, x).post[spec.layers[-1].name] for x, _ in source.eval_batches(64)])
+
+
+def eval_scores_oversampled(spec, ckpt, source, pre_softmax: bool) -> Array:
+    """Fused ten-view scores from passes over 6 images (60 views) at a time."""
+    from sentnet.data import ten_crop
+    from sentnet.network import forward
+
+    crop = spec.input_shape[1]
+    rows = []
+    for start in range(0, source.n, 6):
+        idx = range(start, min(start + 6, source.n))
+        x = np.stack([v.tensor for i in idx for v in ten_crop(source.square(i), crop, source.means)])
+        state = forward(spec, ckpt, x)
+        raw = state.post[spec.top_name] if pre_softmax else state.post[spec.layers[-1].name]
+        raw = raw.reshape(len(idx), 10, -1)
+        fused = raw.mean(axis=-2)
+        if pre_softmax:
+            shifted = fused - fused.max(axis=1, keepdims=True)
+            e = np.exp(shifted)
+            fused = e / e.sum(axis=1, keepdims=True)
+        rows.append(fused)
+    return np.vstack(rows)

@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sentnet import cli, ops
-from sentnet.checkpoint import load_checkpoint
+from sentnet import cli, harness, ops
+from sentnet.checkpoint import load_checkpoint, save_checkpoint
 from sentnet.data import ViewSource, compute_channel_means, decode_squares, load_manifest, read_means, write_means
 from sentnet.errors import ConfigError, DataError
 from sentnet.harness import (
+    PRESET_ORDER,
     ExperimentConfig,
     TrainSection,
     audit_folds,
@@ -32,9 +33,11 @@ from sentnet.harness import (
     summarize,
     write_report,
 )
-from sentnet.network import LayerKind, LayerSpec, NetworkSpec, init_params
+from sentnet.network import LayerKind, LayerSpec, NetworkSpec, init_params, reference_spec, reference_spec_small
 from sentnet.surgery import preset_plan
 from sentnet.synth import write_synthetic_dataset
+
+from oracles import eval_scores_oversampled, eval_scores_plain
 
 
 class TestFuseScores:
@@ -134,6 +137,93 @@ class TestEvaluate:
         plain = evaluate(spec, ckpt, src, oversample=False)
         fused = evaluate(spec, ckpt, src, oversample=True, pre_softmax_fusion=True)
         assert fused.accuracy == plain.accuracy
+
+
+def random_source(n, side, crop, seed=0):
+    rng = np.random.default_rng(seed)
+    squares = rng.uniform(0, 255, size=(n, 3, side, side)).astype(np.float32)
+    return ViewSource(squares, np.arange(n) % 2, crop, np.array([120.5, 110.25, 100.0], dtype=np.float32))
+
+
+def record_forward_rows(monkeypatch):
+    """(layers, rows) of every forward pass harness makes while a test runs."""
+    passes = []
+    inner = harness.forward
+
+    def recording(spec, ckpt, batch, retain=False):
+        passes.append((len(spec.layers), len(batch)))
+        return inner(spec, ckpt, batch, retain)
+
+    monkeypatch.setattr(harness, "forward", recording)
+    return passes
+
+
+class TestOnePassEvaluate:
+    """One ten-crop pass against the two loops it replaced: the center-view
+    and fused scores must keep their bits for any image count, though an FC
+    layer's GEMM rounds a row by the rows around it."""
+
+    @pytest.mark.parametrize("pre_softmax", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 5, 7, 13, 65])
+    def test_scores_match_the_separate_loops(self, n, pre_softmax):
+        spec = reference_spec_small(2)
+        ckpt = init_params(spec, seed=3)
+        src = random_source(n, 72, 64, seed=n)
+        plain, fused = harness._view_scores(spec, ckpt, src, True, pre_softmax)
+        assert plain.tobytes() == eval_scores_plain(spec, ckpt, src).tobytes()
+        assert fused.tobytes() == eval_scores_oversampled(spec, ckpt, src, pre_softmax).tobytes()
+        alone, none = harness._view_scores(spec, ckpt, src, False, pre_softmax)
+        assert alone.tobytes() == plain.tobytes() and none is None
+
+    def test_reference_net_single_image(self):
+        # one row sends an FC layer through GEMV in the center-crop loop
+        spec = reference_spec(5)
+        ckpt = init_params(spec, seed=1)
+        src = random_source(1, 256, 227)
+        plain, fused = harness._view_scores(spec, ckpt, src, True, False)
+        assert plain.tobytes() == eval_scores_plain(spec, ckpt, src).tobytes()
+        assert fused.tobytes() == eval_scores_oversampled(spec, ckpt, src, False).tobytes()
+
+    def test_network_without_convolutions(self):
+        spec, ckpt = head_only_ckpt([0.25, -0.5])
+        ckpt.entries["f2"] = (np.random.default_rng(2).normal(size=(12, 2)).astype(np.float32),
+                              ckpt.entries["f2"][1])
+        src = random_source(3, 4, 2)
+        plain, fused = harness._view_scores(spec, ckpt, src, True, True)
+        assert plain.tobytes() == eval_scores_plain(spec, ckpt, src).tobytes()
+        assert fused.tobytes() == eval_scores_oversampled(spec, ckpt, src, True).tobytes()
+
+    def test_every_view_crosses_the_convolutions_once(self, monkeypatch):
+        passes = record_forward_rows(monkeypatch)
+        spec = reference_spec_small(2)
+        src = random_source(13, 72, 64)
+        evaluate(spec, init_params(spec, seed=3), src, oversample=True)
+        full = [rows for layers, rows in passes if layers == len(spec.layers)]
+        head = [rows for layers, rows in passes if layers == 4]  # fc6, fc7, fc8, prob
+        assert full == [60, 60, 10]
+        assert head == [13]
+        assert len(passes) == len(full) + len(head)
+
+    def test_oversampled_result_carries_the_plain_one(self):
+        spec = reference_spec_small(2)
+        ckpt = init_params(spec, seed=3)
+        src = random_source(7, 72, 64)
+        plain = evaluate(spec, ckpt, src)
+        assert plain.plain is None
+        for pre_softmax in (False, True):
+            fused = evaluate(spec, ckpt, src, oversample=True, pre_softmax_fusion=pre_softmax)
+            for got, want in ((fused.plain, plain),
+                              (fused, harness._result(eval_scores_oversampled(spec, ckpt, src, pre_softmax),
+                                                      src.labels))):
+                assert got.accuracy == want.accuracy and got.degenerate == want.degenerate
+                assert got.per_class == want.per_class and got.n == want.n
+                assert got.confusion.tobytes() == want.confusion.tobytes()
+
+    def test_label_without_an_output_rejected(self):
+        spec, ckpt = head_only_ckpt([0.0, 0.0])
+        src = ViewSource(np.zeros((3, 3, 2, 2), dtype=np.float32), [0, 1, 2], crop=2)
+        with pytest.raises(DataError, match="label 2 is out of range for a network with 2 outputs"):
+            evaluate(spec, ckpt, src)
 
 
 class TestSummarize:
@@ -641,3 +731,109 @@ class TestCli:
         ])
         assert code == 1
         assert "checkpoint" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def preset_runs(tiny_corpus, tmp_path_factory):
+    """A two-fold, one-epoch surgery run per preset from a 5-class source net."""
+    root = tmp_path_factory.mktemp("presets")
+    source = root / "source.nsrg"
+    save_checkpoint(init_params(reference_spec_small(5), seed=11), source)
+    runs = {}
+    for preset in PRESET_ORDER:
+        payload = config_to_dict(tiny_config(tiny_corpus))
+        payload["train"]["epochs"] = 1
+        payload["experiment"].update(kind="surgery", preset=preset, base_checkpoint=str(source))
+        config = config_from_dict(payload)
+        cross_validate(config, root / preset)
+        runs[preset] = (config, root / preset)
+    return runs
+
+
+def fold_manifest(corpus, indices, path):
+    """A manifest of the corpus rows at the given indices, without folds."""
+    rows = [line.split(",") for line in corpus.read_text().splitlines()[1:]]
+    path.write_text("path,label\n" + "".join(f"{corpus.parent / rows[i][0]},{rows[i][1]}\n" for i in indices))
+    return path
+
+
+class TestEvaluateFoldCheckpoints:
+    @pytest.mark.parametrize("preset", PRESET_ORDER)
+    def test_reproduces_the_fold_result(self, preset, preset_runs, tiny_corpus, tmp_path):
+        config, run_dir = preset_runs[preset]
+        for fold in (0, 1):
+            result = json.loads((run_dir / f"fold{fold}" / "result.json").read_text())
+            assert result["error"] is None
+            payload = config_to_dict(config)
+            payload["dataset"]["manifest"] = str(
+                fold_manifest(tiny_corpus, result["test_indices"], tmp_path / f"test{fold}.csv"))
+            save_config(config_from_dict(payload), tmp_path / "c.json")
+            out = tmp_path / f"eval{fold}"
+            code = cli.main(["evaluate", "--config", str(tmp_path / "c.json"), "--out", str(out),
+                             "--checkpoint", str(run_dir / f"fold{fold}" / "checkpoint.nsrg"), "--oversample"])
+            assert code == 0
+            got = json.loads((out / "evaluation.json").read_text())
+            assert got["accuracy"] == result["accuracy"]
+            assert got["accuracy_oversampled"] == result["accuracy_oversampled"]
+            assert got["degenerate"] == result["degenerate"]
+            assert got["n"] == len(result["test_indices"])
+
+    def test_config_naming_another_preset_exits_one(self, preset_runs, tmp_path, capsys):
+        config, _ = preset_runs["fc7-2"]
+        save_config(config, tmp_path / "c.json")
+        _, fc9_dir = preset_runs["fc9-2"]
+        code = cli.main(["evaluate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "e"),
+                         "--checkpoint", str(fc9_dir / "fold0" / "checkpoint.nsrg")])
+        assert code == 1
+        assert "'fc7-2'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset", ["fc7-2", "fc9-2", "fc8-1000"])
+    def test_probe_reads_a_fold_checkpoint(self, preset, preset_runs, tiny_corpus, tmp_path):
+        _, run_dir = preset_runs[preset]
+        config = config_from_dict(
+            {
+                "dataset": {"manifest": str(tiny_corpus), "k": 2},
+                "experiment": {
+                    "kind": "probe", "preset": preset,
+                    "base_checkpoint": str(run_dir / "fold0" / "checkpoint.nsrg"),
+                    "probe": {"endpoints": ["fc7"], "kinds": ["svm"], "lambda_grid": [0.1], "iters": 5},
+                },
+            }
+        )
+        report = run_probe_experiment(config, tmp_path / "probe")
+        assert len(report.rows) == 2
+
+
+class TestEvaluateMulticlass:
+    @pytest.fixture(scope="class")
+    def source_run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("multiclass")
+        manifest = write_synthetic_dataset(root / "data", "multiclass", 12, 72, seed=3, k_folds=2)
+        config = config_from_dict({
+            "dataset": {"manifest": str(manifest)},
+            "train": {"base_lr": 0.0001, "epochs": 1, "batch_size": 6},
+        })
+        save_config(config, root / "c.json")
+        assert cli.main(["pretrain", "--config", str(root / "c.json"), "--out", str(root / "source")]) == 0
+        return root, manifest
+
+    def test_scores_the_source_net_on_its_own_task(self, source_run, capsys):
+        root, manifest = source_run
+        code = cli.main(["evaluate", "--config", str(root / "c.json"), "--out", str(root / "eval"),
+                         "--checkpoint", str(root / "source" / "pretrained.nsrg"), "--oversample"])
+        assert code == 0
+        got = json.loads((root / "eval" / "evaluation.json").read_text())
+        labels = load_manifest(manifest, allow_multiclass=True).labels
+        assert labels.max() >= 2
+        assert got["n"] == len(labels)
+        assert sorted(got["per_class"]) == [str(c) for c in sorted(set(labels.tolist()))]
+        assert 0.0 <= got["accuracy_oversampled"] <= 1.0
+
+    def test_label_beyond_the_checkpoint_head_exits_two(self, source_run, cv_run, capsys):
+        root, _ = source_run
+        _, cv_out = cv_run  # two-way fold checkpoints
+        code = cli.main(["evaluate", "--config", str(root / "c.json"), "--out", str(root / "eval2"),
+                         "--checkpoint", str(cv_out / "fold0" / "checkpoint.nsrg")])
+        assert code == 2
+        assert "out of range for a network with 2 outputs" in capsys.readouterr().err
+

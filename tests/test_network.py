@@ -496,6 +496,29 @@ class TestBackwardStopsAtLowestTrainedLayer:
         assert out.entries["conv3"][0].tobytes() != ckpt.entries["conv3"][0].tobytes()
 
 
+class TestForwardOnlyPooling:
+    def count_argmax_builds(self, monkeypatch):
+        calls = []
+        inner = ops._pool_argmax
+        monkeypatch.setattr(ops, "_pool_argmax", lambda *args: calls.append(1) or inner(*args))
+        return calls
+
+    def test_inference_pass_builds_no_argmax(self, monkeypatch):
+        calls = self.count_argmax_builds(monkeypatch)
+        spec = reference_spec_small(num_classes=2)
+        x = np.random.default_rng(0).normal(0, 30, size=(4, 3, 64, 64)).astype(np.float32)
+        forward(spec, init_params(spec, seed=0), x)
+        assert calls == []
+
+    def test_backward_builds_one_argmax_per_pool_it_crosses(self, monkeypatch):
+        calls = self.count_argmax_builds(monkeypatch)
+        spec = with_lr_mult(reference_spec_small(num_classes=2), {"conv1": 0.0, "conv2": 0.0})
+        ckpt, state, g = TestBackwardStopsAtLowestTrainedLayer().step_state(spec)
+        assert calls == []
+        backward(spec, ckpt, state, g)
+        assert len(calls) == 1  # pool5; pool1 and pool2 lie below conv3
+
+
 class TestLrMultOverride:
     def test_override_applies_and_validates(self):
         spec = reference_spec_small(num_classes=2)

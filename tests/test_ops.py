@@ -15,6 +15,7 @@ from oracles import (
     lrn_direct,
     matmul_loops,
     max_pool_add_at,
+    max_pool_eager,
     max_pool_loops,
 )
 
@@ -113,7 +114,7 @@ class TestMaxPool2d:
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
         pair, arg = ops.max_pool2d(x, size=2, stride=2)
         np.testing.assert_array_equal(pair.value[0, 0], [[5, 7], [13, 15]])
-        np.testing.assert_array_equal(arg[0, 0], [[3, 3], [3, 3]])
+        np.testing.assert_array_equal(arg()[0, 0], [[3, 3], [3, 3]])
 
     def test_matches_scan_oracle(self):
         rng = np.random.default_rng(9)
@@ -122,12 +123,12 @@ class TestMaxPool2d:
             pair, arg = ops.max_pool2d(x, size=size, stride=stride)
             want, want_arg = max_pool_loops(x, size, stride)
             np.testing.assert_allclose(pair.value, want, rtol=1e-6)
-            np.testing.assert_array_equal(arg, want_arg)
+            np.testing.assert_array_equal(arg(), want_arg)
 
     def test_tie_takes_first_in_scan_order(self):
         x = np.zeros((1, 1, 2, 2), dtype=np.float32)
         pair, arg = ops.max_pool2d(x, size=2, stride=2)
-        assert arg[0, 0, 0, 0] == 0
+        assert arg()[0, 0, 0, 0] == 0
         (dx,) = pair.pullback(np.ones_like(pair.value))
         np.testing.assert_array_equal(dx[0, 0], [[1, 0], [0, 0]])
 
@@ -224,9 +225,9 @@ class TestBitExactAgainstAddAtAndChannelLoops:
             x = bit_test_input(kind, shape, dtype, seed)
             pair, arg = ops.max_pool2d(x, size=size, stride=stride)
             want, want_arg, want_pullback = max_pool_add_at(x, size, stride)
-            assert pair.value.dtype == want.dtype and arg.dtype == want_arg.dtype
+            assert pair.value.dtype == want.dtype and arg().dtype == want_arg.dtype
             assert pair.value.tobytes() == want.tobytes()
-            assert arg.tobytes() == want_arg.tobytes()
+            assert arg().tobytes() == want_arg.tobytes()
             g = upstream(want.shape, dtype, seed + 100)
             (dx,) = pair.pullback(g)
             assert dx.tobytes() == want_pullback(g).tobytes()
@@ -245,6 +246,75 @@ class TestBitExactAgainstAddAtAndChannelLoops:
                 g = upstream(shape, dtype, c + 100)
                 (dx,) = pair.pullback(g)
                 assert dx.tobytes() == want_pullback(g).tobytes()
+
+
+@pytest.fixture
+def argmax_calls(monkeypatch):
+    """Count the pooling argmax builds made while a test runs."""
+    calls = []
+    inner = ops._pool_argmax
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return inner(*args)
+
+    monkeypatch.setattr(ops, "_pool_argmax", counting)
+    return calls
+
+
+class TestLazyPoolArgmax:
+    """The pooling whose argmax is built on demand against the eager one it
+    replaced, byte for byte, in either order of pullback and argmax call."""
+
+    @pytest.mark.parametrize("pullback_first", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size,stride", [(2, 2), (3, 2), (3, 3), (2, 1)])
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_matches_eager_pooling(self, kind, size, stride, dtype, pullback_first):
+        for seed, shape in enumerate([(2, 3, 7, 7), (3, 2, 8, 9), (1, 4, 6, 5)]):
+            x = bit_test_input(kind, shape, dtype, seed)
+            pair, arg = ops.max_pool2d(x, size=size, stride=stride)
+            want, want_arg, want_pullback = max_pool_eager(x, size, stride)
+            assert pair.value.dtype == want.dtype
+            assert pair.value.tobytes() == want.tobytes()
+            g = upstream(want.shape, dtype, seed + 100)
+            if pullback_first:
+                (dx,) = pair.pullback(g)
+                got_arg = arg()
+            else:
+                got_arg = arg()
+                (dx,) = pair.pullback(g)
+            assert got_arg.dtype == want_arg.dtype == np.intp
+            assert got_arg.tobytes() == want_arg.tobytes()
+            assert dx.tobytes() == want_pullback(g).tobytes()
+
+    def test_forward_builds_no_argmax_without_negative_zero(self, argmax_calls):
+        x = bit_test_input("ties", (2, 3, 7, 7), np.float32, 0)
+        x[x == 0] = 0.0  # +0 only
+        pair, arg = ops.max_pool2d(x, size=3, stride=2)
+        assert argmax_calls == []
+        pair.pullback(np.ones_like(pair.value))
+        pair.pullback(np.ones_like(pair.value))
+        arg()
+        assert len(argmax_calls) == 1  # built once, on the first pullback
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_negative_zero_builds_the_argmax_in_the_forward(self, argmax_calls, dtype):
+        x = np.zeros((1, 1, 2, 2), dtype=dtype)
+        x[0, 0, 0, 0] = -0.0
+        pair, arg = ops.max_pool2d(x, size=2, stride=2)
+        assert len(argmax_calls) == 1
+        assert np.signbit(pair.value[0, 0, 0, 0])  # the first zero in scan order
+        arg()
+        pair.pullback(np.ones_like(pair.value))
+        assert len(argmax_calls) == 1
+
+    def test_relu_pullback_bits(self):
+        for kind in INPUT_KINDS:
+            x = bit_test_input(kind, (2, 3, 5, 5), np.float32, 1)
+            g = upstream(x.shape, np.float32, 2)
+            (dx,) = ops.relu(x).pullback(g)
+            assert dx.tobytes() == (g * (x > 0)).tobytes()
 
 
 class TestAffine:
