@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -148,27 +149,16 @@ def _cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
-def _cmd_finetune(args) -> int:
+def _cmd_cross_validate(args, kind: str) -> int:
+    """`finetune` and `surgery`: the configured k-fold experiment as that kind."""
     config = _load_config(args)
-    if config.experiment.kind not in ("finetune",):
-        config = dataclasses.replace(
-            config, experiment=dataclasses.replace(config.experiment, kind="finetune")
-        )
-    summary = harness.cross_validate(config, args.out)
-    print(json.dumps({"label": summary.label, "mean": summary.mean,
-                      "mean_oversampled": summary.mean_oversampled}))
-    return EXIT_OK
-
-
-def _cmd_surgery(args) -> int:
-    config = _load_config(args)
-    preset = args.preset or config.experiment.preset
-    if not preset:
-        raise ConfigError("surgery needs --preset or experiment.preset in the config")
-    config = dataclasses.replace(
-        config, experiment=dataclasses.replace(config.experiment, kind="surgery", preset=preset)
-    )
-    summary = harness.cross_validate(config, args.out)
+    experiment = dataclasses.replace(config.experiment, kind=kind)
+    if kind == "surgery":
+        preset = args.preset or config.experiment.preset
+        if not preset:
+            raise ConfigError("surgery needs --preset or experiment.preset in the config")
+        experiment = dataclasses.replace(experiment, preset=preset)
+    summary = harness.cross_validate(dataclasses.replace(config, experiment=experiment), args.out)
     print(json.dumps({"label": summary.label, "mean": summary.mean,
                       "mean_oversampled": summary.mean_oversampled}))
     return EXIT_OK
@@ -242,8 +232,8 @@ def _cmd_report(args) -> int:
 _COMMANDS = {
     "prepare-data": _cmd_prepare_data,
     "pretrain": _cmd_pretrain,
-    "finetune": _cmd_finetune,
-    "surgery": _cmd_surgery,
+    "finetune": functools.partial(_cmd_cross_validate, kind="finetune"),
+    "surgery": functools.partial(_cmd_cross_validate, kind="surgery"),
     "probe": _cmd_probe,
     "evaluate": _cmd_evaluate,
     "report": _cmd_report,

@@ -247,6 +247,21 @@ def _split_head(spec: NetworkSpec, ckpt: Checkpoint) -> tuple[str | None, Networ
     return below, head, Checkpoint(entries={l.name: ckpt.entries[l.name] for l in head.parameterized})
 
 
+def _ten_crop_chunk(
+    spec: NetworkSpec, ckpt: Checkpoint, source: ViewSource, idx: range, below: str | None, pre_softmax: bool
+) -> tuple[Array, Array]:
+    """One chunk's center-view inputs to the head and its fused scores.
+
+    The chunk's batch and forward state die when this returns, so no two
+    chunks' activations are ever alive at once.
+    """
+    x = np.stack([v.tensor for i in idx for v in ten_crop(source.square(i), spec.input_shape[1], source.means)])
+    state = forward(spec, ckpt, x)
+    center = (state.post[below] if below else x)[CENTER_VIEW::10].copy()
+    raw = state.post[spec.top_name if pre_softmax else spec.layers[-1].name]
+    return center, fuse_scores(raw.reshape(len(idx), 10, -1), pre_softmax=pre_softmax)
+
+
 def _view_scores(
     spec: NetworkSpec, ckpt: Checkpoint, source: ViewSource, oversample: bool, pre_softmax: bool
 ) -> tuple[Array, Array | None]:
@@ -264,17 +279,12 @@ def _view_scores(
         head, head_ckpt, fused = spec, ckpt, None
     else:
         below, head, head_ckpt = _split_head(spec, ckpt)
-        crop = spec.input_shape[1]
-        centers, fused_rows = [], []
-        for start in range(0, source.n, TEN_CROP_CHUNK):
-            idx = range(start, min(start + TEN_CROP_CHUNK, source.n))
-            x = np.stack([v.tensor for i in idx for v in ten_crop(source.square(i), crop, source.means)])
-            state = forward(spec, ckpt, x)
-            centers.append((state.post[below] if below else x)[CENTER_VIEW::10])
-            raw = state.post[spec.top_name] if pre_softmax else state.post[prob_name]
-            fused_rows.append(fuse_scores(raw.reshape(len(idx), 10, -1), pre_softmax=pre_softmax))
-        fused = np.vstack(fused_rows)
-        center_inputs = np.concatenate(centers)
+        chunks = [
+            _ten_crop_chunk(spec, ckpt, source, range(s, min(s + TEN_CROP_CHUNK, source.n)), below, pre_softmax)
+            for s in range(0, source.n, TEN_CROP_CHUNK)
+        ]
+        center_inputs = np.concatenate([center for center, _ in chunks])
+        fused = np.vstack([rows for _, rows in chunks])
         batches = (center_inputs[s : s + EVAL_BATCH] for s in range(0, source.n, EVAL_BATCH))
     plain = np.vstack([forward(head, head_ckpt, x).post[prob_name] for x in batches])
     return plain, fused
@@ -535,15 +545,14 @@ def cross_validate(config: ExperimentConfig, out_dir: str | Path, label: str | N
     crop = config.preprocess.crop
     fixed_means = resolve_means(config)
 
-    outcomes: list[FoldOutcome] = []
-    for f, (train_idx, test_idx) in enumerate(splits):
+    def run_fold(f: int, train_idx: Array, test_idx: Array, fold_dir: Path) -> FoldOutcome:
+        # The fold's network, checkpoints and view sources die when this
+        # returns, so none of them is alive while the next fold trains.
         outcome = FoldOutcome(
             fold=f,
             train_indices=[int(i) for i in train_idx],
             test_indices=[int(i) for i in test_idx],
         )
-        fold_dir = out / f"fold{f}"
-        fold_dir.mkdir(parents=True, exist_ok=True)
         try:
             means = fixed_means
             if means is None:
@@ -569,6 +578,13 @@ def cross_validate(config: ExperimentConfig, out_dir: str | Path, label: str | N
         except DivergenceError as e:
             outcome.error = str(e)
             log.warning("fold %d failed: %s", f, e)
+        return outcome
+
+    outcomes: list[FoldOutcome] = []
+    for f, (train_idx, test_idx) in enumerate(splits):
+        fold_dir = out / f"fold{f}"
+        fold_dir.mkdir(parents=True, exist_ok=True)
+        outcome = run_fold(f, train_idx, test_idx, fold_dir)
         (fold_dir / "result.json").write_text(
             json.dumps(dataclasses.asdict(outcome), indent=2, sort_keys=True) + "\n"
         )

@@ -12,6 +12,18 @@ builds its mask there, so a forward-only pass (evaluation, feature
 extraction) never pays for them. Pooling's one exception is an input
 holding a -0, where the argmax also fixes the sign of zero maxima and is
 built in the forward (see max_pool2d).
+
+Convolution multiplies each example's patch matrix by the flattened
+kernels, one GEMM per example. When the whole batch's patch matrix would
+exceed IM2COL_BUDGET bytes, the forward fills one example's matrix at a
+time into a single buffer, as Caffe's convolution layer does, so a
+60-view evaluation chunk of the full-size network never holds conv2's
+420 MB matrix. Each GEMM sees the same operands either way, so the bytes
+match. The budget sits above every `small` network's matrix and a
+full-size training batch's of up to 8 images, and below every full-size
+60-view one: on small maps the per-example loop is slower. Parameter
+gradients read the whole batch's matrix, which the pullback rebuilds when
+the forward streamed.
 """
 
 from __future__ import annotations
@@ -56,13 +68,13 @@ def _as_float(x, name: str, op: str) -> Array:
     return arr
 
 
-def _im2col(xp: Array, kh: int, kw: int, stride: int) -> tuple[Array, int, int]:
-    """Patch matrix [N, C*kh*kw, out_h*out_w] from a padded input."""
-    n, c = xp.shape[:2]
+IM2COL_BUDGET = 64 << 20  # bytes of whole-batch patch matrix above which conv2d streams
+
+
+def _patches(xp: Array, kh: int, kw: int, stride: int) -> Array:
+    """Patch view [N, C, kh, kw, out_h, out_w] of a padded input; copies nothing."""
     windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    out_h, out_w = windows.shape[2], windows.shape[3]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, out_h * out_w)
-    return cols, out_h, out_w
+    return windows.transpose(0, 1, 4, 5, 2, 3)
 
 
 def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
@@ -98,9 +110,20 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
         xp[:, :, pad : pad + h, pad : pad + wd] = x
     else:
         xp = x
-    cols, out_h, out_w = _im2col(xp, kh, kw, stride)
-    w_flat = w.reshape(k, c * kh * kw)
-    out = np.matmul(w_flat[None], cols)
+    patches = _patches(xp, kh, kw, stride)
+    out_h, out_w = patches.shape[4:]
+    rows, positions = c * kh * kw, out_h * out_w
+    w_flat = w.reshape(k, rows)
+    if n * rows * positions * xp.itemsize > IM2COL_BUDGET:
+        cols = None
+        out = np.empty((n, k, positions), dtype=np.result_type(w_flat, xp))
+        col = np.empty((rows, positions), dtype=xp.dtype)
+        for i in range(n):
+            col.reshape(patches.shape[1:])[...] = patches[i]
+            np.matmul(w_flat, col, out=out[i])
+    else:
+        cols = patches.reshape(n, rows, positions)
+        out = np.matmul(w_flat[None], cols)
     out += b[None, :, None]
     out = out.reshape(n, k, out_h, out_w)
     _check_finite(out, "conv2d")
@@ -108,7 +131,8 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
     def flat_param_grads(g: Array) -> tuple[Array, Array, Array]:
         g = np.ascontiguousarray(g, dtype=out.dtype).reshape(n, k, out_h * out_w)
         db = g.sum(axis=(0, 2))
-        dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        batch_cols = patches.reshape(n, rows, positions) if cols is None else cols
+        dw = np.matmul(g, batch_cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         return g, dw, db
 
     def param_pullback(g: Array) -> tuple[Array, Array]:

@@ -64,6 +64,49 @@ def conv2d_patches(x: Array, w: Array, b: Array, stride: int = 1, pad: int = 0) 
     return out
 
 
+def conv2d_whole_batch(x: Array, w: Array, b: Array, stride: int = 1, pad: int = 0):
+    """Convolution by one whole-batch patch matrix, in the dtype of the inputs.
+
+    Returns (out, pullback, param_pullback); pullback gives (dx, dw, db) and
+    param_pullback (dw, db). This was the package's own formulation before
+    large patch matrices were built one example at a time, kept so the
+    streamed one can be held to the same bits: one GEMM per example over
+    [C*kh*kw, out_h*out_w] columns, dw summed over the batch of per-example
+    products, dx added back window offset by window offset.
+    """
+    x = np.ascontiguousarray(x)
+    n, c, h, wd = x.shape
+    k, _, kh, kw = w.shape
+    if pad:
+        xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad : pad + h, pad : pad + wd] = x
+    else:
+        xp = x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    out_h, out_w = windows.shape[2], windows.shape[3]
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, out_h * out_w)
+    w_flat = w.reshape(k, c * kh * kw)
+    out = np.matmul(w_flat[None], cols)
+    out += b[None, :, None]
+    out = out.reshape(n, k, out_h, out_w)
+
+    def param_pullback(g: Array) -> tuple[Array, Array]:
+        g = np.ascontiguousarray(g, dtype=out.dtype).reshape(n, k, out_h * out_w)
+        return np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape), g.sum(axis=(0, 2))
+
+    def pullback(g: Array) -> tuple[Array, Array, Array]:
+        dw, db = param_pullback(g)
+        g = np.ascontiguousarray(g, dtype=out.dtype).reshape(n, k, out_h * out_w)
+        dcols = np.matmul(w_flat.T[None], g).reshape(n, c, kh, kw, out_h, out_w)
+        dxp = np.zeros_like(xp)
+        for r in range(kh):
+            for s in range(kw):
+                dxp[:, :, r : r + stride * out_h : stride, s : s + stride * out_w : stride] += dcols[:, :, r, s]
+        return (dxp[:, :, pad : pad + h, pad : pad + wd] if pad else dxp), dw, db
+
+    return out, pullback, param_pullback
+
+
 def max_pool_loops(x: Array, size: int, stride: int) -> tuple[Array, Array]:
     """Window-scan max pooling; returns (output, flat argmax per window).
 

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +221,22 @@ class TestOnePassEvaluate:
                 assert got.per_class == want.per_class and got.n == want.n
                 assert got.confusion.tobytes() == want.confusion.tobytes()
 
+    def test_one_chunk_of_activations_alive_at_a_time(self):
+        spec = reference_spec_small(2)
+        ckpt = init_params(spec, seed=3)
+
+        def peak(n):
+            src = random_source(n, 72, 64)
+            tracemalloc.start()
+            try:
+                evaluate(spec, ckpt, src, oversample=True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_chunk = peak(6)
+        assert peak(12) <= 1.15 * one_chunk
+
     def test_label_without_an_output_rejected(self):
         spec, ckpt = head_only_ckpt([0.0, 0.0])
         src = ViewSource(np.zeros((3, 3, 2, 2), dtype=np.float32), [0, 1, 2], crop=2)
@@ -409,6 +427,20 @@ class TestCrossValidate:
         write_report(tmp_path / "a")
         write_report(tmp_path / "b")
         assert (tmp_path / "a" / "report.csv").read_bytes() == (tmp_path / "b" / "report.csv").read_bytes()
+
+    def test_fold_checkpoint_released_before_the_next_fold_trains(self, tiny_corpus, tmp_path, monkeypatch):
+        inner = harness.train
+        trained_refs, alive_on_entry = [], []
+
+        def tracking(*args, **kwargs):
+            alive_on_entry.append([ref() is not None for ref in trained_refs])
+            trained, history = inner(*args, **kwargs)
+            trained_refs.append(weakref.ref(trained))
+            return trained, history
+
+        monkeypatch.setattr(harness, "train", tracking)
+        cross_validate(tiny_config(tiny_corpus), tmp_path / "cv")
+        assert alive_on_entry == [[], [False]]
 
     def test_probe_experiment_artifacts(self, tiny_corpus, tmp_path):
         config = config_from_dict(

@@ -1,5 +1,7 @@
 """Unit tests for the differentiable array primitives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from sentnet.errors import ShapeError
 from oracles import (
     conv2d_loops,
     conv2d_patches,
+    conv2d_whole_batch,
     lrn_channel_loops,
     lrn_direct,
     matmul_loops,
@@ -107,6 +110,55 @@ class TestConv2d:
         g = np.ones_like(pair.value)
         _, _, db = pair.pullback(g)
         np.testing.assert_allclose(db, np.full(3, 2 * 2 * 2))
+
+
+class TestStreamedIm2col:
+    """conv2d with the patch matrix built one example at a time (budget 0)
+    and for the whole batch (budget never reached) against the whole-batch
+    formulation it grew from, byte for byte: value, pullback and
+    param_pullback."""
+
+    @pytest.mark.parametrize("budget", [0, 1 << 62])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("stride,kernel", [(1, 3), (3, 3), (4, 5)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_whole_batch_oracle(self, monkeypatch, budget, pad, stride, kernel, dtype):
+        monkeypatch.setattr(ops, "IM2COL_BUDGET", budget)
+        for n, (c, k) in [(1, (3, 5)), (2, (4, 2)), (7, (2, 3))]:
+            h = kernel + 4 * stride - 2 * pad
+            wd = kernel + 3 * stride - 2 * pad
+            seed = 10 * n + c
+            x = bit_test_input("normal", (n, c, h, wd), dtype, seed)
+            w = bit_test_input("normal", (k, c, kernel, kernel), dtype, seed + 1)
+            b = bit_test_input("normal", (k,), dtype, seed + 2)
+            pair = ops.conv2d(x, w, b, stride=stride, pad=pad)
+            want, want_pullback, want_param_pullback = conv2d_whole_batch(x, w, b, stride=stride, pad=pad)
+            assert pair.value.dtype == want.dtype
+            assert pair.value.tobytes() == want.tobytes()
+            g = upstream(want.shape, dtype, seed + 3)
+            for got_grad, want_grad in zip(pair.pullback(g), want_pullback(g), strict=True):
+                assert got_grad.tobytes() == want_grad.tobytes()
+            for got_grad, want_grad in zip(pair.param_pullback(g), want_param_pullback(g), strict=True):
+                assert got_grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("budget,streams", [(0, True), (1 << 62, False)])
+    def test_streamed_forward_never_holds_the_batch_patch_matrix(self, monkeypatch, budget, streams):
+        monkeypatch.setattr(ops, "IM2COL_BUDGET", budget)
+        x = rand((8, 16, 20, 20), seed=1)
+        w = rand((4, 16, 5, 5), seed=2)
+        b = rand((4,), seed=3)
+        batch_cols_bytes = 8 * (16 * 5 * 5) * (20 * 20) * 4
+        tracemalloc.start()
+        try:
+            pair = ops.conv2d(x, w, b, stride=1, pad=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pair.value.shape == (8, 4, 20, 20)
+        if streams:
+            assert peak < batch_cols_bytes / 4
+        else:
+            assert peak >= batch_cols_bytes
 
 
 class TestMaxPool2d:
