@@ -3,12 +3,10 @@
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import (
     DatasetManifest,
-    ImageView,
     ManifestRecord,
     PreprocessConfig,
     ViewSource,
     load_manifest,
-    preprocess,
     stratified_kfold,
     ten_crop,
 )

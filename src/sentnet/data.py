@@ -1,7 +1,10 @@
-"""Dataset manifest, image codecs, preprocessing, crops, and fold splits.
+"""Dataset manifest, image codecs, preprocessing, views, and fold splits.
 
 Images flow through the pipeline as float32 [3,H,W] tensors on the raw
-0..255 scale; per-channel means are subtracted when views are assembled.
+0..255 scale and are squared once at decode time. ViewSource.views cuts
+every training, center and ten-crop view from those squares, as float32
+batches with the per-channel means subtracted; ten_crop returns an image
+set's ten crops as one batch.
 The only required codec is binary PPM (P6, 8-bit); a raw-tensor sidecar
 holds pre-decoded images, and PNG/JPEG decode is available when Pillow is
 installed.
@@ -311,88 +314,9 @@ class PreprocessConfig:
             raise ConfigError(f"crop {self.crop} exceeds resize_to {self.resize_to}")
 
 
-@dataclass(frozen=True)
-class ImageView:
-    """One network-ready view and the provenance tag of how it was cut."""
-
-    tensor: Array
-    tag: str
-
-
 def to_square(image: Array, config: PreprocessConfig) -> Array:
     """Resize the shorter side to resize_to, then take the center square."""
     return center_square(resize_shorter_side(image, config.resize_to), config.resize_to)
-
-
-def _subtract(view: Array, means: Array | None) -> Array:
-    out = np.ascontiguousarray(view, dtype=np.float32)
-    if means is not None:
-        out = out - np.asarray(means, dtype=np.float32).reshape(3, 1, 1)
-    return out
-
-
-def preprocess(
-    image: Array,
-    config: PreprocessConfig,
-    mode: str = "test",
-    rng: np.random.Generator | None = None,
-    means: Array | None = None,
-) -> ImageView:
-    """One training or evaluation view of a decoded image.
-
-    Test mode takes the center crop; train mode takes a seeded random crop
-    with a seeded horizontal flip. means overrides config.channel_means.
-    """
-    square = to_square(image, config)
-    slack = config.resize_to - config.crop
-    if mode == "test":
-        top = left = slack // 2
-        flip = False
-        tag = "center"
-    elif mode == "train":
-        if rng is None:
-            raise ConfigError("train-mode preprocessing needs an rng")
-        top = int(rng.integers(0, slack + 1))
-        left = int(rng.integers(0, slack + 1))
-        flip = bool(rng.integers(0, 2))
-        tag = f"crop{top}x{left}" + ("-flip" if flip else "")
-    else:
-        raise ConfigError(f"unknown preprocess mode {mode!r}")
-    view = square[:, top : top + config.crop, left : left + config.crop]
-    if flip:
-        view = view[:, :, ::-1]
-    if means is None and config.channel_means is not None:
-        means = np.asarray(config.channel_means, dtype=np.float32)
-    return ImageView(tensor=_subtract(view, means), tag=tag)
-
-
-def ten_crop(square: Array, crop: int, means: Array | None = None) -> list[ImageView]:
-    """The four corner crops, the center crop, then their mirror images.
-
-    Order is fixed: tl, tr, bl, br, center, tl-flip, tr-flip, bl-flip,
-    br-flip, center-flip. Each mirror is the column-reversal of its source
-    crop.
-    """
-    c, h, w = square.shape
-    if crop > h or crop > w:
-        raise DataError(f"cannot cut {crop} crops from {h}x{w} image")
-    last_r, last_c = h - crop, w - crop
-    offsets = [
-        ("tl", 0, 0),
-        ("tr", 0, last_c),
-        ("bl", last_r, 0),
-        ("br", last_r, last_c),
-        ("center", last_r // 2, last_c // 2),
-    ]
-    views: list[ImageView] = []
-    crops: list[tuple[str, Array]] = []
-    for tag, top, left in offsets:
-        cut = square[:, top : top + crop, left : left + crop]
-        crops.append((tag, cut))
-        views.append(ImageView(tensor=_subtract(cut, means), tag=tag))
-    for tag, cut in crops:
-        views.append(ImageView(tensor=_subtract(cut[:, :, ::-1], means), tag=f"{tag}-flip"))
-    return views
 
 
 # -- channel means ----------------------------------------------------------
@@ -450,14 +374,15 @@ def stratified_kfold(labels: Array, k: int, seed: int) -> Array:
     return folds
 
 
-# -- train-loop source ------------------------------------------------------
+# -- views -----------------------------------------------------------------
 
 
 class ViewSource:
     """BatchSource over pre-decoded square images.
 
-    Training batches take seeded random crops and flips; eval batches take
-    center crops. Mean subtraction happens at view time.
+    views() cuts every view the network sees: seeded random crops and flips
+    for training batches, center crops for eval batches, and the ten crops
+    of oversampling. Mean subtraction happens at view time.
     """
 
     def __init__(self, squares: Array, labels: Array, crop: int, means: Array | None = None):
@@ -475,45 +400,54 @@ class ViewSource:
         self.squares = squares
         self.labels = labels
         self.crop = crop
+        self.slack = side - crop  # the largest crop offset
+        self.center = self.slack // 2  # the center crop's top and left
         self.means = None if means is None else np.asarray(means, dtype=np.float32)
 
     @property
     def n(self) -> int:
         return len(self.squares)
 
-    def _cut(self, i: int, top: int, left: int, flip: bool) -> Array:
-        view = self.squares[i, :, top : top + self.crop, left : left + self.crop]
-        if flip:
-            view = view[:, :, ::-1]
-        return view
+    def views(self, indices: Sequence[int], tops: Sequence[int], lefts: Sequence[int], flips: Sequence[bool]) -> Array:
+        """The crop at (top, left) of each image, column-reversed where flip is
+        set, minus the channel means: float32 [len(indices), 3, crop, crop]."""
+        c = self.crop
+        out = np.empty((len(indices), 3, c, c), dtype=np.float32)
+        for row, (i, top, left, flip) in enumerate(zip(indices, tops, lefts, flips)):
+            view = self.squares[i, :, top : top + c, left : left + c]
+            out[row] = view[:, :, ::-1] if flip else view
+        if self.means is not None:
+            out -= self.means.reshape(1, 3, 1, 1)
+        return out
 
     def train_batch(self, indices: Array, rng: np.random.Generator) -> tuple[Array, Array]:
-        slack = self.squares.shape[2] - self.crop
-        tops = rng.integers(0, slack + 1, size=len(indices))
-        lefts = rng.integers(0, slack + 1, size=len(indices))
+        tops = rng.integers(0, self.slack + 1, size=len(indices))
+        lefts = rng.integers(0, self.slack + 1, size=len(indices))
         flips = rng.integers(0, 2, size=len(indices))
-        batch = np.stack(
-            [self._cut(int(i), int(t), int(l), bool(f)) for i, t, l, f in zip(indices, tops, lefts, flips)]
-        )
-        return _subtract_batch(batch, self.means), self.labels[indices]
+        return self.views(indices, tops, lefts, flips), self.labels[indices]
 
     def eval_batches(self, batch_size: int = 64):
-        slack = self.squares.shape[2] - self.crop
-        top = left = slack // 2
         for start in range(0, self.n, batch_size):
             idx = np.arange(start, min(start + batch_size, self.n))
-            batch = self.squares[idx, :, top : top + self.crop, left : left + self.crop]
-            yield _subtract_batch(batch, self.means), self.labels[idx]
-
-    def square(self, i: int) -> Array:
-        return self.squares[i]
+            offsets = np.full(len(idx), self.center)
+            yield self.views(idx, offsets, offsets, np.zeros(len(idx), dtype=bool)), self.labels[idx]
 
 
-def _subtract_batch(batch: Array, means: Array | None) -> Array:
-    out = np.ascontiguousarray(batch, dtype=np.float32)
-    if means is not None:
-        out = out - means.reshape(1, 3, 1, 1)
-    return out
+TEN_CROP_CENTER = 4  # the unmirrored center crop's place among an image's ten
+
+
+def ten_crop(source: ViewSource, indices: Sequence[int]) -> Array:
+    """Ten views of each image as one batch [len(indices)·10, 3, crop, crop].
+
+    Per image the order is fixed: tl, tr, bl, br, center, then the same five
+    column-reversed.
+    """
+    last, mid = source.slack, source.center
+    tops = np.array([0, 0, last, last, mid] * 2)
+    lefts = np.array([0, last, 0, last, mid] * 2)
+    flips = np.repeat([False, True], 5)
+    n = len(indices)
+    return source.views(np.repeat(indices, 10), np.tile(tops, n), np.tile(lefts, n), np.tile(flips, n))
 
 
 def decode_squares(manifest: DatasetManifest, config: PreprocessConfig) -> Array:

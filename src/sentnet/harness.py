@@ -22,6 +22,7 @@ import numpy as np
 from . import probe as probe_mod
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import (
+    TEN_CROP_CENTER,
     DatasetManifest,
     PreprocessConfig,
     ViewSource,
@@ -116,6 +117,10 @@ class ExperimentSection:
     oversample: bool = True
     pre_softmax_fusion: bool = False
     probe: ProbeSection = field(default_factory=ProbeSection)
+
+    def __post_init__(self):
+        if not self.oversample:  # cross_validate scores every fold with and without oversampling
+            raise ConfigError("experiment.oversample: false is not supported; every fold is scored both ways")
 
 
 @dataclass(frozen=True)
@@ -224,8 +229,6 @@ class EvalResult:
     plain: EvalResult | None = None  # the center-view result of an oversampled evaluation
 
 
-# ten_crop's view order: four corners, the center, then their mirrors.
-CENTER_VIEW = 4
 TEN_CROP_CHUNK = 6  # images per oversampled forward pass (60 views)
 EVAL_BATCH = 64  # center views per plain forward pass
 
@@ -255,9 +258,9 @@ def _ten_crop_chunk(
     The chunk's batch and forward state die when this returns, so no two
     chunks' activations are ever alive at once.
     """
-    x = np.stack([v.tensor for i in idx for v in ten_crop(source.square(i), spec.input_shape[1], source.means)])
+    x = ten_crop(source, idx)
     state = forward(spec, ckpt, x)
-    center = (state.post[below] if below else x)[CENTER_VIEW::10].copy()
+    center = (state.post[below] if below else x)[TEN_CROP_CENTER::10].copy()
     raw = state.post[spec.top_name if pre_softmax else spec.layers[-1].name]
     return center, fuse_scores(raw.reshape(len(idx), 10, -1), pre_softmax=pre_softmax)
 
@@ -763,25 +766,22 @@ def write_report(root: str | Path) -> tuple[Path, Path]:
     for rel, payload in probe_summaries:
         md.append(f"## Layer probes ({payload.get('label', rel)})")
         md.append("")
-        kinds = payload.get("kinds", list(probe_mod.PROBE_KINDS))
-        endpoints = payload.get("endpoints", [])
-        rows = payload.get("rows", [])
-        md.append("| Endpoint | " + " | ".join(k.upper() if k == "svm" else k.capitalize() for k in kinds) + " |")
-        md.append("|---" * (len(kinds) + 1) + "|")
-        for ep in endpoints:
-            cells = []
-            for kind in kinds:
-                accs = [r["accuracy"] for r in rows if r["endpoint"] == ep and r["kind"] == kind]
-                if accs:
-                    m = float(np.mean(accs))
-                    s = float(np.std(accs, ddof=1)) if len(accs) > 1 else float("nan")
-                    cells.append(_fmt(m, s))
-                    csv_lines.append(f"probe,{ep},{kind},no,{m:.6f},{s:.6f},{len(accs)},0,0")
-                else:
-                    cells.append("-")
-            md.append(f"| {ep} | " + " | ".join(cells) + " |")
+        report = probe_mod.ProbeReport(
+            rows=[probe_mod.ProbeRow(**r) for r in payload.get("rows", [])],
+            endpoints=tuple(payload.get("endpoints", [])),
+            kinds=tuple(payload.get("kinds", probe_mod.PROBE_KINDS)),
+            pre_activation=bool(payload.get("pre_activation")),
+            standardize=bool(payload.get("standardize", True)),
+        )
+        md.extend(report.table())
         md.append("")
-        note = "pre-activation" if payload.get("pre_activation") else "post-activation"
+        for ep in report.endpoints:
+            for kind in report.kinds:
+                accs = report.accuracies(ep, kind)
+                if accs:
+                    std = np.std(accs, ddof=1) if len(accs) > 1 else float("nan")
+                    csv_lines.append(f"probe,{ep},{kind},no,{np.mean(accs):.6f},{std:.6f},{len(accs)},0,0")
+        note = "pre-activation" if report.pre_activation else "post-activation"
         assumptions.append(f"probe features: {note}, single center view")
 
     if any(r["degenerate"] or r["degenerate_os"] for r in train_rows):

@@ -30,7 +30,7 @@ apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -294,8 +294,8 @@ class ProbeReport:
             lines.append(f"{r.endpoint},{r.kind},{r.fold},{r.accuracy:.6f},{r.lam:g}")
         return "\n".join(lines) + "\n"
 
-    def to_markdown(self) -> str:
-        feature_note = "pre-activation" if self.pre_activation else "post-activation"
+    def table(self) -> list[str]:
+        """Markdown rows: mean ± sample std (ddof=1) over folds, per endpoint and kind."""
         lines = [
             "| Endpoint | " + " | ".join(k.upper() if k == "svm" else k.capitalize() for k in self.kinds) + " |",
             "|---" * (len(self.kinds) + 1) + "|",
@@ -304,24 +304,21 @@ class ProbeReport:
             cells = []
             for kind in self.kinds:
                 accs = self.accuracies(ep, kind)
-                if accs:
-                    cells.append(f"{np.mean(accs):.3f} ± {_sample_std(accs):.3f}")
-                else:
-                    cells.append("-")
+                if len(accs) > 1:
+                    cells.append(f"{np.mean(accs):.3f} ± {np.std(accs, ddof=1):.3f}")
+                else:  # one fold cannot occur in a run: stratified_kfold needs k >= 2
+                    cells.append(f"{accs[0]:.3f}" if accs else "-")
             lines.append(f"| {ep} | " + " | ".join(cells) + " |")
-        lines.append("")
-        lines.append(
+        return lines
+
+    def to_markdown(self) -> str:
+        feature_note = "pre-activation" if self.pre_activation else "post-activation"
+        lines = self.table() + [
+            "",
             f"Features: {feature_note}, single {self.view} view, "
-            f"{'standardized' if self.standardize else 'raw'} columns."
-        )
+            f"{'standardized' if self.standardize else 'raw'} columns.",
+        ]
         return "\n".join(lines) + "\n"
-
-
-def _sample_std(values: Iterable[float]) -> float:
-    vals = list(values)
-    if len(vals) < 2:
-        return 0.0
-    return float(np.std(vals, ddof=1))
 
 
 def probe_all_layers(

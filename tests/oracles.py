@@ -471,6 +471,53 @@ def probe_select_primal(x: Array, y01: Array, kind: str, grid, inner: Array, ite
     return scores, min(l for l, s in scores.items() if s == best)
 
 
+def _minus_means(view: Array, means: Array | None) -> Array:
+    out = np.ascontiguousarray(view, dtype=np.float32)
+    if means is not None:
+        out = out - np.asarray(means, dtype=np.float32).reshape(3, 1, 1)
+    return out
+
+
+def ten_crop_views(square: Array, crop: int, means: Array | None = None) -> list[Array]:
+    """The ten views of one [3,S,S] square, each cut and mean-subtracted on its own.
+
+    Order: tl, tr, bl, br, center, then each of those column-reversed.
+    """
+    last = square.shape[1] - crop
+    offsets = [(0, 0), (0, last), (last, 0), (last, last), (last // 2, last // 2)]
+    cuts = [square[:, t : t + crop, l : l + crop] for t, l in offsets]
+    return [_minus_means(c, means) for c in cuts] + [_minus_means(c[:, :, ::-1], means) for c in cuts]
+
+
+def train_batch_stacked(source, indices, rng: np.random.Generator) -> tuple[Array, Array]:
+    """A training batch as a stack of single crops, drawing tops, lefts, flips in turn."""
+    slack = source.squares.shape[2] - source.crop
+    tops = rng.integers(0, slack + 1, size=len(indices))
+    lefts = rng.integers(0, slack + 1, size=len(indices))
+    flips = rng.integers(0, 2, size=len(indices))
+    c = source.crop
+    views = []
+    for i, t, l, f in zip(indices, tops, lefts, flips):
+        view = source.squares[i, :, t : t + c, l : l + c]
+        views.append(view[:, :, ::-1] if f else view)
+    batch = np.stack(views)
+    if source.means is not None:
+        batch = batch - source.means.reshape(1, 3, 1, 1)
+    return np.ascontiguousarray(batch, dtype=np.float32), source.labels[indices]
+
+
+def center_batches(source, batch_size: int):
+    """Center crops batch_size images at a time, cut by one fancy index per batch."""
+    off = (source.squares.shape[2] - source.crop) // 2
+    c = source.crop
+    for start in range(0, source.n, batch_size):
+        idx = np.arange(start, min(start + batch_size, source.n))
+        batch = source.squares[idx, :, off : off + c, off : off + c]
+        if source.means is not None:
+            batch = batch - source.means.reshape(1, 3, 1, 1)
+        yield np.ascontiguousarray(batch, dtype=np.float32), source.labels[idx]
+
+
 def eval_scores_plain(spec, ckpt, source) -> Array:
     """Center-view probabilities from a pass over center crops, 64 at a time.
 
@@ -480,19 +527,18 @@ def eval_scores_plain(spec, ckpt, source) -> Array:
     """
     from sentnet.network import forward
 
-    return np.vstack([forward(spec, ckpt, x).post[spec.layers[-1].name] for x, _ in source.eval_batches(64)])
+    return np.vstack([forward(spec, ckpt, x).post[spec.layers[-1].name] for x, _ in center_batches(source, 64)])
 
 
 def eval_scores_oversampled(spec, ckpt, source, pre_softmax: bool) -> Array:
     """Fused ten-view scores from passes over 6 images (60 views) at a time."""
-    from sentnet.data import ten_crop
     from sentnet.network import forward
 
     crop = spec.input_shape[1]
     rows = []
     for start in range(0, source.n, 6):
         idx = range(start, min(start + 6, source.n))
-        x = np.stack([v.tensor for i in idx for v in ten_crop(source.square(i), crop, source.means)])
+        x = np.stack([v for i in idx for v in ten_crop_views(source.squares[i], crop, source.means)])
         state = forward(spec, ckpt, x)
         raw = state.post[spec.top_name] if pre_softmax else state.post[spec.layers[-1].name]
         raw = raw.reshape(len(idx), 10, -1)

@@ -351,15 +351,15 @@ class TestAcceptance:
 
     def test_criterion_09_oversampling_contract(self):
         square = np.arange(3 * 256 * 256, dtype=np.float32).reshape(3, 256, 256)
-        views = ten_crop(square, 227)
+        views = ten_crop(ViewSource(square[None], [0], crop=227), [0])
         crop_ok = (
             len(views) == 10
-            and np.array_equal(views[0].tensor, square[:, :227, :227])
-            and np.array_equal(views[1].tensor, square[:, :227, 29:])
-            and np.array_equal(views[2].tensor, square[:, 29:, :227])
-            and np.array_equal(views[3].tensor, square[:, 29:, 29:])
-            and np.array_equal(views[4].tensor, square[:, 14:241, 14:241])
-            and all(np.array_equal(views[i + 5].tensor, views[i].tensor[:, :, ::-1]) for i in range(5))
+            and np.array_equal(views[0], square[:, :227, :227])
+            and np.array_equal(views[1], square[:, :227, 29:])
+            and np.array_equal(views[2], square[:, 29:, :227])
+            and np.array_equal(views[3], square[:, 29:, 29:])
+            and np.array_equal(views[4], square[:, 14:241, 14:241])
+            and all(np.array_equal(views[i + 5], views[i][:, :, ::-1]) for i in range(5))
         )
 
         scores = np.random.default_rng(3).random((5, 10, 4))

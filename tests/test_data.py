@@ -1,6 +1,7 @@
-"""Tests for manifests, image codecs, preprocessing, crops, and folds."""
+"""Tests for manifests, image codecs, preprocessing, views, and folds."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentnet.data import (
+    TEN_CROP_CENTER,
     DatasetManifest,
-    ImageView,
     ManifestRecord,
     PreprocessConfig,
     ViewSource,
@@ -18,7 +19,6 @@ from sentnet.data import (
     decode_squares,
     load_image,
     load_manifest,
-    preprocess,
     read_means,
     read_ppm,
     read_raw_tensor,
@@ -34,7 +34,7 @@ from sentnet.data import (
 )
 from sentnet.errors import CheckpointError, ConfigError, DataError
 
-from oracles import raw_tensor_bytes
+from oracles import center_batches, raw_tensor_bytes, ten_crop_views, train_batch_stacked
 
 
 def write_text(path, text):
@@ -304,7 +304,12 @@ class TestGeometry:
 
 
 class TestPreprocess:
+    """Training and center views, cut by ViewSource from a decoded square."""
+
     CFG = PreprocessConfig(resize_to=16, crop=12)
+
+    def source(self, img, means=None):
+        return ViewSource(img[None], [0], self.CFG.crop, means)
 
     def test_crop_larger_than_resize_rejected(self):
         with pytest.raises(ConfigError):
@@ -312,60 +317,52 @@ class TestPreprocess:
 
     def test_test_mode_takes_center(self):
         img = np.random.default_rng(7).normal(size=(3, 16, 16)).astype(np.float32)
-        view = preprocess(img, self.CFG, mode="test")
-        assert view.tag == "center"
-        np.testing.assert_array_equal(view.tensor, img[:, 2:14, 2:14])
-
-    def test_train_mode_requires_rng(self):
-        img = np.zeros((3, 16, 16), dtype=np.float32)
-        with pytest.raises(ConfigError, match="rng"):
-            preprocess(img, self.CFG, mode="train")
+        x, _ = next(self.source(img).eval_batches())
+        np.testing.assert_array_equal(x[0], img[:, 2:14, 2:14])
 
     def test_train_mode_is_seeded(self):
         img = np.random.default_rng(8).normal(size=(3, 16, 16)).astype(np.float32)
-        v1 = preprocess(img, self.CFG, mode="train", rng=np.random.default_rng(5))
-        v2 = preprocess(img, self.CFG, mode="train", rng=np.random.default_rng(5))
-        assert v1.tag == v2.tag
-        np.testing.assert_array_equal(v1.tensor, v2.tensor)
-
-    def test_flip_tag_matches_tensor(self):
-        img = np.random.default_rng(9).normal(size=(3, 16, 16)).astype(np.float32)
-        for seed in range(20):
-            view = preprocess(img, self.CFG, mode="train", rng=np.random.default_rng(seed))
-            if view.tag.endswith("-flip"):
-                top, left = view.tag.removesuffix("-flip").removeprefix("crop").split("x")
-                cut = img[:, int(top) : int(top) + 12, int(left) : int(left) + 12]
-                np.testing.assert_array_equal(view.tensor, cut[:, :, ::-1])
-                break
-        else:
-            pytest.fail("no flipped view in 20 seeds")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError, match="mode"):
-            preprocess(np.zeros((3, 16, 16), dtype=np.float32), self.CFG, mode="weird")
+        rngs = np.random.default_rng(5), np.random.default_rng(5)
+        x1, _ = self.source(img).train_batch(np.zeros(8, dtype=np.int64), rngs[0])
+        x2, _ = self.source(img).train_batch(np.zeros(8, dtype=np.int64), rngs[1])
+        np.testing.assert_array_equal(x1, x2)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
     def test_gray_image_equal_to_means_yields_zero(self):
         img = np.empty((3, 16, 16), dtype=np.float32)
         means = np.array([10.0, 20.0, 30.0], dtype=np.float32)
         img[:] = means.reshape(3, 1, 1)
-        view = preprocess(img, self.CFG, mode="test", means=means)
-        np.testing.assert_array_equal(view.tensor, np.zeros((3, 12, 12), dtype=np.float32))
+        src = self.source(img, means)
+        x, _ = next(src.eval_batches())
+        np.testing.assert_array_equal(x, np.zeros((1, 3, 12, 12), dtype=np.float32))
+        x, _ = src.train_batch(np.zeros(4, dtype=np.int64), np.random.default_rng(0))
+        np.testing.assert_array_equal(x, np.zeros((4, 3, 12, 12), dtype=np.float32))
 
 
 class TestTenCrop:
+    NAMES = ("tl", "tr", "bl", "br", "center")
+
+    @staticmethod
+    def crops(square, crop):
+        last = square.shape[1] - crop
+        offsets = [(0, 0), (0, last), (last, 0), (last, last), (last // 2, last // 2)]
+        return [square[:, t : t + crop, l : l + crop] for t, l in offsets]
+
     def test_order_and_tags(self):
-        square = np.random.default_rng(10).normal(size=(3, 8, 8)).astype(np.float32)
-        views = ten_crop(square, 5)
-        tags = [v.tag for v in views]
-        assert tags == [
-            "tl", "tr", "bl", "br", "center",
-            "tl-flip", "tr-flip", "bl-flip", "br-flip", "center-flip",
-        ]
+        squares = np.random.default_rng(10).normal(size=(2, 3, 8, 8)).astype(np.float32)
+        x = ten_crop(ViewSource(squares, [0, 1], crop=5), [1, 0])
+        assert x.shape == (20, 3, 5, 5)
+        for block, i in enumerate([1, 0]):
+            cuts = self.crops(squares[i], 5)
+            want = cuts + [c[:, :, ::-1] for c in cuts]
+            for k in range(10):
+                np.testing.assert_array_equal(x[10 * block + k], want[k])
+        assert self.NAMES[TEN_CROP_CENTER] == "center"
 
     def test_corner_index_arithmetic(self):
         side, crop = 8, 5
         square = np.arange(3 * side * side, dtype=np.float32).reshape(3, side, side)
-        views = {v.tag: v.tensor for v in ten_crop(square, crop)}
+        views = dict(zip(self.NAMES, ten_crop(ViewSource(square[None], [0], crop), [0])))
         np.testing.assert_array_equal(views["tl"], square[:, :5, :5])
         np.testing.assert_array_equal(views["tr"], square[:, :5, 3:])
         np.testing.assert_array_equal(views["bl"], square[:, 3:, :5])
@@ -376,28 +373,39 @@ class TestTenCrop:
         # 256 -> 227: top-left spans rows 0..226, bottom-right rows 29..255
         square = np.zeros((3, 256, 256), dtype=np.float32)
         square[0, 29, 29] = 7.0
-        views = {v.tag: v.tensor for v in ten_crop(square, 227)}
+        views = dict(zip(self.NAMES, ten_crop(ViewSource(square[None], [0], 227), [0])))
         assert views["br"][0, 0, 0] == 7.0
         assert views["tl"].shape == (3, 227, 227)
         assert views["tl"][0, 226, 226] == 0.0
 
     def test_mirrors_are_column_reversals(self):
-        square = np.random.default_rng(11).normal(size=(3, 8, 8)).astype(np.float32)
-        views = ten_crop(square, 5)
-        for i in range(5):
-            np.testing.assert_array_equal(views[i + 5].tensor, views[i].tensor[:, :, ::-1])
+        squares = np.random.default_rng(11).normal(size=(3, 3, 8, 8)).astype(np.float32)
+        x = ten_crop(ViewSource(squares, [0, 1, 2], crop=5), range(3)).reshape(3, 10, 3, 5, 5)
+        np.testing.assert_array_equal(x[:, 5:], x[:, :5, :, :, ::-1])
 
     def test_means_subtracted_per_view(self):
-        square = np.full((3, 8, 8), 9.0, dtype=np.float32)
+        square = np.full((1, 3, 8, 8), 9.0, dtype=np.float32)
         means = np.array([1.0, 2.0, 3.0], dtype=np.float32)
-        views = ten_crop(square, 5, means=means)
-        for v in views:
-            np.testing.assert_allclose(v.tensor[0], 8.0)
-            np.testing.assert_allclose(v.tensor[2], 6.0)
+        x = ten_crop(ViewSource(square, [0], 5, means), [0])
+        np.testing.assert_array_equal(x[:, 0], 8.0)
+        np.testing.assert_array_equal(x[:, 1], 7.0)
+        np.testing.assert_array_equal(x[:, 2], 6.0)
 
     def test_crop_too_large_rejected(self):
-        with pytest.raises(DataError):
-            ten_crop(np.zeros((3, 4, 4), dtype=np.float32), 5)
+        with pytest.raises(DataError, match="crop"):
+            ViewSource(np.zeros((1, 3, 4, 4), dtype=np.float32), [0], crop=5)
+
+    def test_chunk_holds_one_batch(self):
+        squares = np.random.default_rng(12).normal(100, 50, size=(6, 3, 256, 256)).astype(np.float32)
+        src = ViewSource(squares, np.zeros(6), 227, np.array([1.0, 2.0, 3.0]))
+        tracemalloc.start()
+        try:
+            x = ten_crop(src, range(6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (60, 3, 227, 227)
+        assert peak <= 1.1 * x.nbytes, f"peak {peak / 1e6:.1f} MB for a {x.nbytes / 1e6:.1f} MB batch"
 
 
 class TestChannelMeans:
@@ -532,6 +540,42 @@ class TestViewSource:
             ViewSource(np.zeros((2, 3, 4, 4), dtype=np.float32), [0, 1], crop=5)
         with pytest.raises(DataError, match="labels"):
             ViewSource(np.zeros((2, 3, 4, 4), dtype=np.float32), [0], crop=3)
+
+    def test_flip_matches_draws(self):
+        src, squares, _ = self.make(side=16, crop=12)
+        idx = np.array([0, 1, 2, 3, 4, 5] * 4)
+        x, _ = src.train_batch(idx, np.random.default_rng(9))
+        replay = np.random.default_rng(9)
+        tops, lefts, flips = (replay.integers(0, hi, size=len(idx)) for hi in (5, 5, 2))
+        assert set(flips.tolist()) == {0, 1}
+        for row, (i, t, l, f) in enumerate(zip(idx, tops, lefts, flips)):
+            cut = squares[i, :, t : t + 12, l : l + 12]
+            np.testing.assert_array_equal(x[row], cut[:, :, ::-1] if f else cut)
+
+    @pytest.mark.parametrize("side,crop", [(8, 5), (8, 8), (9, 4), (72, 64), (256, 227)])
+    @pytest.mark.parametrize("with_means", [False, True])
+    def test_views_match_oracles(self, side, crop, with_means):
+        """Every view path gives the per-view cutting's bytes, -0 included."""
+        n = 7 if side < 256 else 3
+        means = np.array([0.0, 12.5, -3.25], dtype=np.float32) if with_means else None
+        src, squares, _ = self.make(n=n, side=side, crop=crop, means=means, seed=side + crop)
+        squares *= 60.0
+        squares[0, 0, :, :] = -0.0
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(3):
+            idx = rng.permutation(n)[:4]
+            assert ref_rng.permutation(n)[:4].tolist() == idx.tolist()
+            got, want = src.train_batch(idx, rng), train_batch_stacked(src, idx, ref_rng)
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for batch_size in (2, 64):
+            pairs = list(zip(src.eval_batches(batch_size), center_batches(src, batch_size), strict=True))
+            for (x, y), (wx, wy) in pairs:
+                assert x.tobytes() == wx.tobytes() and y.tobytes() == wy.tobytes()
+        for start in range(0, n, 2):
+            idx = range(start, min(start + 2, n))
+            want = np.stack([v for i in idx for v in ten_crop_views(squares[i], crop, means)])
+            assert ten_crop(src, idx).tobytes() == want.tobytes()
 
 
 class TestDecodeSquares:

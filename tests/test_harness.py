@@ -1,5 +1,6 @@
 """Tests for configs, evaluation, the cross-validation loop, reports, and CLI."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -36,6 +37,7 @@ from sentnet.harness import (
     write_report,
 )
 from sentnet.network import LayerKind, LayerSpec, NetworkSpec, init_params, reference_spec, reference_spec_small
+from sentnet.probe import ProbeReport, ProbeRow
 from sentnet.surgery import preset_plan
 from sentnet.synth import write_synthetic_dataset
 
@@ -333,6 +335,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="kind"):
             resolve_preset(config_from_dict({"experiment": {"kind": "probe"}}))
 
+    def test_oversample_false_rejected(self):
+        with pytest.raises(ConfigError, match="experiment.oversample"):
+            config_from_dict({"experiment": {"oversample": False}})
+
+    def test_oversample_true_or_absent_accepted(self):
+        assert config_from_dict({"experiment": {"oversample": True}}).experiment.oversample is True
+        assert config_from_dict({"experiment": {}}).experiment.oversample is True
+
     def test_resolve_base_lr_precedence(self):
         plain = preset_plan("finetune")
         with_default = preset_plan("fc6-2")
@@ -550,6 +560,35 @@ class TestWriteReport:
         with pytest.raises(DataError, match="no summary"):
             write_report(tmp_path)
 
+    def test_probe_tables_keep_their_bytes(self, tmp_path):
+        accs = {("conv1", "svm"): [0.5, 0.625, 0.75], ("conv1", "softmax"): [0.55, 0.6, 0.7],
+                ("fc7", "svm"): [0.875, 0.9, 0.8], ("fc7", "softmax"): [1.0, 0.95, 0.85]}
+        rows = [ProbeRow(ep, kind, f, a, 0.01 * (f + 1)) for (ep, kind), v in accs.items() for f, a in enumerate(v)]
+        report = ProbeReport(rows=rows, endpoints=("conv1", "fc7"), kinds=("svm", "softmax"),
+                             pre_activation=False, standardize=True)
+        table = (
+            "| Endpoint | SVM | Softmax |\n|---|---|---|\n"
+            "| conv1 | 0.625 ± 0.125 | 0.617 ± 0.076 |\n| fc7 | 0.858 ± 0.052 | 0.933 ± 0.076 |\n"
+        )
+        assert report.to_markdown() == (
+            table + "\nFeatures: post-activation, single center view, standardized columns.\n"
+        )
+        (tmp_path / "probes").mkdir()
+        payload = {"kind": "probe", "label": "probes", "endpoints": ["conv1", "fc7"], "kinds": ["svm", "softmax"],
+                   "pre_activation": False, "standardize": True, "folds_note": "manifest",
+                   "rows": [dataclasses.asdict(r) for r in rows], "config": {}}
+        (tmp_path / "probes" / "summary.json").write_text(json.dumps(payload))
+        md_path, csv_path = write_report(tmp_path)
+        assert md_path.read_text() == (
+            "# Experiment report\n\n## Layer probes (probes)\n\n" + table
+            + "\n## Assumptions\n\n- probe features: post-activation, single center view\n"
+        )
+        assert csv_path.read_text() == (
+            "family,row,classifier,oversampling,mean,std,folds,failed_folds,degenerate_folds\n"
+            "probe,conv1,svm,no,0.625000,0.125000,3,0,0\nprobe,conv1,softmax,no,0.616667,0.076376,3,0,0\n"
+            "probe,fc7,svm,no,0.858333,0.052042,3,0,0\nprobe,fc7,softmax,no,0.933333,0.076376,3,0,0\n"
+        )
+
 
 class TestCli:
     def test_prepare_data_synthetic(self, tmp_path, capsys):
@@ -582,6 +621,14 @@ class TestCli:
         ])
         assert code == 1
         assert "not found" in capsys.readouterr().err
+
+    def test_oversample_false_exits_one(self, tmp_path, capsys):
+        payload = config_to_dict(tiny_config(tmp_path / "m.csv"))
+        payload["experiment"]["oversample"] = False
+        (tmp_path / "c.json").write_text(json.dumps(payload))
+        code = cli.main(["finetune", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "experiment.oversample" in capsys.readouterr().err
 
     def test_missing_manifest_exits_two(self, tmp_path, capsys):
         config = tiny_config(tmp_path / "missing.csv")
