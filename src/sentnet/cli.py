@@ -16,30 +16,9 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import harness, synth
-from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (
-    ViewSource,
-    compute_channel_means,
-    decode_squares,
-    load_manifest,
-    read_means,
-    save_manifest,
-    stratified_kfold,
-    write_means,
-)
-from .errors import (
-    ConfigError,
-    DataError,
-    DivergenceError,
-    SentnetError,
-    ShapeError,
-    SurgeryError,
-)
-from .network import init_params, parameter_shapes
-from .optim import history_to_csv, train
+from .data import load_manifest, save_manifest, stratified_kfold
+from .errors import ConfigError, DivergenceError, SentnetError, SurgeryError
 
 log = logging.getLogger(__name__)
 
@@ -126,26 +105,7 @@ def _cmd_prepare_data(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    config = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = load_manifest(config.dataset.manifest, allow_multiclass=True)
-    labels = manifest.labels
-    num_classes = max(2, int(labels.max()) + 1)
-    spec = harness._arch_spec(config.experiment.arch, num_classes)
-    ckpt = init_params(spec, config.seeds.init)
-    squares = decode_squares(manifest, config.preprocess)
-    means = harness.resolve_means(config)
-    if means is None:
-        means = compute_channel_means(iter(squares))
-    write_means(out / "means.txt", means)
-    source = ViewSource(squares, labels, config.preprocess.crop, means)
-    base_lr = config.train.base_lr if config.train.base_lr is not None else 0.01
-    cfg = harness._train_config(config.train, base_lr, config.seeds.train)
-    trained, history = train(spec, ckpt, source, cfg)
-    save_checkpoint(trained, out / "pretrained.nsrg")
-    (out / "history.csv").write_text(history_to_csv(history))
-    print(out / "pretrained.nsrg")
+    print(harness.pretrain(_load_config(args), args.out))
     return EXIT_OK
 
 
@@ -178,46 +138,7 @@ def _cmd_evaluate(args) -> int:
             config,
             experiment=dataclasses.replace(config.experiment, base_checkpoint=args.checkpoint),
         )
-    if config.experiment.base_checkpoint is None:
-        raise ConfigError("evaluate needs --checkpoint or experiment.base_checkpoint")
-    base_spec, ckpt = harness._base_network(config)
-    # A fold checkpoint records the preset that shaped it; scoring it as that
-    # preset's network, on that preset's labels, reproduces the fold's result.
-    preset = ckpt.metadata.get("surgery")
-    named = config.experiment.preset
-    if named is not None and preset is not None and named != preset:
-        raise ConfigError(f"the config names preset {named!r} but the checkpoint was made by {preset!r}")
-    means = harness.resolve_means(config)
-    if means is None:
-        beside = Path(config.experiment.base_checkpoint).parent / "means.txt"
-        if not beside.exists():
-            raise ConfigError(
-                f"evaluate needs the channel means training used: set preprocess.channel_means "
-                f"or dataset.means in the config, or keep the means.txt training wrote at {beside}"
-            )
-        means = read_means(beside)
-    manifest = load_manifest(config.dataset.manifest, allow_multiclass=True)
-    spec, labels = harness.preset_task(preset, base_spec, manifest.labels)
-    ckpt.validate_against(parameter_shapes(spec))
-    squares = decode_squares(manifest, config.preprocess)
-    source = ViewSource(squares, labels, config.preprocess.crop, means)
-    result = harness.evaluate(
-        spec, ckpt, source, oversample=args.oversample,
-        pre_softmax_fusion=config.experiment.pre_softmax_fusion,
-    )
-    plain = result.plain or result
-    payload = {
-        "accuracy": plain.accuracy,
-        "per_class": {str(k): v for k, v in plain.per_class.items()},
-        "degenerate": plain.degenerate,
-        "n": plain.n,
-    }
-    if args.oversample:
-        payload["accuracy_oversampled"] = result.accuracy
-        payload["degenerate_oversampled"] = result.degenerate
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "evaluation.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    payload = harness.evaluate_checkpoint(config, args.out, oversample=args.oversample)
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 
@@ -255,13 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as e:
         print(f"sentnet: {e}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (DataError, ShapeError) as e:
-        print(f"sentnet: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as e:
-        print(f"sentnet: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except SentnetError as e:
+    except (SentnetError, FileNotFoundError) as e:  # data, checkpoint and shape problems
         print(f"sentnet: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,11 +1,16 @@
-"""Cross-validated experiments: configs, evaluation, fold loop, reports.
+"""Cross-validated experiments: configs, tasks, evaluation, fold loop, reports.
 
-An experiment takes a base checkpoint, applies a surgery preset per fold,
-trains on the fold's training split, and evaluates the held-out fold with
-and without ten-crop oversampling. Every random draw is seeded from the
-config, fold failures are isolated, and all artifacts (per-fold
-checkpoints, history CSVs, summary JSON, reports) are deterministic byte
-for byte.
+Every command loads its task in one place, load_task: the base checkpoint
+(or seeded weights), the arch spec, the preset's network and labels, the
+decoded images, and the channel means. The config fixes the means
+(preprocess.channel_means, then dataset.means); otherwise a CV fold takes
+them from its training rows, pretrain and probe from every image, and
+evaluate from the means.txt training wrote. An experiment applies a
+surgery preset per fold, trains on the fold's training split (run_fold),
+and evaluates the held-out fold with and without ten-crop oversampling.
+Every random draw is seeded from the config, fold failures are isolated,
+and all artifacts (per-fold checkpoints, history CSVs, summary JSON,
+reports) are deterministic byte for byte.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -139,46 +146,55 @@ class ExperimentConfig:
     seeds: SeedsSection = field(default_factory=SeedsSection)
 
 
+def _fits(value: Any, hint: Any) -> bool:
+    """Whether a JSON value has a config field's annotated type.
+
+    A bool is only a bool, never an int; a float field also takes an int
+    (kept as written); a tuple field takes an array.
+    """
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_fits(value, a) for a in args)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[1:] == (Ellipsis,):
+            args = args[:1] * len(value)
+        return len(args) == len(value) and all(_fits(v, a) for v, a in zip(value, args))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
 def _build_section(cls, payload: dict[str, Any], where: str):
     if not isinstance(payload, dict):
         raise ConfigError(f"config section {where!r} must be an object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - names)
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(payload) - set(fields))
     if unknown:
         raise ConfigError(f"unknown keys in config section {where!r}: {unknown}")
-    kwargs = dict(payload)
-    for f in dataclasses.fields(cls):
-        if f.name in kwargs and isinstance(kwargs[f.name], list):
-            kwargs[f.name] = tuple(kwargs[f.name])
-    if cls is ExperimentSection and "probe" in kwargs:
-        kwargs["probe"] = _build_section(ProbeSection, kwargs["probe"], f"{where}.probe")
-    try:
-        return cls(**kwargs)
-    except TypeError as e:
-        raise ConfigError(f"bad config section {where!r}: {e}") from None
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, value in payload.items():
+        if dataclasses.is_dataclass(hints[name]):
+            kwargs[name] = _build_section(hints[name], value, f"{where}.{name}")
+        elif not _fits(value, hints[name]):
+            raise ConfigError(f"config key '{where}.{name}' must be {fields[name].type}, got {value!r}")
+        else:
+            kwargs[name] = tuple(value) if isinstance(value, list) else value
+    return cls(**kwargs)
 
 
 def config_from_dict(payload: dict[str, Any]) -> ExperimentConfig:
     if not isinstance(payload, dict):
         raise ConfigError("config root must be a JSON object")
-    sections = {
-        "dataset": DatasetSection,
-        "preprocess": PreprocessConfig,
-        "train": TrainSection,
-        "experiment": ExperimentSection,
-        "seeds": SeedsSection,
-    }
-    unknown = sorted(set(payload) - set(sections))
+    unknown = sorted(set(payload) - set(ExperimentConfig.__dataclass_fields__))
     if unknown:
         raise ConfigError(f"unknown config sections: {unknown}")
-    kwargs = {}
-    for name, cls in sections.items():
-        if name in payload:
-            section = _build_section(cls, payload[name], name)
-        else:
-            section = ExperimentConfig.__dataclass_fields__[name].default_factory()
-        kwargs[name] = section
-    return ExperimentConfig(**kwargs)
+    sections = typing.get_type_hints(ExperimentConfig)
+    return ExperimentConfig(**{name: _build_section(sections[name], v, name) for name, v in payload.items()})
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -369,6 +385,160 @@ def audit_folds(folds: Array, k: int | None = None) -> list[tuple[Array, Array]]
     return splits
 
 
+# -- tasks ------------------------------------------------------------------
+
+
+def _arch_spec(arch: str, num_classes: int) -> NetworkSpec:
+    if arch == "small":
+        return reference_spec_small(num_classes)
+    if arch == "reference":
+        return reference_spec(num_classes)
+    raise ConfigError(f"unknown arch {arch!r}; expected 'small' or 'reference'")
+
+
+def resolve_means(config: ExperimentConfig) -> Array | None:
+    """Channel means fixed by the config, or None.
+
+    preprocess.channel_means wins over the dataset.means file. None leaves
+    the means to the command (see load_task and Task.means).
+    """
+    if config.preprocess.channel_means is not None:
+        return np.asarray(config.preprocess.channel_means, dtype=np.float32)
+    if config.dataset.means is not None:
+        return read_means(config.dataset.means)
+    return None
+
+
+@dataclass(frozen=True, eq=False)
+class Task:
+    """What a command reads from its config: network, labels, images and means."""
+
+    base_spec: NetworkSpec  # the arch below any preset, as wide as the checkpoint's fc8
+    spec: NetworkSpec  # the network the preset makes of base_spec
+    ckpt: Checkpoint  # the base checkpoint, or seeded weights
+    preset: str | None
+    manifest: DatasetManifest  # folds stratify on its labels, whatever the preset
+    labels: Array  # the labels the preset trains and is scored on
+    squares: Array  # every image, decoded and squared once: float32 [n, 3, S, S]
+    fixed_means: Array | None  # the config's means (or a trained checkpoint's)
+
+    def means(self, rows: Sequence[int] | None = None) -> Array:
+        """The fixed means, else the channel means of these rows (all by default)."""
+        if self.fixed_means is not None:
+            return self.fixed_means
+        return compute_channel_means(self.squares if rows is None else (self.squares[i] for i in rows))
+
+
+def load_task(
+    config: ExperimentConfig, preset: str | None = None, *,
+    surgery: bool = False, trained: bool = False, multiclass: bool = False,
+) -> Task:
+    """The task every command runs on, as its config names it.
+
+    The network is experiment.base_checkpoint (its fc8 sets the arch spec's
+    width) or else seeded weights as wide as the manifest has classes; the
+    preset gives the spec and labels (see SWAPPED_LABEL_PRESETS). With
+    `surgery` the checkpoint is the base each fold's surgery starts from,
+    so it must match the arch spec, not the preset's network. With
+    `trained` it is one training wrote: its metadata names the preset (a
+    different `preset` is an error) and, if the config fixes no means, the
+    means.txt beside it holds them. `multiclass` admits any class index in
+    the manifest. The checkpoint and the means load before the manifest,
+    so their errors come first.
+    """
+    exp = config.experiment
+    ckpt = None
+    if exp.base_checkpoint is not None:
+        ckpt = load_checkpoint(exp.base_checkpoint)
+        head = ckpt.entries.get("fc8")
+        base_spec = _arch_spec(exp.arch, 2 if head is None else int(head[1].shape[0]))
+    if trained:
+        named, preset = preset, ckpt.metadata.get("surgery")
+        if named is not None and preset is not None and named != preset:
+            raise ConfigError(f"the config names preset {named!r} but the checkpoint was made by {preset!r}")
+    means = resolve_means(config)
+    if means is None and trained:
+        beside = Path(exp.base_checkpoint).parent / "means.txt"
+        if not beside.exists():
+            raise ConfigError(
+                f"evaluate needs the channel means training used: set preprocess.channel_means "
+                f"or dataset.means in the config, or keep the means.txt training wrote at {beside}"
+            )
+        means = read_means(beside)
+    manifest = load_manifest(config.dataset.manifest, allow_multiclass=multiclass)
+    if ckpt is None:
+        base_spec = _arch_spec(exp.arch, max(2, int(manifest.labels.max()) + 1))
+        ckpt = init_params(base_spec, config.seeds.init)
+    spec, labels = base_spec, manifest.labels
+    if preset is not None:
+        plan = preset_plan(preset)
+        spec = plan_spec(plan, base_spec)
+        if plan.label in SWAPPED_LABEL_PRESETS:
+            labels = np.where(labels == 1, 0, 1)
+    ckpt.validate_against(parameter_shapes(base_spec if surgery else spec))
+    squares = decode_squares(manifest, config.preprocess)
+    return Task(base_spec, spec, ckpt, preset, manifest, labels, squares, means)
+
+
+def _train_config(train: TrainSection, base_lr: float, seed: int) -> TrainConfig:
+    """The section's recipe, with the resolved base rate and the given seed."""
+    recipe = {name: getattr(train, name) for name in TrainConfig.__dataclass_fields__ if hasattr(train, name)}
+    return TrainConfig(**{**recipe, "base_lr": base_lr, "seed": seed})
+
+
+def _train_and_write(
+    spec: NetworkSpec, ckpt: Checkpoint, source: ViewSource, cfg: TrainConfig, path: Path,
+    val_source: ViewSource | None = None,
+) -> tuple[Checkpoint, list]:
+    """Train, writing means.txt first, then the checkpoint at path and history.csv beside it."""
+    write_means(path.parent / "means.txt", source.means)
+    trained, history = train(spec, ckpt, source, cfg, val_source)
+    save_checkpoint(trained, path)
+    (path.parent / "history.csv").write_text(history_to_csv(history))
+    return trained, history
+
+
+def pretrain(config: ExperimentConfig, out_dir: str | Path) -> Path:
+    """Train the source network on every manifest image from seeded weights
+    (experiment.base_checkpoint is not read); returns the checkpoint's path."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    seeded = dataclasses.replace(config.experiment, base_checkpoint=None)
+    task = load_task(dataclasses.replace(config, experiment=seeded), multiclass=True)
+    source = ViewSource(task.squares, task.labels, config.preprocess.crop, task.means())
+    base_lr = config.train.base_lr if config.train.base_lr is not None else 0.01
+    cfg = _train_config(config.train, base_lr, config.seeds.train)
+    _train_and_write(task.spec, task.ckpt, source, cfg, out / "pretrained.nsrg")
+    return out / "pretrained.nsrg"
+
+
+def evaluate_checkpoint(config: ExperimentConfig, out_dir: str | Path, oversample: bool = False) -> dict:
+    """Score experiment.base_checkpoint on every manifest image as the network
+    its preset made, and write the result to evaluation.json."""
+    if config.experiment.base_checkpoint is None:
+        raise ConfigError("evaluate needs --checkpoint or experiment.base_checkpoint")
+    task = load_task(config, config.experiment.preset, trained=True, multiclass=True)
+    source = ViewSource(task.squares, task.labels, config.preprocess.crop, task.means())
+    result = evaluate(
+        task.spec, task.ckpt, source, oversample=oversample,
+        pre_softmax_fusion=config.experiment.pre_softmax_fusion,
+    )
+    plain = result.plain or result
+    payload = {
+        "accuracy": plain.accuracy,
+        "per_class": {str(k): v for k, v in plain.per_class.items()},
+        "degenerate": plain.degenerate,
+        "n": plain.n,
+    }
+    if oversample:
+        payload["accuracy_oversampled"] = result.accuracy
+        payload["degenerate_oversampled"] = result.degenerate
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "evaluation.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return payload
+
+
 # -- the fold loop ----------------------------------------------------------
 
 
@@ -398,26 +568,7 @@ class CVSummary:
     assumptions: list[str]
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": "train-cv",
-            "label": self.label,
-            "preset": self.preset,
-            "mean": self.mean,
-            "std": self.std,
-            "mean_oversampled": self.mean_oversampled,
-            "std_oversampled": self.std_oversampled,
-            "base_lr": self.base_lr,
-            "assumptions": self.assumptions,
-            "folds": [dataclasses.asdict(f) for f in self.folds],
-        }
-
-
-def _arch_spec(arch: str, num_classes: int) -> NetworkSpec:
-    if arch == "small":
-        return reference_spec_small(num_classes)
-    if arch == "reference":
-        return reference_spec(num_classes)
-    raise ConfigError(f"unknown arch {arch!r}; expected 'small' or 'reference'")
+        return {"kind": "train-cv", **dataclasses.asdict(self)}
 
 
 def resolve_preset(config: ExperimentConfig) -> str:
@@ -439,53 +590,6 @@ def resolve_base_lr(train: TrainSection, plan: SurgeryPlan) -> float:
     return 0.001
 
 
-def _train_config(train: TrainSection, base_lr: float, seed: int) -> TrainConfig:
-    return TrainConfig(
-        base_lr=base_lr,
-        step_epochs=train.step_epochs,
-        gamma=train.gamma,
-        epochs=train.epochs,
-        momentum=train.momentum,
-        weight_decay=train.weight_decay,
-        batch_size=train.batch_size,
-        seed=seed,
-        stop_at_train_acc=train.stop_at_train_acc,
-    )
-
-
-def _base_network(config: ExperimentConfig) -> tuple[NetworkSpec, Checkpoint]:
-    """The configured checkpoint (or fresh weights) and the arch spec below any preset.
-
-    The spec's fc8 width is the checkpoint's. A checkpoint without fc8 is one
-    a preset removed it from, so the width cannot matter; callers check the
-    checkpoint against the spec their preset makes of this one.
-    """
-    exp = config.experiment
-    if exp.base_checkpoint is not None:
-        ckpt = load_checkpoint(exp.base_checkpoint)
-        head = ckpt.entries.get("fc8")
-        return _arch_spec(exp.arch, 2 if head is None else int(head[1].shape[0])), ckpt
-    spec = _arch_spec(exp.arch, 2)
-    return spec, init_params(spec, config.seeds.init)
-
-
-def preset_task(preset: str | None, base_spec: NetworkSpec, labels: Array) -> tuple[NetworkSpec, Array]:
-    """The network a surgery preset makes of base_spec, and the labels it
-    trains and is scored on.
-
-    No preset leaves both as they are. The presets in SWAPPED_LABEL_PRESETS
-    keep a wide head and map positive to class 0, negative to class 1.
-    cross_validate, run_probe_experiment and `sentnet evaluate` all take
-    their spec and labels from here.
-    """
-    if preset is None:
-        return base_spec, labels
-    plan = preset_plan(preset)
-    if plan.label in SWAPPED_LABEL_PRESETS:
-        labels = np.where(labels == 1, 0, 1)
-    return plan_spec(plan, base_spec), labels
-
-
 def _assumptions(config: ExperimentConfig, plan: SurgeryPlan, base_lr: float, folds_from: str) -> list[str]:
     t = config.train
     notes = [
@@ -504,27 +608,56 @@ def _assumptions(config: ExperimentConfig, plan: SurgeryPlan, base_lr: float, fo
     return notes
 
 
-def resolve_means(config: ExperimentConfig) -> Array | None:
-    """Channel means fixed by the config, or None.
-
-    preprocess.channel_means wins over the dataset.means file. None tells the
-    caller to compute means over its own training rows.
-    """
-    if config.preprocess.channel_means is not None:
-        return np.asarray(config.preprocess.channel_means, dtype=np.float32)
-    if config.dataset.means is not None:
-        return read_means(config.dataset.means)
-    return None
-
-
 def _load_folds(manifest: DatasetManifest, config: ExperimentConfig) -> tuple[Array, str]:
     if manifest.folds is not None:
-        folds = manifest.folds
-        note = "provided by the manifest"
-    else:
-        folds = stratified_kfold(manifest.labels, config.dataset.k, config.seeds.folds)
-        note = f"stratified k={config.dataset.k}, seed {config.seeds.folds}"
-    return folds, note
+        return manifest.folds, "provided by the manifest"
+    k, seed = config.dataset.k, config.seeds.folds
+    return stratified_kfold(manifest.labels, k, seed), f"stratified k={k}, seed {seed}"
+
+
+def run_fold(
+    task: Task, config: ExperimentConfig, f: int, train_idx: Array, test_idx: Array, fold_dir: str | Path
+) -> FoldOutcome:
+    """Train and score outer fold f, writing its means.txt, checkpoint.nsrg,
+    history.csv and result.json under fold_dir.
+
+    The fold reads only its arguments, so it runs alone from a task loaded
+    as cross_validate loads one. Its network, checkpoints and view sources
+    die when it returns, before the next fold trains. A diverged fold is
+    recorded in its outcome, not raised.
+    """
+    fold_dir = Path(fold_dir)
+    fold_dir.mkdir(parents=True, exist_ok=True)
+    outcome = FoldOutcome(
+        fold=f,
+        train_indices=[int(i) for i in train_idx],
+        test_indices=[int(i) for i in test_idx],
+    )
+    plan = preset_plan(task.preset)
+    crop = config.preprocess.crop
+    try:
+        means = task.means(train_idx)
+        spec, ckpt, _ = apply_surgery(plan, task.base_spec, task.ckpt, seed=config.seeds.init + f)
+        train_src = ViewSource(task.squares[train_idx], task.labels[train_idx], crop, means)
+        test_src = ViewSource(task.squares[test_idx], task.labels[test_idx], crop, means)
+        cfg = _train_config(config.train, resolve_base_lr(config.train, plan), config.seeds.train + f)
+        val_src = test_src if config.train.track_val else None
+        trained, history = _train_and_write(spec, ckpt, train_src, cfg, fold_dir / "checkpoint.nsrg", val_src)
+        outcome.epochs_run = len(history)
+        fused = evaluate(
+            spec, trained, test_src, oversample=True,
+            pre_softmax_fusion=config.experiment.pre_softmax_fusion,
+        )
+        outcome.accuracy = fused.plain.accuracy
+        outcome.accuracy_oversampled = fused.accuracy
+        outcome.degenerate = fused.plain.degenerate
+        outcome.degenerate_oversampled = fused.degenerate
+    except DivergenceError as e:
+        outcome.error = str(e)
+        log.warning("fold %d failed: %s", f, e)
+    result = json.dumps(dataclasses.asdict(outcome), indent=2, sort_keys=True)
+    (fold_dir / "result.json").write_text(result + "\n")
+    return outcome
 
 
 def cross_validate(config: ExperimentConfig, out_dir: str | Path, label: str | None = None) -> CVSummary:
@@ -533,65 +666,13 @@ def cross_validate(config: ExperimentConfig, out_dir: str | Path, label: str | N
     out.mkdir(parents=True, exist_ok=True)
     preset = resolve_preset(config)
     plan = preset_plan(preset)
-    label = label or preset
     base_lr = resolve_base_lr(config.train, plan)
-
-    manifest = load_manifest(config.dataset.manifest)
-    labels = manifest.labels
-    folds, folds_note = _load_folds(manifest, config)
-    splits = audit_folds(folds)
-    squares = decode_squares(manifest, config.preprocess)
-    base_spec, base_ckpt = _base_network(config)
-    base_ckpt.validate_against(parameter_shapes(base_spec))
-    _, labels_eff = preset_task(preset, base_spec, labels)
-
-    crop = config.preprocess.crop
-    fixed_means = resolve_means(config)
-
-    def run_fold(f: int, train_idx: Array, test_idx: Array, fold_dir: Path) -> FoldOutcome:
-        # The fold's network, checkpoints and view sources die when this
-        # returns, so none of them is alive while the next fold trains.
-        outcome = FoldOutcome(
-            fold=f,
-            train_indices=[int(i) for i in train_idx],
-            test_indices=[int(i) for i in test_idx],
-        )
-        try:
-            means = fixed_means
-            if means is None:
-                means = compute_channel_means(squares[i] for i in train_idx)
-            write_means(fold_dir / "means.txt", means)
-            spec_f, ckpt_f, _ = apply_surgery(plan, base_spec, base_ckpt, seed=config.seeds.init + f)
-            train_src = ViewSource(squares[train_idx], labels_eff[train_idx], crop, means)
-            test_src = ViewSource(squares[test_idx], labels_eff[test_idx], crop, means)
-            cfg = _train_config(config.train, base_lr, config.seeds.train + f)
-            val_src = test_src if config.train.track_val else None
-            trained, history = train(spec_f, ckpt_f, train_src, cfg, val_src)
-            outcome.epochs_run = len(history)
-            save_checkpoint(trained, fold_dir / "checkpoint.nsrg")
-            (fold_dir / "history.csv").write_text(history_to_csv(history))
-            fused = evaluate(
-                spec_f, trained, test_src, oversample=True,
-                pre_softmax_fusion=config.experiment.pre_softmax_fusion,
-            )
-            outcome.accuracy = fused.plain.accuracy
-            outcome.accuracy_oversampled = fused.accuracy
-            outcome.degenerate = fused.plain.degenerate
-            outcome.degenerate_oversampled = fused.degenerate
-        except DivergenceError as e:
-            outcome.error = str(e)
-            log.warning("fold %d failed: %s", f, e)
-        return outcome
-
-    outcomes: list[FoldOutcome] = []
-    for f, (train_idx, test_idx) in enumerate(splits):
-        fold_dir = out / f"fold{f}"
-        fold_dir.mkdir(parents=True, exist_ok=True)
-        outcome = run_fold(f, train_idx, test_idx, fold_dir)
-        (fold_dir / "result.json").write_text(
-            json.dumps(dataclasses.asdict(outcome), indent=2, sort_keys=True) + "\n"
-        )
-        outcomes.append(outcome)
+    task = load_task(config, preset, surgery=True)
+    folds, folds_note = _load_folds(task.manifest, config)
+    outcomes = [
+        run_fold(task, config, f, train_idx, test_idx, out / f"fold{f}")
+        for f, (train_idx, test_idx) in enumerate(audit_folds(folds))
+    ]
 
     done = [o for o in outcomes if o.error is None]
     if len(done) >= 2:
@@ -604,7 +685,7 @@ def cross_validate(config: ExperimentConfig, out_dir: str | Path, label: str | N
     else:
         mean = std = mean_os = std_os = float("nan")
     summary = CVSummary(
-        label=label,
+        label=label or preset,
         preset=preset,
         folds=outcomes,
         mean=mean,
@@ -624,32 +705,14 @@ def run_probe_experiment(config: ExperimentConfig, out_dir: str | Path, label: s
     """Probe every endpoint of the configured network across the outer folds."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    exp = config.experiment
-    base_spec, base_ckpt = _base_network(config)
-    manifest = load_manifest(config.dataset.manifest)
-    spec, labels = preset_task(exp.preset, base_spec, manifest.labels)
-    base_ckpt.validate_against(parameter_shapes(spec))
-    folds, folds_note = _load_folds(manifest, config)
+    task = load_task(config, config.experiment.preset)
+    folds, folds_note = _load_folds(task.manifest, config)
     audit_folds(folds)
-    squares = decode_squares(manifest, config.preprocess)
-    means = resolve_means(config)
-    if means is None:
-        means = compute_channel_means(iter(squares))
-    source = ViewSource(squares, labels, config.preprocess.crop, means)
-    p = exp.probe
+    # Means over every image, the outer test folds' too (README, "Linear probes").
+    source = ViewSource(task.squares, task.labels, config.preprocess.crop, task.means())
     report = probe_mod.probe_all_layers(
-        spec,
-        base_ckpt,
-        source,
-        folds,
-        endpoints=p.endpoints,
-        kinds=p.kinds,
-        lambda_grid=p.lambda_grid,
-        inner_folds=p.inner_folds,
-        standardize=p.standardize,
-        pre_activation=p.pre_activation,
-        seed=config.seeds.folds,
-        iters=p.iters,
+        task.spec, task.ckpt, source, folds, seed=config.seeds.folds,
+        **dataclasses.asdict(config.experiment.probe),
     )
     (out / "probe_report.csv").write_text(report.to_csv())
     (out / "probe_report.md").write_text(report.to_markdown())

@@ -1,21 +1,35 @@
 """Tests for configs, evaluation, the cross-validation loop, reports, and CLI."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import typing
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentnet import cli, harness, ops
 from sentnet.checkpoint import load_checkpoint, save_checkpoint
-from sentnet.data import ViewSource, compute_channel_means, decode_squares, load_manifest, read_means, write_means
+from sentnet.data import (
+    ViewSource,
+    compute_channel_means,
+    decode_squares,
+    load_manifest,
+    read_means,
+    stratified_kfold,
+    write_means,
+)
 from sentnet.errors import ConfigError, DataError
 from sentnet.harness import (
     PRESET_ORDER,
@@ -277,6 +291,48 @@ class TestAuditFolds:
             audit_folds(np.array([0, 2, 0, 2]), k=3)
 
 
+# JSON kinds that a config annotation admits: a float field also takes an int
+ADMITTED = {"None": {type(None)}, "bool": {bool}, "int": {int}, "float": {int, float}, "str": {str}}
+JSON_VALUES = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    int: st.integers(-(10**6), 10**6),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    str: st.text(max_size=4),
+    list: st.lists(st.integers(0, 9), max_size=3),
+    dict: st.dictionaries(st.text(max_size=3), st.integers(0, 9), max_size=2),
+}
+
+
+def wrong_values(annotation):
+    """JSON values that the field annotation (a string such as "float | None") does not admit."""
+    kinds, items = set(), None
+    for part in annotation.split(" | "):
+        if part.startswith("tuple["):
+            kinds.add(list)
+            items = ADMITTED[part[len("tuple["):].split(",")[0]]
+        else:
+            kinds |= ADMITTED[part]
+    wrong = [value for kind, value in JSON_VALUES.items() if kind not in kinds]
+    if items is not None:  # an array holding an item of the wrong kind
+        bad_item = st.one_of([value for kind, value in JSON_VALUES.items() if kind not in items])
+        wrong.append(st.lists(bad_item, min_size=1, max_size=3))
+    return st.one_of(wrong)
+
+
+def config_keys(cls, prefix=""):
+    """(dotted key, annotation) for every field of a config section, nested ones included."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(hints[f.name]):
+            yield from config_keys(hints[f.name], f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", f.type
+
+
+CONFIG_KEYS = list(config_keys(ExperimentConfig))
+
+
 class TestConfig:
     def test_defaults_round_trip(self):
         config = ExperimentConfig()
@@ -342,6 +398,48 @@ class TestConfig:
     def test_oversample_true_or_absent_accepted(self):
         assert config_from_dict({"experiment": {"oversample": True}}).experiment.oversample is True
         assert config_from_dict({"experiment": {}}).experiment.oversample is True
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"experiment": {"pre_softmax_fusion": "no"}}, "experiment.pre_softmax_fusion"),
+        ({"train": {"epochs": "2"}}, "train.epochs"),
+        ({"train": {"batch_size": 2.5}}, "train.batch_size"),
+        ({"train": {"epochs": True}}, "train.epochs"),
+        ({"train": {"base_lr": False}}, "train.base_lr"),
+        ({"seeds": {"init": "a"}}, "seeds.init"),
+        ({"dataset": {"k": "2"}}, "dataset.k"),
+        ({"preprocess": {"channel_means": [1.0, 2.0]}}, "preprocess.channel_means"),
+        ({"experiment": {"probe": {"endpoints": "fc7"}}}, "experiment.probe.endpoints"),
+        ({"experiment": {"probe": {"lambda_grid": [0.1, "1"]}}}, "experiment.probe.lambda_grid"),
+    ])
+    def test_wrongly_typed_value_rejected_with_its_key(self, payload, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            config_from_dict(payload)
+
+    def test_float_field_keeps_an_int_as_written(self):
+        config = config_from_dict({"train": {"gamma": 1, "base_lr": 0},
+                                   "preprocess": {"channel_means": [1, 2, 3]}})
+        assert type(config.train.gamma) is int and type(config.train.base_lr) is int
+        saved = config_to_dict(config)
+        assert saved["train"]["gamma"] == 1 and saved["preprocess"]["channel_means"] == (1, 2, 3)
+        assert '"gamma": 1,' in json.dumps(saved["train"], sort_keys=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_cli_exits_one_naming_any_mistyped_key(self, data, tmp_path_factory):
+        configs = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+        for key, annotation in CONFIG_KEYS:
+            value = data.draw(wrong_values(annotation), label=key)
+            *sections, name = key.split(".")
+            payload = {name: value}
+            for section in reversed(sections):
+                payload = {section: payload}
+            path = configs / f"{key}.json"
+            path.write_text(json.dumps(payload))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["finetune", "--config", str(path), "--out", str(configs / "never")])
+            assert code == 1
+            assert f"'{key}'" in err.getvalue() and "Traceback" not in err.getvalue()
 
     def test_resolve_base_lr_precedence(self):
         plain = preset_plan("finetune")
@@ -730,7 +828,7 @@ class TestCli:
                 seen.append(np.asarray(means, dtype=np.float32))
                 super().__init__(squares, labels, crop, means)
 
-        monkeypatch.setattr(cli, "ViewSource", RecordingSource)
+        monkeypatch.setattr(harness, "ViewSource", RecordingSource)
         fold_ckpt = cv_out / "fold0" / "checkpoint.nsrg"
 
         def run(config, checkpoint):
@@ -881,6 +979,30 @@ class TestEvaluateFoldCheckpoints:
         )
         report = run_probe_experiment(config, tmp_path / "probe")
         assert len(report.rows) == 2
+
+
+class TestRunFold:
+    @pytest.mark.parametrize("preset", ["finetune", "fc8-1000", "fc9-2"])
+    def test_one_fold_alone_reproduces_its_cross_validated_artifacts(self, preset, preset_runs, tmp_path):
+        config, run_dir = preset_runs[preset]
+        result = json.loads((run_dir / "fold1" / "result.json").read_text())
+        task = harness.load_task(config, preset, surgery=True)
+        train_idx, test_idx = np.array(result["train_indices"]), np.array(result["test_indices"])
+        outcome = harness.run_fold(task, config, 1, train_idx, test_idx, tmp_path / "alone")
+        assert outcome.error is None
+        for name in ("result.json", "means.txt", "history.csv", "checkpoint.nsrg"):
+            assert (tmp_path / "alone" / name).read_bytes() == (run_dir / "fold1" / name).read_bytes(), name
+
+    def test_folds_stratify_on_the_manifest_labels(self, tiny_corpus, preset_runs, tmp_path):
+        config, _ = preset_runs["fc8-1000"]  # trains on swapped labels
+        payload = config_to_dict(config)
+        payload["dataset"]["manifest"] = str(fold_manifest(tiny_corpus, range(16), tmp_path / "m.csv"))
+        summary = cross_validate(config_from_dict(payload), tmp_path / "cv")
+        labels = load_manifest(tiny_corpus).labels
+        folds = stratified_kfold(labels, 2, config.seeds.folds)
+        assert (stratified_kfold(1 - labels, 2, config.seeds.folds) != folds).any()
+        want = [np.flatnonzero(folds == f).tolist() for f in (0, 1)]
+        assert [o.test_indices for o in summary.folds] == want
 
 
 class TestEvaluateMulticlass:
