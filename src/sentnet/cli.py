@@ -112,12 +112,8 @@ def _cmd_pretrain(args) -> int:
 def _cmd_cross_validate(args, kind: str) -> int:
     """`finetune` and `surgery`: the configured k-fold experiment as that kind."""
     config = _load_config(args)
-    experiment = dataclasses.replace(config.experiment, kind=kind)
-    if kind == "surgery":
-        preset = args.preset or config.experiment.preset
-        if not preset:
-            raise ConfigError("surgery needs --preset or experiment.preset in the config")
-        experiment = dataclasses.replace(experiment, preset=preset)
+    preset = getattr(args, "preset", None) or config.experiment.preset
+    experiment = dataclasses.replace(config.experiment, kind=kind, preset=preset)
     summary = harness.cross_validate(dataclasses.replace(config, experiment=experiment), args.out)
     print(json.dumps({"label": summary.label, "mean": summary.mean,
                       "mean_oversampled": summary.mean_oversampled}))

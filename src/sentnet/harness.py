@@ -11,15 +11,23 @@ and evaluates the held-out fold with and without ten-crop oversampling.
 Every random draw is seeded from the config, fold failures are isolated,
 and all artifacts (per-fold checkpoints, history CSVs, summary JSON,
 reports) are deterministic byte for byte.
+
+Every statistic over folds, in summary.json and in the report, follows one
+rule, probe.fold_stats: the mean and sample standard deviation over the
+folds that finished. write_report renders every summary under a root in one
+pass, with each preset in the table its surgery plan names (see
+surgery.PRESETS).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import logging
 import types
 import typing
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -54,31 +62,19 @@ from .network import (
 )
 from .ops import softmax
 from .optim import TrainConfig, history_to_csv, train
-from .surgery import SurgeryPlan, apply as apply_surgery, preset_plan, plan_spec
+from .surgery import PRESETS, SurgeryPlan, apply as apply_surgery, preset_plan, plan_spec
 
 log = logging.getLogger(__name__)
 
 Array = np.ndarray
 
-FAMILY_OF_PRESET = {
-    "finetune": "finetune",
-    "fc7-4096": "ablation",
-    "fc6-4096": "ablation",
-    "fc7-2": "ablation",
-    "fc6-2": "ablation",
-    "fc8-1000": "addition",
-    "fc9-2": "addition",
-}
-PRESET_ORDER = tuple(FAMILY_OF_PRESET)
-FAMILY_TITLES = {
+PRESET_ORDER = tuple(PRESETS)
+FAMILY_TITLES = {  # the report's training tables, in order (see SurgeryPlan.family)
     "finetune": "Fine-tuning",
     "ablation": "Layer removal",
     "addition": "Layer addition",
+    "other": "Other presets",
 }
-
-# Presets that train a wide retained head on binary data; positive maps to
-# class index 0 and negative to class index 1, other outputs stay unused.
-SWAPPED_LABEL_PRESETS = ("fc8-1000",)
 
 
 # -- configuration ----------------------------------------------------------
@@ -359,11 +355,10 @@ def evaluate(
 
 
 def summarize(values: Sequence[float]) -> tuple[float, float]:
-    """Mean and sample standard deviation (ddof=1); needs >= 2 values."""
-    vals = [float(v) for v in values]
-    if len(vals) < 2:
-        raise DataError(f"need at least 2 fold accuracies to summarize, got {len(vals)}")
-    return float(np.mean(vals)), float(np.std(vals, ddof=1))
+    """probe.fold_stats of at least 2 values: their mean and sample standard deviation."""
+    if len(values) < 2:
+        raise DataError(f"need at least 2 fold accuracies to summarize, got {len(values)}")
+    return probe_mod.fold_stats(values)
 
 
 def audit_folds(folds: Array, k: int | None = None) -> list[tuple[Array, Array]]:
@@ -437,7 +432,7 @@ def load_task(
 
     The network is experiment.base_checkpoint (its fc8 sets the arch spec's
     width) or else seeded weights as wide as the manifest has classes; the
-    preset gives the spec and labels (see SWAPPED_LABEL_PRESETS). With
+    preset gives the spec and labels (see SurgeryPlan.swap_binary_labels). With
     `surgery` the checkpoint is the base each fold's surgery starts from,
     so it must match the arch spec, not the preset's network. With
     `trained` it is one training wrote: its metadata names the preset (a
@@ -473,7 +468,7 @@ def load_task(
     if preset is not None:
         plan = preset_plan(preset)
         spec = plan_spec(plan, base_spec)
-        if plan.label in SWAPPED_LABEL_PRESETS:
+        if plan.swap_binary_labels:
             labels = np.where(labels == 1, 0, 1)
     ckpt.validate_against(parameter_shapes(base_spec if surgery else spec))
     squares = decode_squares(manifest, config.preprocess)
@@ -577,7 +572,7 @@ def resolve_preset(config: ExperimentConfig) -> str:
         return exp.preset or "finetune"
     if exp.kind == "surgery":
         if not exp.preset:
-            raise ConfigError("surgery experiments need experiment.preset")
+            raise ConfigError("surgery needs --preset or experiment.preset in the config")
         return exp.preset
     raise ConfigError(f"experiment kind {exp.kind!r} does not train with a preset")
 
@@ -603,7 +598,7 @@ def _assumptions(config: ExperimentConfig, plan: SurgeryPlan, base_lr: float, fo
         if not config.experiment.pre_softmax_fusion
         else "score fusion: softmax of mean logits",
     ]
-    if plan.label in SWAPPED_LABEL_PRESETS:
+    if plan.swap_binary_labels:
         notes.append("label mapping: positive -> class 0, negative -> class 1 (wide retained head)")
     return notes
 
@@ -662,9 +657,9 @@ def run_fold(
 
 def cross_validate(config: ExperimentConfig, out_dir: str | Path, label: str | None = None) -> CVSummary:
     """Run the configured k-fold experiment, writing artifacts under out_dir."""
+    preset = resolve_preset(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    preset = resolve_preset(config)
     plan = preset_plan(preset)
     base_lr = resolve_base_lr(config.train, plan)
     task = load_task(config, preset, surgery=True)
@@ -675,15 +670,8 @@ def cross_validate(config: ExperimentConfig, out_dir: str | Path, label: str | N
     ]
 
     done = [o for o in outcomes if o.error is None]
-    if len(done) >= 2:
-        mean, std = summarize([o.accuracy for o in done])
-        mean_os, std_os = summarize([o.accuracy_oversampled for o in done])
-    elif len(done) == 1:
-        mean = float(done[0].accuracy)
-        mean_os = float(done[0].accuracy_oversampled)
-        std = std_os = float("nan")
-    else:
-        mean = std = mean_os = std_os = float("nan")
+    mean, std = probe_mod.fold_stats([o.accuracy for o in done])
+    mean_os, std_os = probe_mod.fold_stats([o.accuracy_oversampled for o in done])
     summary = CVSummary(
         label=label or preset,
         preset=preset,
@@ -734,14 +722,6 @@ def run_probe_experiment(config: ExperimentConfig, out_dir: str | Path, label: s
 # -- reports ----------------------------------------------------------------
 
 
-def _fmt(mean: float, std: float) -> str:
-    if np.isnan(mean):
-        return "failed"
-    if np.isnan(std):
-        return f"{mean:.3f}"
-    return f"{mean:.3f} ± {std:.3f}"
-
-
 def collect_summaries(root: str | Path) -> list[tuple[str, dict[str, Any]]]:
     root = Path(root)
     found = []
@@ -754,111 +734,85 @@ def collect_summaries(root: str | Path) -> list[tuple[str, dict[str, Any]]]:
     return found
 
 
+REPORT_SECTIONS = (*FAMILY_TITLES, "probe")
+
+
+def _section(payload: dict[str, Any]) -> int:
+    """Where a summary goes in REPORT_SECTIONS: its preset's family, "other", or "probe"."""
+    if payload.get("kind") == "probe":
+        return REPORT_SECTIONS.index("probe")
+    plan = PRESETS.get(payload.get("preset"))
+    return REPORT_SECTIONS.index(plan.family if plan else "other")
+
+
 def write_report(root: str | Path) -> tuple[Path, Path]:
-    """Aggregate every experiment under root into report.md and report.csv."""
+    """Aggregate every summary under root into report.md and report.csv.
+
+    Training runs fill one table per preset family, in preset order and then
+    by directory; presets of no family fill a last "Other presets" table.
+    Each probe run gets a table of its own after those. A label that two
+    runs of one section share is followed by the run's directory.
+    """
     root = Path(root)
-    summaries = collect_summaries(root)
-    if not summaries:
+    rank = {preset: i for i, preset in enumerate(PRESET_ORDER)}
+    runs = sorted(
+        (_section(payload), rank.get(payload.get("preset"), 0), rel,
+         payload.get("label", payload.get("preset", rel)), payload)
+        for rel, payload in collect_summaries(root)
+    )
+    if not runs:
         raise DataError(f"no summary.json artifacts under {root}")
+    md = ["# Experiment report", ""]
+    csv = ["family,row,classifier,oversampling,mean,std,folds,failed_folds,degenerate_folds"]
+    notes: list[str] = []
+    flagged = False  # some fold predicted a single class
+    for section, group in itertools.groupby(runs, key=lambda run: REPORT_SECTIONS[run[0]]):
+        group = list(group)
+        labels = Counter(label for _, _, _, label, _ in group)
+        if section != "probe":
+            md += [f"## {FAMILY_TITLES[section]}", "",
+                   "| Architecture | Without oversampling | With oversampling |", "|---|---|---|"]
+        for _, _, rel, label, payload in group:
+            name = label if labels[label] == 1 else f"{label} ({rel})"
+            if section == "probe":
+                report = probe_mod.ProbeReport(
+                    rows=[probe_mod.ProbeRow(**r) for r in payload.get("rows", [])],
+                    endpoints=tuple(payload.get("endpoints", [])),
+                    kinds=tuple(payload.get("kinds", probe_mod.PROBE_KINDS)),
+                    pre_activation=bool(payload.get("pre_activation")),
+                    standardize=bool(payload.get("standardize", True)),
+                )
+                md += [f"## Layer probes ({name})", "", *report.table(), ""]
+                for ep, kind in itertools.product(report.endpoints, report.kinds):
+                    accs = report.accuracies(ep, kind)
+                    if accs:
+                        mean, std = probe_mod.fold_stats(accs)
+                        csv.append(f"probe,{ep},{kind},no,{mean:.6f},{std:.6f},{len(accs)},0,0")
+                features = "pre-activation" if report.pre_activation else "post-activation"
+                notes.append(f"probe features: {features}, single center view")
+                continue
+            folds = payload.get("folds", [])
+            failed = sum(1 for f in folds if f.get("error") is not None)
+            cells = []
+            for key, oversampled in (("", "no"), ("_oversampled", "yes")):
+                mean, std = payload.get(f"mean{key}", float("nan")), payload.get(f"std{key}", float("nan"))
+                degenerate = sum(1 for f in folds if f.get("error") is None and f.get(f"degenerate{key}"))
+                flagged = flagged or degenerate > 0
+                cells.append(probe_mod.format_stats(mean, std) + ("*" if degenerate else ""))
+                csv.append(f"{section},{name},net,{oversampled},{mean:.6f},{std:.6f},"
+                           f"{len(folds)},{failed},{degenerate}")
+            diverged = f" ({failed} fold(s) diverged)" if failed else ""
+            md.append(f"| {name} | {cells[0]}{diverged} | {cells[1]} |")
+            notes += payload.get("assumptions", [])
+        if section != "probe":
+            md.append("")
 
-    train_rows: list[dict[str, Any]] = []
-    probe_summaries: list[tuple[str, dict[str, Any]]] = []
-    for rel, payload in summaries:
-        if payload.get("kind") == "probe":
-            probe_summaries.append((rel, payload))
-            continue
-        preset = payload.get("preset", "?")
-        fold_rows = payload.get("folds", [])
-        done = [f for f in fold_rows if f.get("error") is None]
-        failed = [f for f in fold_rows if f.get("error") is not None]
-        train_rows.append(
-            {
-                "dir": rel,
-                "label": payload.get("label", preset),
-                "preset": preset,
-                "family": FAMILY_OF_PRESET.get(preset, "other"),
-                "mean": payload.get("mean", float("nan")),
-                "std": payload.get("std", float("nan")),
-                "mean_os": payload.get("mean_oversampled", float("nan")),
-                "std_os": payload.get("std_oversampled", float("nan")),
-                "n_folds": len(fold_rows),
-                "n_failed": len(failed),
-                "degenerate": sum(1 for f in done if f.get("degenerate")),
-                "degenerate_os": sum(1 for f in done if f.get("degenerate_oversampled")),
-                "assumptions": payload.get("assumptions", []),
-            }
-        )
-
-    preset_rank = {p: i for i, p in enumerate(PRESET_ORDER)}
-    train_rows.sort(key=lambda r: (preset_rank.get(r["preset"], 99), r["dir"]))
-
-    md: list[str] = ["# Experiment report", ""]
-    csv_lines = ["family,row,classifier,oversampling,mean,std,folds,failed_folds,degenerate_folds"]
-    assumptions: list[str] = []
-    for r in train_rows:
-        for note in r["assumptions"]:
-            if note not in assumptions:
-                assumptions.append(note)
-
-    for family in ("finetune", "ablation", "addition"):
-        rows = [r for r in train_rows if r["family"] == family]
-        if not rows:
-            continue
-        md.append(f"## {FAMILY_TITLES[family]}")
-        md.append("")
-        md.append("| Architecture | Without oversampling | With oversampling |")
-        md.append("|---|---|---|")
-        seen_labels = [r["label"] for r in rows]
-        for r in rows:
-            name = r["label"] if seen_labels.count(r["label"]) == 1 else f"{r['label']} ({r['dir']})"
-            plain = _fmt(r["mean"], r["std"]) + ("*" if r["degenerate"] else "")
-            fused = _fmt(r["mean_os"], r["std_os"]) + ("*" if r["degenerate_os"] else "")
-            if r["n_failed"]:
-                plain += f" ({r['n_failed']} fold(s) diverged)"
-            md.append(f"| {name} | {plain} | {fused} |")
-            csv_lines.append(
-                f"{family},{name},net,no,{r['mean']:.6f},{r['std']:.6f},"
-                f"{r['n_folds']},{r['n_failed']},{r['degenerate']}"
-            )
-            csv_lines.append(
-                f"{family},{name},net,yes,{r['mean_os']:.6f},{r['std_os']:.6f},"
-                f"{r['n_folds']},{r['n_failed']},{r['degenerate_os']}"
-            )
-        md.append("")
-
-    for rel, payload in probe_summaries:
-        md.append(f"## Layer probes ({payload.get('label', rel)})")
-        md.append("")
-        report = probe_mod.ProbeReport(
-            rows=[probe_mod.ProbeRow(**r) for r in payload.get("rows", [])],
-            endpoints=tuple(payload.get("endpoints", [])),
-            kinds=tuple(payload.get("kinds", probe_mod.PROBE_KINDS)),
-            pre_activation=bool(payload.get("pre_activation")),
-            standardize=bool(payload.get("standardize", True)),
-        )
-        md.extend(report.table())
-        md.append("")
-        for ep in report.endpoints:
-            for kind in report.kinds:
-                accs = report.accuracies(ep, kind)
-                if accs:
-                    std = np.std(accs, ddof=1) if len(accs) > 1 else float("nan")
-                    csv_lines.append(f"probe,{ep},{kind},no,{np.mean(accs):.6f},{std:.6f},{len(accs)},0,0")
-        note = "pre-activation" if report.pre_activation else "post-activation"
-        assumptions.append(f"probe features: {note}, single center view")
-
-    if any(r["degenerate"] or r["degenerate_os"] for r in train_rows):
-        md.append("\\* at least one fold predicted a single class (degenerate predictor)")
-        md.append("")
-    if assumptions:
-        md.append("## Assumptions")
-        md.append("")
-        for note in assumptions:
-            md.append(f"- {note}")
-        md.append("")
-
+    if flagged:
+        md += ["\\* at least one fold predicted a single class (degenerate predictor)", ""]
+    if notes:
+        md += ["## Assumptions", "", *(f"- {note}" for note in dict.fromkeys(notes)), ""]
     md_path = root / "report.md"
     csv_path = root / "report.csv"
     md_path.write_text("\n".join(md))
-    csv_path.write_text("\n".join(csv_lines) + "\n")
+    csv_path.write_text("\n".join(csv) + "\n")
     return md_path, csv_path

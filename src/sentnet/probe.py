@@ -259,6 +259,26 @@ def fit_probe(
     return model, chosen
 
 
+def fold_stats(values: Sequence[float]) -> tuple[float, float]:
+    """Mean and sample standard deviation over the folds that finished.
+
+    Every table of the report uses this rule: one value gives (value, NaN)
+    and none gives (NaN, NaN).
+    """
+    vals = np.asarray(values, dtype=np.float64)
+    mean = float(vals.mean()) if len(vals) else float("nan")
+    return mean, float(vals.std(ddof=1)) if len(vals) > 1 else float("nan")
+
+
+def format_stats(mean: float, std: float, missing: str = "failed") -> str:
+    """A table cell: "mean ± std", the mean alone without a std, `missing` without a mean."""
+    if np.isnan(mean):
+        return missing
+    if np.isnan(std):
+        return f"{mean:.3f}"
+    return f"{mean:.3f} ± {std:.3f}"
+
+
 @dataclass(frozen=True)
 class ProbeRow:
     endpoint: str
@@ -295,19 +315,13 @@ class ProbeReport:
         return "\n".join(lines) + "\n"
 
     def table(self) -> list[str]:
-        """Markdown rows: mean ± sample std (ddof=1) over folds, per endpoint and kind."""
+        """Markdown rows: fold_stats over folds per endpoint and kind, "-" where no fold ran."""
         lines = [
             "| Endpoint | " + " | ".join(k.upper() if k == "svm" else k.capitalize() for k in self.kinds) + " |",
             "|---" * (len(self.kinds) + 1) + "|",
         ]
         for ep in self.endpoints:
-            cells = []
-            for kind in self.kinds:
-                accs = self.accuracies(ep, kind)
-                if len(accs) > 1:
-                    cells.append(f"{np.mean(accs):.3f} ± {np.std(accs, ddof=1):.3f}")
-                else:  # one fold cannot occur in a run: stratified_kfold needs k >= 2
-                    cells.append(f"{accs[0]:.3f}" if accs else "-")
+            cells = [format_stats(*fold_stats(self.accuracies(ep, kind)), missing="-") for kind in self.kinds]
             lines.append(f"| {ep} | " + " | ".join(cells) + " |")
         return lines
 

@@ -53,12 +53,18 @@ Action = Union[RemoveTop, ReplaceTop, Append]
 
 @dataclass(frozen=True)
 class SurgeryPlan:
-    """Ordered edits plus the policy for freshly created layers."""
+    """Ordered edits, the policy for freshly created layers, and the report table (family).
+
+    swap_binary_labels trains a wide retained head on binary data: positive
+    as class index 0, negative as 1, the other outputs unused.
+    """
 
     actions: tuple[Action, ...]
     label: str = ""
     new_layer_lr_mult: float = 10.0
     default_base_lr: float | None = None
+    family: str = "other"
+    swap_binary_labels: bool = False
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,7 @@ class SurgeryReport:
 
 def finetune_plan(num_classes: int = 2) -> SurgeryPlan:
     """Replace the classifier head with a fresh num_classes-way FC."""
-    return SurgeryPlan(actions=(ReplaceTop(num_classes),), label="finetune")
+    return SurgeryPlan(actions=(ReplaceTop(num_classes),), label="finetune", family="finetune")
 
 
 def ablation_plan(depth: int, mode: str) -> SurgeryPlan:
@@ -84,24 +90,19 @@ def ablation_plan(depth: int, mode: str) -> SurgeryPlan:
         raise SurgeryError(f"ablation depth must be 1 or 2, got {depth}")
     if mode not in ("raw", "replace2"):
         raise SurgeryError(f"ablation mode must be 'raw' or 'replace2', got {mode!r}")
-    actions: list[Action] = [RemoveTop() for _ in range(depth)]
-    label = f"ablation-{depth}-{mode}"
-    if mode == "replace2":
-        actions.append(ReplaceTop(2))
-        if depth == 2:
-            # The 2-unit head directly off the first FC needs a gentler rate
-            # to stay stable.
-            return SurgeryPlan(actions=tuple(actions), label=label, default_base_lr=0.0001)
-    return SurgeryPlan(actions=tuple(actions), label=label)
+    actions = (RemoveTop(),) * depth + ((ReplaceTop(2),) if mode == "replace2" else ())
+    # The 2-unit head directly off the first FC needs a gentler rate to stay stable.
+    base_lr = 0.0001 if (depth, mode) == (2, "replace2") else None
+    return SurgeryPlan(actions, label=f"ablation-{depth}-{mode}", default_base_lr=base_lr, family="ablation")
 
 
 def addition_plan(mode: str) -> SurgeryPlan:
     """mode 'keep_top': retain the original head and train through it;
     mode 'append2': stack a fresh 2-unit head named fc9 on top."""
     if mode == "keep_top":
-        return SurgeryPlan(actions=(), label="addition-keep_top")
+        return SurgeryPlan(actions=(), label="addition-keep_top", family="addition", swap_binary_labels=True)
     if mode == "append2":
-        return SurgeryPlan(actions=(Append("fc9", 2),), label="addition-append2")
+        return SurgeryPlan(actions=(Append("fc9", 2),), label="addition-append2", family="addition")
     raise SurgeryError(f"addition mode must be 'keep_top' or 'append2', got {mode!r}")
 
 

@@ -30,7 +30,7 @@ from sentnet.data import (
     stratified_kfold,
     write_means,
 )
-from sentnet.errors import ConfigError, DataError
+from sentnet.errors import ConfigError, DataError, DivergenceError
 from sentnet.harness import (
     PRESET_ORDER,
     ExperimentConfig,
@@ -51,7 +51,7 @@ from sentnet.harness import (
     write_report,
 )
 from sentnet.network import LayerKind, LayerSpec, NetworkSpec, init_params, reference_spec, reference_spec_small
-from sentnet.probe import ProbeReport, ProbeRow
+from sentnet.probe import ProbeReport, ProbeRow, fold_stats
 from sentnet.surgery import preset_plan
 from sentnet.synth import write_synthetic_dataset
 
@@ -274,6 +274,35 @@ class TestSummarize:
     def test_single_value_rejected(self):
         with pytest.raises(DataError, match="at least 2"):
             summarize([0.5])
+
+
+class TestFoldStats:
+    def test_two_or_more_values_give_mean_and_sample_std(self):
+        values = [0.7, 0.75, 0.8, 0.85]
+        assert fold_stats(values) == (float(np.mean(values)), float(np.std(values, ddof=1)))
+        assert fold_stats(values) == summarize(values)
+
+    def test_one_value_gives_itself_and_nan(self):
+        mean, std = fold_stats([0.625])
+        assert mean == 0.625 and np.isnan(std)
+
+    def test_no_values_give_nan(self):
+        assert all(np.isnan(v) for v in fold_stats([]))
+
+    def test_cross_validate_gives_one_finished_fold_alone(self, tiny_corpus, tmp_path, monkeypatch):
+        inner = harness.train
+
+        def diverge_second_fold(spec, ckpt, source, cfg, val_source=None):
+            if cfg.seed == 1:
+                raise DivergenceError("loss became nan")
+            return inner(spec, ckpt, source, cfg, val_source)
+
+        monkeypatch.setattr(harness, "train", diverge_second_fold)
+        summary = cross_validate(tiny_config(tiny_corpus), tmp_path / "cv")
+        first = summary.folds[0]
+        assert summary.folds[1].error is not None and first.error is None
+        assert (summary.mean, summary.mean_oversampled) == (first.accuracy, first.accuracy_oversampled)
+        assert np.isnan(summary.std) and np.isnan(summary.std_oversampled)
 
 
 class TestAuditFolds:
@@ -687,6 +716,143 @@ class TestWriteReport:
             "probe,fc7,svm,no,0.858333,0.052042,3,0,0\nprobe,fc7,softmax,no,0.933333,0.076376,3,0,0\n"
         )
 
+    def test_report_keeps_its_bytes(self, tmp_path):
+        write_summaries(tmp_path, PINNED_RUNS)
+        md_path, csv_path = write_report(tmp_path)
+        assert md_path.read_text() == "\n".join(PINNED_MD)
+        assert csv_path.read_text() == "\n".join(PINNED_CSV) + "\n"
+
+    def test_probe_feature_note_listed_once(self, tmp_path):
+        write_summaries(tmp_path, {"a": pinned_probe("a"), "b": pinned_probe("b"),
+                                   "c": pinned_probe("c", pre_activation=True)})
+        md = write_report(tmp_path)[0].read_text()
+        assert md.count("- probe features: post-activation, single center view") == 1
+        assert md.count("- probe features: pre-activation, single center view") == 1
+
+    def test_shared_probe_label_names_its_directory(self, tmp_path):
+        write_summaries(tmp_path, {"a": pinned_probe("probes"), "b/c": pinned_probe("probes")})
+        md = write_report(tmp_path)[0].read_text()
+        assert md.index("## Layer probes (probes (a))") < md.index("## Layer probes (probes (b/c))")
+
+    def test_preset_of_no_family_gets_the_last_training_table(self, tmp_path):
+        custom = pinned_summary("custom", [pinned_fold(0, 0.5, degenerate=True), pinned_fold(1, 0.75)],
+                                ["custom note"])
+        runs = {"custom": custom, "ft": PINNED_RUNS["ft-again"], "probes": pinned_probe("p")}
+        write_summaries(tmp_path, runs)
+        md_path, csv_path = write_report(tmp_path)
+        md = md_path.read_text()
+        assert md.index("## Fine-tuning") < md.index("## Other presets") < md.index("## Layer probes (p)")
+        assert "| custom | 0.625 ± 0.177* | 0.625 ± 0.177 |" in md
+        assert "\\* at least one fold predicted a single class" in md
+        assert csv_path.read_text().splitlines()[3:5] == [
+            "other,custom,net,no,0.625000,0.176777,2,0,1", "other,custom,net,yes,0.625000,0.176777,2,0,0",
+        ]
+
+
+def pinned_fold(f, acc, error=None, degenerate=False, degenerate_os=False, acc_os=None):
+    return {"fold": f, "train_indices": [1 - f], "test_indices": [f],
+            "accuracy": None if error else acc,
+            "accuracy_oversampled": None if error else (acc if acc_os is None else acc_os),
+            "degenerate": degenerate, "degenerate_oversampled": degenerate_os,
+            "epochs_run": 1, "error": error}
+
+
+def pinned_summary(preset, folds, notes):
+    """A train-cv summary whose statistics are computed here, apart from the package."""
+    stats = {}
+    for key in ("", "_oversampled"):
+        accs = [f["accuracy" + key] for f in folds if f["error"] is None]
+        stats["mean" + key] = float(np.mean(accs)) if accs else float("nan")
+        stats["std" + key] = float(np.std(accs, ddof=1)) if len(accs) > 1 else float("nan")
+    return {"kind": "train-cv", "label": preset, "preset": preset, "folds": folds,
+            **stats, "base_lr": 0.001, "assumptions": notes}
+
+
+def pinned_probe(label, pre_activation=False):
+    accs = [("conv1", "svm", [0.5, 0.625]), ("conv1", "softmax", [0.75, 0.5]), ("fc7", "svm", [0.875])]
+    return {"kind": "probe", "label": label, "endpoints": ["conv1", "fc7"], "kinds": ["svm", "softmax"],
+            "pre_activation": pre_activation, "standardize": True, "folds_note": "manifest", "config": {},
+            "rows": [{"endpoint": ep, "kind": kind, "fold": f, "accuracy": a, "lam": 0.1}
+                     for ep, kind, values in accs for f, a in enumerate(values)]}
+
+
+def write_summaries(root, runs):
+    for rel, payload in runs.items():
+        (root / rel).mkdir(parents=True)
+        (root / rel / "summary.json").write_text(json.dumps(payload))
+
+
+# Every family, a label two runs share, diverged folds, plain and oversampled
+# degenerate folds, a CV with one finished fold and one with none, and a probe
+# summary whose fc7 SVM has one fold and whose fc7 softmax has none.
+PINNED_RUNS = {
+    "ft": pinned_summary(
+        "finetune", [pinned_fold(0, 0.75, degenerate=True), pinned_fold(1, 0.625, acc_os=0.875),
+                     pinned_fold(2, 0.5)],
+        ["folds: stratified k=3, seed 0", "base learning rate 0.001"]),
+    "ft-again": pinned_summary("finetune", [pinned_fold(0, 0.5), pinned_fold(1, 0.75)],
+                               ["folds: provided by the manifest"]),
+    "fc7-2": pinned_summary(
+        "fc7-2", [pinned_fold(0, 0.625, degenerate_os=True), pinned_fold(1, 0.5, acc_os=0.625),
+                  pinned_fold(2, 0, error="diverged at epoch 1, batch 0, layer fc7")],
+        ["folds: stratified k=3, seed 0", "base learning rate 0.0001 (preset default)"]),
+    "fc6-2": pinned_summary(
+        "fc6-2", [pinned_fold(0, 0.875, acc_os=0.75), pinned_fold(1, 0, error="diverged")],
+        ["one finished fold"]),
+    "fc9-2": pinned_summary(
+        "fc9-2", [pinned_fold(0, 0, error="diverged"), pinned_fold(1, 0, error="diverged")],
+        ["no finished fold"]),
+    "deep/fc8-1000": pinned_summary(
+        "fc8-1000", [pinned_fold(0, 0.5), pinned_fold(1, 0.625)],
+        ["label mapping: positive -> class 0, negative -> class 1 (wide retained head)"]),
+    "probes": pinned_probe("probes"),
+}
+TABLE_HEAD = ["| Architecture | Without oversampling | With oversampling |", "|---|---|---|"]
+PINNED_MD = [
+    "# Experiment report", "",
+    "## Fine-tuning", "", *TABLE_HEAD,
+    "| finetune (ft) | 0.625 ± 0.125* | 0.708 ± 0.191 |",
+    "| finetune (ft-again) | 0.625 ± 0.177 | 0.625 ± 0.177 |", "",
+    "## Layer removal", "", *TABLE_HEAD,
+    "| fc7-2 | 0.562 ± 0.088 (1 fold(s) diverged) | 0.625 ± 0.000* |",
+    "| fc6-2 | 0.875 (1 fold(s) diverged) | 0.750 |", "",
+    "## Layer addition", "", *TABLE_HEAD,
+    "| fc8-1000 | 0.562 ± 0.088 | 0.562 ± 0.088 |",
+    "| fc9-2 | failed (2 fold(s) diverged) | failed |", "",
+    "## Layer probes (probes)", "",
+    "| Endpoint | SVM | Softmax |", "|---|---|---|",
+    "| conv1 | 0.562 ± 0.088 | 0.625 ± 0.177 |",
+    "| fc7 | 0.875 | - |", "",
+    "\\* at least one fold predicted a single class (degenerate predictor)", "",
+    "## Assumptions", "",
+    "- folds: stratified k=3, seed 0",
+    "- base learning rate 0.001",
+    "- folds: provided by the manifest",
+    "- base learning rate 0.0001 (preset default)",
+    "- one finished fold",
+    "- label mapping: positive -> class 0, negative -> class 1 (wide retained head)",
+    "- no finished fold",
+    "- probe features: post-activation, single center view", "",
+]
+PINNED_CSV = [
+    "family,row,classifier,oversampling,mean,std,folds,failed_folds,degenerate_folds",
+    "finetune,finetune (ft),net,no,0.625000,0.125000,3,0,1",
+    "finetune,finetune (ft),net,yes,0.708333,0.190941,3,0,0",
+    "finetune,finetune (ft-again),net,no,0.625000,0.176777,2,0,0",
+    "finetune,finetune (ft-again),net,yes,0.625000,0.176777,2,0,0",
+    "ablation,fc7-2,net,no,0.562500,0.088388,3,1,0",
+    "ablation,fc7-2,net,yes,0.625000,0.000000,3,1,1",
+    "ablation,fc6-2,net,no,0.875000,nan,2,1,0",
+    "ablation,fc6-2,net,yes,0.750000,nan,2,1,0",
+    "addition,fc8-1000,net,no,0.562500,0.088388,2,0,0",
+    "addition,fc8-1000,net,yes,0.562500,0.088388,2,0,0",
+    "addition,fc9-2,net,no,nan,nan,2,2,0",
+    "addition,fc9-2,net,yes,nan,nan,2,2,0",
+    "probe,conv1,svm,no,0.562500,0.088388,2,0,0",
+    "probe,conv1,softmax,no,0.625000,0.176777,2,0,0",
+    "probe,fc7,svm,no,0.875000,nan,1,0,0",
+]
+
 
 class TestCli:
     def test_prepare_data_synthetic(self, tmp_path, capsys):
@@ -900,6 +1066,13 @@ class TestCli:
         code = cli.main(["probe", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "p")])
         assert code == 2
         assert "no rows" in capsys.readouterr().err
+
+    def test_surgery_without_a_preset_exits_one(self, tiny_corpus, tmp_path, capsys):
+        save_config(tiny_config(tiny_corpus), tmp_path / "c.json")
+        code = cli.main(["surgery", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "--preset" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_evaluate_without_checkpoint_exits_one(self, tiny_corpus, tmp_path, capsys):
         save_config(tiny_config(tiny_corpus), tmp_path / "c.json")

@@ -63,6 +63,14 @@ class TestPresetCatalog:
         plan = preset_plan("fc8-1000")
         assert plan.actions == ()
 
+    def test_presets_carry_their_report_family_and_label_swap(self):
+        assert {name: plan.family for name, plan in PRESETS.items()} == {
+            "finetune": "finetune", "fc7-4096": "ablation", "fc6-4096": "ablation", "fc7-2": "ablation",
+            "fc6-2": "ablation", "fc8-1000": "addition", "fc9-2": "addition",
+        }
+        assert [name for name, plan in PRESETS.items() if plan.swap_binary_labels] == ["fc8-1000"]
+        assert SurgeryPlan(actions=()).family == "other"
+
 
 @pytest.fixture(scope="module")
 def ref():
