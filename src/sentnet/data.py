@@ -382,10 +382,15 @@ class ViewSource:
 
     views() cuts every view the network sees: seeded random crops and flips
     for training batches, center crops for eval batches, and the ten crops
-    of oversampling. Mean subtraction happens at view time.
+    of oversampling. Mean subtraction happens at view time. With `rows`,
+    the source is those rows of squares and labels, in that order, read
+    through the index and never copied (a fold's split of a shared set).
     """
 
-    def __init__(self, squares: Array, labels: Array, crop: int, means: Array | None = None):
+    def __init__(
+        self, squares: Array, labels: Array, crop: int, means: Array | None = None,
+        rows: Sequence[int] | None = None,
+    ):
         squares = np.asarray(squares, dtype=np.float32)
         labels = np.asarray(labels, dtype=np.int64)
         if squares.ndim != 4 or squares.shape[1] != 3:
@@ -398,7 +403,8 @@ class ViewSource:
         if crop > side:
             raise DataError(f"crop {crop} exceeds image side {side}")
         self.squares = squares
-        self.labels = labels
+        self.rows = np.arange(len(squares)) if rows is None else np.asarray(rows, dtype=np.int64)
+        self.labels = labels[self.rows]
         self.crop = crop
         self.slack = side - crop  # the largest crop offset
         self.center = self.slack // 2  # the center crop's top and left
@@ -406,14 +412,14 @@ class ViewSource:
 
     @property
     def n(self) -> int:
-        return len(self.squares)
+        return len(self.rows)
 
     def views(self, indices: Sequence[int], tops: Sequence[int], lefts: Sequence[int], flips: Sequence[bool]) -> Array:
         """The crop at (top, left) of each image, column-reversed where flip is
         set, minus the channel means: float32 [len(indices), 3, crop, crop]."""
         c = self.crop
         out = np.empty((len(indices), 3, c, c), dtype=np.float32)
-        for row, (i, top, left, flip) in enumerate(zip(indices, tops, lefts, flips)):
+        for row, (i, top, left, flip) in enumerate(zip(self.rows[indices], tops, lefts, flips)):
             view = self.squares[i, :, top : top + c, left : left + c]
             out[row] = view[:, :, ::-1] if flip else view
         if self.means is not None:

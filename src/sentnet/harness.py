@@ -1,8 +1,10 @@
 """Cross-validated experiments: configs, tasks, evaluation, fold loop, reports.
 
-Every command loads its task in one place, load_task: the base checkpoint
-(or seeded weights), the arch spec, the preset's network and labels, the
-decoded images, and the channel means. The config fixes the means
+Every command loads its task in one place, load_task: the arch spec, the
+preset's network and labels, the decoded images, the channel means, and
+where the network comes from (the base checkpoint or seeded weights). The
+task holds no network: each fold, and each command that reads one, gets
+its own from Task.network and trains it in place. The config fixes the means
 (preprocess.channel_means, then dataset.means); otherwise a CV fold takes
 them from its training rows, pretrain and probe from every image, and
 evaluate from the means.txt training wrote. An experiment applies a
@@ -49,7 +51,7 @@ from .data import (
     ten_crop,
     write_means,
 )
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import CheckpointMismatchError, ConfigError, DataError, DivergenceError
 from .network import (
     LayerKind,
     NetworkSpec,
@@ -61,7 +63,7 @@ from .network import (
     reference_spec_small,
 )
 from .ops import softmax
-from .optim import TrainConfig, history_to_csv, train
+from .optim import TrainConfig, history_to_csv, train_in_place
 from .surgery import PRESETS, SurgeryPlan, apply as apply_surgery, preset_plan, plan_spec
 
 log = logging.getLogger(__name__)
@@ -406,16 +408,28 @@ def resolve_means(config: ExperimentConfig) -> Array | None:
 
 @dataclass(frozen=True, eq=False)
 class Task:
-    """What a command reads from its config: network, labels, images and means."""
+    """What a command reads from its config: network, labels, images and means.
+
+    It holds no parameter tensor: network() makes a fresh copy of the base
+    for each caller, so one fold's network is alive at a time.
+    """
 
     base_spec: NetworkSpec  # the arch below any preset, as wide as the checkpoint's fc8
     spec: NetworkSpec  # the network the preset makes of base_spec
-    ckpt: Checkpoint  # the base checkpoint, or seeded weights
+    checkpoint: str | None  # the checkpoint file network() loads, or None for seeded weights
+    init_seed: int  # the seed of those weights
     preset: str | None
     manifest: DatasetManifest  # folds stratify on its labels, whatever the preset
     labels: Array  # the labels the preset trains and is scored on
     squares: Array  # every image, decoded and squared once: float32 [n, 3, S, S]
     fixed_means: Array | None  # the config's means (or a trained checkpoint's)
+
+    def network(self) -> Checkpoint:
+        """The checkpoint, loaded anew, or init_params(base_spec, init_seed):
+        the caller's own, to cut and train in place."""
+        if self.checkpoint is None:
+            return init_params(self.base_spec, self.init_seed)
+        return load_checkpoint(self.checkpoint)
 
     def means(self, rows: Sequence[int] | None = None) -> Array:
         """The fixed means, else the channel means of these rows (all by default)."""
@@ -438,8 +452,9 @@ def load_task(
     `trained` it is one training wrote: its metadata names the preset (a
     different `preset` is an error) and, if the config fixes no means, the
     means.txt beside it holds them. `multiclass` admits any class index in
-    the manifest. The checkpoint and the means load before the manifest,
-    so their errors come first.
+    the manifest. The checkpoint is loaded here once to check it, then
+    dropped; it and the means load before the manifest, so their errors
+    come first.
     """
     exp = config.experiment
     ckpt = None
@@ -463,16 +478,22 @@ def load_task(
     manifest = load_manifest(config.dataset.manifest, allow_multiclass=multiclass)
     if ckpt is None:
         base_spec = _arch_spec(exp.arch, max(2, int(manifest.labels.max()) + 1))
-        ckpt = init_params(base_spec, config.seeds.init)
     spec, labels = base_spec, manifest.labels
     if preset is not None:
         plan = preset_plan(preset)
         spec = plan_spec(plan, base_spec)
         if plan.swap_binary_labels:
             labels = np.where(labels == 1, 0, 1)
-    ckpt.validate_against(parameter_shapes(base_spec if surgery else spec))
+    shapes = parameter_shapes(base_spec if surgery else spec)
+    if ckpt is not None:
+        ckpt.validate_against(shapes)
+        del ckpt  # each caller loads its own (Task.network)
+    elif shapes != parameter_shapes(base_spec):
+        raise CheckpointMismatchError(
+            f"seeded {exp.arch} weights do not fit preset {preset!r}'s network: set experiment.base_checkpoint"
+        )
     squares = decode_squares(manifest, config.preprocess)
-    return Task(base_spec, spec, ckpt, preset, manifest, labels, squares, means)
+    return Task(base_spec, spec, exp.base_checkpoint, config.seeds.init, preset, manifest, labels, squares, means)
 
 
 def _train_config(train: TrainSection, base_lr: float, seed: int) -> TrainConfig:
@@ -484,13 +505,14 @@ def _train_config(train: TrainSection, base_lr: float, seed: int) -> TrainConfig
 def _train_and_write(
     spec: NetworkSpec, ckpt: Checkpoint, source: ViewSource, cfg: TrainConfig, path: Path,
     val_source: ViewSource | None = None,
-) -> tuple[Checkpoint, list]:
-    """Train, writing means.txt first, then the checkpoint at path and history.csv beside it."""
+) -> list:
+    """Train ckpt in place, writing means.txt first, then the checkpoint at
+    path and history.csv beside it; returns the history."""
     write_means(path.parent / "means.txt", source.means)
-    trained, history = train(spec, ckpt, source, cfg, val_source)
-    save_checkpoint(trained, path)
+    _, history = train_in_place(spec, ckpt, source, cfg, val_source)
+    save_checkpoint(ckpt, path)
     (path.parent / "history.csv").write_text(history_to_csv(history))
-    return trained, history
+    return history
 
 
 def pretrain(config: ExperimentConfig, out_dir: str | Path) -> Path:
@@ -503,7 +525,7 @@ def pretrain(config: ExperimentConfig, out_dir: str | Path) -> Path:
     source = ViewSource(task.squares, task.labels, config.preprocess.crop, task.means())
     base_lr = config.train.base_lr if config.train.base_lr is not None else 0.01
     cfg = _train_config(config.train, base_lr, config.seeds.train)
-    _train_and_write(task.spec, task.ckpt, source, cfg, out / "pretrained.nsrg")
+    _train_and_write(task.spec, task.network(), source, cfg, out / "pretrained.nsrg")
     return out / "pretrained.nsrg"
 
 
@@ -515,7 +537,7 @@ def evaluate_checkpoint(config: ExperimentConfig, out_dir: str | Path, oversampl
     task = load_task(config, config.experiment.preset, trained=True, multiclass=True)
     source = ViewSource(task.squares, task.labels, config.preprocess.crop, task.means())
     result = evaluate(
-        task.spec, task.ckpt, source, oversample=oversample,
+        task.spec, task.network(), source, oversample=oversample,
         pre_softmax_fusion=config.experiment.pre_softmax_fusion,
     )
     plain = result.plain or result
@@ -617,9 +639,12 @@ def run_fold(
     history.csv and result.json under fold_dir.
 
     The fold reads only its arguments, so it runs alone from a task loaded
-    as cross_validate loads one. Its network, checkpoints and view sources
-    die when it returns, before the next fold trains. A diverged fold is
-    recorded in its outcome, not raised.
+    as cross_validate loads one. It holds one network: it gets its own base
+    from the task, surgery keeps the base tensors the preset retains (the
+    rest, such as a dropped fc8, die at once), and training updates those
+    in place. Its view sources read the task's squares through row indices,
+    with no copy. All of it dies when the fold returns, before the next
+    fold trains. A diverged fold is recorded in its outcome, not raised.
     """
     fold_dir = Path(fold_dir)
     fold_dir.mkdir(parents=True, exist_ok=True)
@@ -632,15 +657,15 @@ def run_fold(
     crop = config.preprocess.crop
     try:
         means = task.means(train_idx)
-        spec, ckpt, _ = apply_surgery(plan, task.base_spec, task.ckpt, seed=config.seeds.init + f)
-        train_src = ViewSource(task.squares[train_idx], task.labels[train_idx], crop, means)
-        test_src = ViewSource(task.squares[test_idx], task.labels[test_idx], crop, means)
+        spec, ckpt, _ = apply_surgery(plan, task.base_spec, task.network(), seed=config.seeds.init + f)
+        train_src = ViewSource(task.squares, task.labels, crop, means, rows=train_idx)
+        test_src = ViewSource(task.squares, task.labels, crop, means, rows=test_idx)
         cfg = _train_config(config.train, resolve_base_lr(config.train, plan), config.seeds.train + f)
         val_src = test_src if config.train.track_val else None
-        trained, history = _train_and_write(spec, ckpt, train_src, cfg, fold_dir / "checkpoint.nsrg", val_src)
+        history = _train_and_write(spec, ckpt, train_src, cfg, fold_dir / "checkpoint.nsrg", val_src)
         outcome.epochs_run = len(history)
         fused = evaluate(
-            spec, trained, test_src, oversample=True,
+            spec, ckpt, test_src, oversample=True,
             pre_softmax_fusion=config.experiment.pre_softmax_fusion,
         )
         outcome.accuracy = fused.plain.accuracy
@@ -699,7 +724,7 @@ def run_probe_experiment(config: ExperimentConfig, out_dir: str | Path, label: s
     # Means over every image, the outer test folds' too (README, "Linear probes").
     source = ViewSource(task.squares, task.labels, config.preprocess.crop, task.means())
     report = probe_mod.probe_all_layers(
-        task.spec, task.ckpt, source, folds, seed=config.seeds.folds,
+        task.spec, task.network(), source, folds, seed=config.seeds.folds,
         **dataclasses.asdict(config.experiment.probe),
     )
     (out / "probe_report.csv").write_text(report.to_csv())

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -309,26 +309,32 @@ def forward(
     return ForwardState(batch=batch, pre=pre, post=post, aux=aux, retained=retain)
 
 
-def backward(
+def backward_walk(
     spec: NetworkSpec,
-    ckpt: Checkpoint,
     state: ForwardState,
     top_grad: Array,
-) -> dict[str, tuple[Array, Array]]:
-    """Parameter gradients from the upstream gradient at the top endpoint.
+    block: int | None = None,
+) -> Iterator[tuple[str, int, Array, Array | None]]:
+    """The backward pass, one parameter gradient at a time, top layer first.
 
-    top_grad is the loss gradient with respect to the post-activation output
-    of the layer feeding the softmax (the loss owns the softmax pullback).
+    Yields (layer, start, dw, db): dw is the weight gradient's rows from
+    `start` on, db the bias gradient (None after a layer's first block).
+    A layer's input gradient is computed, from its weights as they are,
+    before the walk yields for it, and no weight is read after that, so a
+    consumer may update each layer as its gradient arrives (optim.sgd_step
+    does) with the bits of an update after the whole pass. With `block`,
+    an FC layer's weight gradient comes in blocks of that many rows
+    (GradPair.row_pullback); without it, or for a pair that has no
+    row_pullback, each layer's comes whole.
 
-    The pass ends at the lowest trained layer (parameters and lr_mult > 0):
+    The walk ends at the lowest trained layer (parameters and lr_mult > 0):
     no gradient below it is ever read, so layers under it get no pullback
-    call and it computes only its parameter gradients. The result holds every
-    parameterized layer from the top down to that layer; frozen layers above
-    it are included, frozen layers below it are not.
+    call and it computes only its parameter gradients. It yields for every
+    parameterized layer from the top down to that layer; frozen layers
+    above it are included, frozen layers below it are not.
     """
     if not state.retained:
         raise ShapeError("backward requires a forward pass run with retain=True")
-    grads: dict[str, tuple[Array, Array]] = {}
     g = np.asarray(top_grad, dtype=state.batch.dtype)
     top = spec.top_name
     if g.shape != state.post[top].shape:
@@ -340,16 +346,37 @@ def backward(
         pair, relu_pullback, flat_shape = state.aux[layer.name]
         if relu_pullback is not None:
             (g,) = relu_pullback(g)
-        if i == lowest and pair.param_pullback is not None:
-            grads[layer.name] = pair.param_pullback(g)
+        if block and pair.row_pullback is not None:
+            g, db, blocks = pair.row_pullback(g, block, i > lowest)
+            for start, dw in blocks:
+                yield layer.name, start, dw, db
+                db = None
+        elif i == lowest and pair.param_pullback is not None:
+            yield layer.name, 0, *pair.param_pullback(g)
         elif layer.has_params:
             g, dw, db = pair.pullback(g)
-            grads[layer.name] = (dw, db)
-            if flat_shape is not None:
-                g = g.reshape(flat_shape)
+            yield layer.name, 0, dw, db
         else:
             (g,) = pair.pullback(g)
-    return grads
+        if flat_shape is not None and i > lowest:
+            g = g.reshape(flat_shape)
+
+
+def backward(
+    spec: NetworkSpec,
+    ckpt: Checkpoint,
+    state: ForwardState,
+    top_grad: Array,
+) -> dict[str, tuple[Array, Array]]:
+    """Parameter gradients from the upstream gradient at the top endpoint.
+
+    top_grad is the loss gradient with respect to the post-activation output
+    of the layer feeding the softmax (the loss owns the softmax pullback).
+    The dict is collected from backward_walk, each gradient whole, so it
+    holds every parameterized layer from the top down to the lowest trained
+    one. Training builds none: it applies each gradient as the walk yields it.
+    """
+    return {name: (dw, db) for name, _, dw, db in backward_walk(spec, state, top_grad)}
 
 
 def _conv(name, out_channels, kernel, stride=1, pad=0, lr_mult=1.0):

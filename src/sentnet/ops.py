@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -47,11 +47,18 @@ class GradPair:
     Ops with parameters also set param_pullback, which returns only the
     parameter gradients (dw, db) and skips the input gradient: the cheaper
     call for a bottom layer, whose input gradient nothing reads.
+
+    affine also sets row_pullback(g, block, with_dx) -> (dx, db, blocks):
+    dx (None without with_dx) from the weights as they are at the call,
+    then dw as (first row, rows) blocks of `block` rows, each computed when
+    the iterator reaches it, so a caller may update each block of weights
+    before drawing the next.
     """
 
     value: Array
     pullback: Callable[[Array], tuple[Array, ...]]
     param_pullback: Callable[[Array], tuple[Array, ...]] | None = None
+    row_pullback: Callable[..., tuple[Array | None, Array, Iterator[tuple[int, Array]]]] | None = None
 
 
 def _check_finite(arr: Array, op: str) -> None:
@@ -316,7 +323,12 @@ def affine(x, w, b) -> GradPair:
         g = np.asarray(g, dtype=out.dtype)
         return (g @ w.T, *param_pullback(g))
 
-    return GradPair(out, pullback, param_pullback)
+    def row_pullback(g: Array, block: int, with_dx: bool):
+        g = np.asarray(g, dtype=out.dtype)
+        blocks = ((s, x[:, s : s + block].T @ g) for s in range(0, w.shape[0], block))
+        return (g @ w.T if with_dx else None), g.sum(axis=0), blocks
+
+    return GradPair(out, pullback, param_pullback, row_pullback)
 
 
 def relu(x) -> GradPair:

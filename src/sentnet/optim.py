@@ -9,6 +9,15 @@ lr_mult:
 Layers with lr_mult 0 are skipped entirely, so frozen parameters stay
 bit-identical to their initial values.
 
+Training updates each layer during the backward pass: sgd_step consumes
+network.backward_walk, which has computed a layer's input gradient from
+the old weights before it yields the layer's gradient, and an FC weight
+gradient comes in blocks of FC_BLOCK rows, each applied before the next
+is computed. The update is elementwise, so the bits are those of an
+update after the whole pass, while no gradient dict is built: one conv
+layer's gradient or one FC block (16 MB of the reference fc6's 151 MB)
+is alive at a time.
+
 The update runs over blocks of BLOCK elements through one small scratch
 buffer instead of building model-sized temporaries (fc6 of the reference
 net holds 37.7M floats). Each block performs the formula's operations in
@@ -23,13 +32,13 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Iterable, Mapping, Protocol
 
 import numpy as np
 
 from .checkpoint import Checkpoint
 from .errors import ConfigError, DivergenceError, NonFiniteError
-from .network import NetworkSpec, backward, forward
+from .network import NetworkSpec, backward_walk, forward
 from .ops import cross_entropy_loss
 
 log = logging.getLogger(__name__)
@@ -37,6 +46,7 @@ log = logging.getLogger(__name__)
 Array = np.ndarray
 
 BLOCK = 1 << 16  # elements per sgd_step block: 1 MB of param, grad, velocity and scratch
+FC_BLOCK = 1024  # weight rows per FC gradient block in training
 
 
 @dataclass(frozen=True)
@@ -96,23 +106,35 @@ class OptState:
 
 def sgd_step(
     ckpt: Checkpoint,
-    grads: dict[str, tuple[Array, Array]],
+    grads: Mapping[str, tuple[Array, Array]] | Iterable[tuple[str, int, Array, Array | None]],
     state: OptState,
     lr: float,
     lr_mults: dict[str, float],
     momentum: float,
     weight_decay: float,
 ) -> None:
-    """One in-place momentum update over every entry present in grads."""
-    for name, (dw, db) in grads.items():
+    """One in-place momentum update over every gradient in grads.
+
+    grads is a dict of whole (dw, db) pairs, as network.backward returns, or
+    the items of network.backward_walk: (name, start, dw, db) updates the
+    weight rows from start on, and the bias unless db is None. Items are
+    applied in order as they arrive, so a walk's layer is updated before
+    the walk computes the next gradient.
+    """
+    if isinstance(grads, Mapping):
+        grads = ((name, 0, dw, db) for name, (dw, db) in grads.items())
+    mom = np.float32(momentum)
+    decay = np.float32(weight_decay)
+    for name, start, dw, db in grads:
         mult = lr_mults.get(name, 1.0)
         if mult == 0.0:
             continue
         step = np.float32(lr * mult)
-        mom = np.float32(momentum)
-        decay = np.float32(weight_decay)
-        for param, grad, vel in zip(ckpt.entries[name], (dw, db), state.velocities[name]):
-            _update(param, grad, vel, step, mom, decay)
+        (w, b), (vw, vb) = ckpt.entries[name], state.velocities[name]
+        rows = slice(start, start + len(dw))
+        _update(w[rows], dw, vw[rows], step, mom, decay)
+        if db is not None:
+            _update(b, db, vb, step, mom, decay)
 
 
 def _update(param: Array, grad: Array, vel: Array, step, mom, decay) -> None:
@@ -183,16 +205,31 @@ def train(
 ) -> tuple[Checkpoint, list[HistoryRow]]:
     """Train a copy of ckpt on source; returns (new checkpoint, history).
 
+    The input checkpoint is never mutated: this is train_in_place on a copy.
+    """
+    return train_in_place(spec, ckpt.copy(), source, config, val_source)
+
+
+def train_in_place(
+    spec: NetworkSpec,
+    ckpt: Checkpoint,
+    source: BatchSource,
+    config: TrainConfig,
+    val_source: BatchSource | None = None,
+) -> tuple[Checkpoint, list[HistoryRow]]:
+    """Train ckpt's own tensors on source; returns (ckpt, history).
+
     Shuffling and augmentation draws are seeded per epoch from
-    (config.seed, epoch), so runs are reproducible and the input checkpoint
-    is never mutated. A non-finite value in the forward pass or the loss
-    raises DivergenceError naming the epoch, the batch within it and the
-    layer (the softmax layer for the loss). Each epoch logs one INFO line
-    with its loss, train accuracy, learning rate and seconds.
+    (config.seed, epoch), so runs are reproducible. Each step's update runs
+    inside its backward pass (see the module docstring); the forward pass
+    and the loss finish before it, so a non-finite value there raises
+    DivergenceError, naming the epoch, the batch within it and the layer
+    (the softmax layer for the loss), before any parameter of that step
+    changes. Each epoch logs one INFO line with its loss, train accuracy,
+    learning rate and seconds.
     """
     spec.validate_for_training()
-    out = ckpt.copy()
-    state = OptState.for_checkpoint(out)
+    state = OptState.for_checkpoint(ckpt)
     lr_mults = {l.name: l.lr_mult for l in spec.parameterized}
     top = spec.top_name
     loss_layer = spec.layers[-1].name
@@ -208,7 +245,7 @@ def train(
             idx = perm[start : start + config.batch_size]
             x, y = source.train_batch(idx, rng)
             try:
-                fwd = forward(spec, out, x, retain=True)
+                fwd = forward(spec, ckpt, x, retain=True)
                 logits = fwd.post[top]
                 pair = cross_entropy_loss(logits, y)
             except NonFiniteError as exc:
@@ -220,13 +257,13 @@ def train(
             if not np.isfinite(loss):
                 raise DivergenceError(epoch, batch=batch, layer=loss_layer)
             (dlogits,) = pair.pullback(np.float32(1.0))
-            grads = backward(spec, out, fwd, dlogits)
-            sgd_step(out, grads, state, lr, lr_mults, config.momentum, config.weight_decay)
+            walk = backward_walk(spec, fwd, dlogits, FC_BLOCK)
+            sgd_step(ckpt, walk, state, lr, lr_mults, config.momentum, config.weight_decay)
             loss_sum += loss * len(y)
             correct += int((logits.argmax(axis=1) == y).sum())
         state.epoch = epoch + 1
         train_acc = correct / source.n
-        val_acc = accuracy_on(spec, out, val_source) if val_source is not None else None
+        val_acc = accuracy_on(spec, ckpt, val_source) if val_source is not None else None
         history.append(HistoryRow(epoch, loss_sum / source.n, train_acc, val_acc))
         log.info(
             "epoch %d: loss %.6f, train accuracy %.4f, lr %g, %.2f s",
@@ -235,6 +272,6 @@ def train(
         if config.stop_at_train_acc is not None and train_acc >= config.stop_at_train_acc:
             log.info("early stop at epoch %d: train accuracy %.4f", epoch, train_acc)
             break
-    out.metadata["epoch"] = str(state.epoch)
-    out.metadata["seed"] = str(config.seed)
-    return out, history
+    ckpt.metadata["epoch"] = str(state.epoch)
+    ckpt.metadata["seed"] = str(config.seed)
+    return ckpt, history

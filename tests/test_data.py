@@ -578,6 +578,39 @@ class TestViewSource:
             assert ten_crop(src, idx).tobytes() == want.tobytes()
 
 
+    def test_row_sources_cut_the_bytes_of_copied_rows(self):
+        src, squares, labels = self.make(n=9, side=16, crop=12, means=np.array([1.0, 2.0, 3.0]))
+        rows = np.array([7, 2, 4, 0, 5])
+        got = ViewSource(squares, labels, 12, src.means, rows=rows)
+        want = ViewSource(squares[rows], labels[rows], 12, src.means)
+        assert got.n == want.n == 5 and got.labels.tobytes() == want.labels.tobytes()
+        idx = np.array([4, 0, 3, 3, 1])
+        for a, b in zip(got.train_batch(idx, np.random.default_rng(2)), want.train_batch(idx, np.random.default_rng(2))):
+            assert a.tobytes() == b.tobytes()
+        for (x, y), (wx, wy) in zip(got.eval_batches(2), want.eval_batches(2), strict=True):
+            assert x.tobytes() == wx.tobytes() and y.tobytes() == wy.tobytes()
+        assert ten_crop(got, range(5)).tobytes() == ten_crop(want, range(5)).tobytes()
+
+    def test_fold_sources_allocate_no_copy_of_the_set(self):
+        """A fold's two sources read the shared decoded set through their rows."""
+        rng = np.random.default_rng(3)
+        squares = rng.random((8, 3, 256, 256), dtype=np.float32)
+        labels = np.arange(8) % 2
+        train_idx, test_idx = np.array([0, 2, 3, 5, 6, 7]), np.array([1, 4])
+        image = squares[0].nbytes
+        tracemalloc.start()
+        try:
+            sources = [ViewSource(squares, labels, 227, rows=rows) for rows in (train_idx, test_idx)]
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            copied = ViewSource(squares[train_idx], labels[train_idx], 227)
+            _, copy_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < image / 100
+        assert copy_peak >= 6 * image  # the measure sees a copy
+        assert all(src.squares is squares for src in sources) and copied.n == 6
+
 class TestDecodeSquares:
     def test_matches_manual_pipeline(self, tmp_path):
         rng = np.random.default_rng(12)

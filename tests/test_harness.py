@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentnet import cli, harness, ops
-from sentnet.checkpoint import load_checkpoint, save_checkpoint
+from sentnet.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from sentnet.data import (
     ViewSource,
     compute_channel_means,
@@ -30,7 +30,7 @@ from sentnet.data import (
     stratified_kfold,
     write_means,
 )
-from sentnet.errors import ConfigError, DataError, DivergenceError
+from sentnet.errors import CheckpointMismatchError, ConfigError, DataError, DivergenceError
 from sentnet.harness import (
     PRESET_ORDER,
     ExperimentConfig,
@@ -50,7 +50,9 @@ from sentnet.harness import (
     summarize,
     write_report,
 )
-from sentnet.network import LayerKind, LayerSpec, NetworkSpec, init_params, reference_spec, reference_spec_small
+from sentnet.network import (
+    LayerKind, LayerSpec, NetworkSpec, init_params, parameter_shapes, reference_spec, reference_spec_small,
+)
 from sentnet.probe import ProbeReport, ProbeRow, fold_stats
 from sentnet.surgery import preset_plan
 from sentnet.synth import write_synthetic_dataset
@@ -290,14 +292,14 @@ class TestFoldStats:
         assert all(np.isnan(v) for v in fold_stats([]))
 
     def test_cross_validate_gives_one_finished_fold_alone(self, tiny_corpus, tmp_path, monkeypatch):
-        inner = harness.train
+        inner = harness.train_in_place
 
         def diverge_second_fold(spec, ckpt, source, cfg, val_source=None):
             if cfg.seed == 1:
                 raise DivergenceError("loss became nan")
             return inner(spec, ckpt, source, cfg, val_source)
 
-        monkeypatch.setattr(harness, "train", diverge_second_fold)
+        monkeypatch.setattr(harness, "train_in_place", diverge_second_fold)
         summary = cross_validate(tiny_config(tiny_corpus), tmp_path / "cv")
         first = summary.folds[0]
         assert summary.folds[1].error is not None and first.error is None
@@ -566,7 +568,7 @@ class TestCrossValidate:
         assert (tmp_path / "a" / "report.csv").read_bytes() == (tmp_path / "b" / "report.csv").read_bytes()
 
     def test_fold_checkpoint_released_before_the_next_fold_trains(self, tiny_corpus, tmp_path, monkeypatch):
-        inner = harness.train
+        inner = harness.train_in_place
         trained_refs, alive_on_entry = [], []
 
         def tracking(*args, **kwargs):
@@ -575,9 +577,47 @@ class TestCrossValidate:
             trained_refs.append(weakref.ref(trained))
             return trained, history
 
-        monkeypatch.setattr(harness, "train", tracking)
+        monkeypatch.setattr(harness, "train_in_place", tracking)
         cross_validate(tiny_config(tiny_corpus), tmp_path / "cv")
         assert alive_on_entry == [[], [False]]
+
+    @pytest.mark.parametrize("from_file", [False, True], ids=["seeded", "checkpoint"])
+    def test_a_fold_trains_the_one_network_it_loaded(self, tiny_corpus, tmp_path, monkeypatch, from_file):
+        """The task holds no parameter; each fold gets its own base and trains
+        it in place, on view sources that read the task's squares."""
+        config = tiny_config(tiny_corpus)
+        if from_file:
+            save_checkpoint(init_params(reference_spec_small(2), 4), tmp_path / "base.nsrg")
+            experiment = dataclasses.replace(config.experiment, base_checkpoint=str(tmp_path / "base.nsrg"))
+            config = dataclasses.replace(config, experiment=experiment)
+        load_task, network, inner = harness.load_task, harness.Task.network, harness.train_in_place
+        tasks, loaded, trained_loaded = [], [], []
+
+        def keep_task(*args, **kwargs):
+            tasks.append(load_task(*args, **kwargs))
+            return tasks[-1]
+
+        def keep_network(task):
+            loaded.append(network(task))
+            return loaded[-1]
+
+        def checked(spec, ckpt, source, cfg, val_source=None):
+            reachable = list(_reachable(tasks[0]))
+            assert not any(isinstance(o, Checkpoint) for o in reachable)
+            arrays = [o for o in reachable if isinstance(o, np.ndarray)]
+            params = [t for pair in ckpt.entries.values() for t in pair]
+            assert not any(np.may_share_memory(t, a) for t in params for a in arrays)
+            assert source.squares is tasks[0].squares
+            trained, history = inner(spec, ckpt, source, cfg, val_source)
+            trained_loaded.append(trained.entries["fc6"][0] is loaded[-1].entries["fc6"][0])
+            return trained, history
+
+        monkeypatch.setattr(harness, "load_task", keep_task)
+        monkeypatch.setattr(harness.Task, "network", keep_network)
+        monkeypatch.setattr(harness, "train_in_place", checked)
+        summary = cross_validate(config, tmp_path / "cv")
+        assert all(o.error is None for o in summary.folds)
+        assert (len(tasks), len(loaded), trained_loaded) == (1, 2, [True, True])
 
     def test_probe_experiment_artifacts(self, tiny_corpus, tmp_path):
         config = config_from_dict(
@@ -599,6 +639,22 @@ class TestCrossValidate:
         assert payload["kind"] == "probe"
         assert payload["endpoints"] == ["fc7"]
 
+
+def _reachable(obj):
+    """obj and everything held by its dataclass fields, dicts, lists and tuples."""
+    stack, seen = [obj], set()
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        yield o
+        if dataclasses.is_dataclass(o) and not isinstance(o, type):
+            stack += [getattr(o, f.name) for f in dataclasses.fields(o)]
+        elif isinstance(o, dict):
+            stack += list(o.values())
+        elif isinstance(o, (list, tuple)):
+            stack += list(o)
 
 def fake_fold(fold, acc, degenerate=False, error=None):
     return {
@@ -1165,6 +1221,13 @@ class TestRunFold:
         assert outcome.error is None
         for name in ("result.json", "means.txt", "history.csv", "checkpoint.nsrg"):
             assert (tmp_path / "alone" / name).read_bytes() == (run_dir / "fold1" / name).read_bytes(), name
+
+    def test_seeded_weights_must_fit_the_preset_unless_surgery_cuts_them(self, tiny_corpus):
+        config = tiny_config(tiny_corpus)
+        with pytest.raises(CheckpointMismatchError, match="fc7-2"):
+            harness.load_task(config, "fc7-2")
+        task = harness.load_task(config, "fc7-2", surgery=True)
+        task.network().validate_against(parameter_shapes(task.base_spec))
 
     def test_folds_stratify_on_the_manifest_labels(self, tiny_corpus, preset_runs, tmp_path):
         config, _ = preset_runs["fc8-1000"]  # trains on swapped labels

@@ -1,6 +1,11 @@
 """Unit tests for the differentiable array primitives."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,6 +397,44 @@ class TestAffine:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="width"):
             ops.affine(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
+
+
+ROW_BLOCK_PROGRAM = """
+import json
+import numpy as np
+from sentnet import ops
+from sentnet.optim import FC_BLOCK
+
+# (rows, units): reference fc6, fc7, fc8 (1000-way and 2-way); small fc6/fc7, fc8
+WIDTHS = [(9216, 4096), (4096, 4096), (4096, 1000), (4096, 2), (128, 128), (128, 2)]
+mismatches = []
+for d, m in WIDTHS:
+    w = np.zeros((d, m), dtype=np.float32)  # the weight gradient reads no weight
+    for n in (1, 6, 8, 32, 60):
+        rng = np.random.default_rng([d, m, n])
+        pair = ops.affine(rng.standard_normal((n, d), dtype=np.float32), w, np.zeros(m, dtype=np.float32))
+        g = rng.standard_normal((n, m), dtype=np.float32)
+        whole = pair.param_pullback(g)[0]
+        for block in sorted({256, 1000, FC_BLOCK}):
+            _, _, blocks = pair.row_pullback(g, block, False)
+            if any(rows.tobytes() != whole[start : start + block].tobytes() for start, rows in blocks):
+                mismatches.append([d, m, n, block])
+print(json.dumps(mismatches))
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fc_weight_gradient_row_blocks_equal_the_whole_gemm(threads):
+    """Training updates FC weights one row block of x.T @ g at a time, so its
+    bytes rest on the BLAS giving each block's rows the bits of the whole
+    GEMM. That is a property of the BLAS build, not of numpy, so it is
+    pinned here at both thread counts, on every FC shape the presets train."""
+    src = str(Path(ops.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", ROW_BLOCK_PROGRAM], env=env, check=True,
+                          capture_output=True, text=True, timeout=600)
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == []
 
 
 class TestRelu:

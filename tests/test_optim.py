@@ -3,11 +3,23 @@
 import numpy as np
 import pytest
 
+from sentnet import ops, optim
 from sentnet.checkpoint import Checkpoint
 from sentnet.errors import ConfigError, DivergenceError
-from sentnet.network import LayerKind, LayerSpec, NetworkSpec, init_params
+from sentnet.network import (
+    LayerKind,
+    LayerSpec,
+    NetworkSpec,
+    backward,
+    backward_walk,
+    forward,
+    init_params,
+    reference_spec_small,
+    with_lr_mult,
+)
 from sentnet.optim import (
     BLOCK,
+    FC_BLOCK,
     HistoryRow,
     OptState,
     TrainConfig,
@@ -16,6 +28,7 @@ from sentnet.optim import (
     lr_at,
     sgd_step,
     train,
+    train_in_place,
 )
 
 from oracles import momentum_updates, sgd_step_whole_array
@@ -354,6 +367,104 @@ class TestTrainLoop:
         ckpt = init_params(spec, seed=0)
         out, _ = train(spec, ckpt, toy_source(), TrainConfig(base_lr=0.01, epochs=3, batch_size=8))
         assert out.metadata["epoch"] == "3"
+
+
+# frozen layers below and above the lowest trained one, and new-layer rates
+MIXED = {"conv1": 0.0, "conv3": 0.0, "fc7": 0.0, "fc8": 10.0}
+# every conv layer and fc6 frozen: fc7 is the lowest trained layer, an FC
+FC_LOWEST = {"conv1": 0.0, "conv2": 0.0, "conv3": 0.0, "conv4": 0.0, "conv5": 0.0, "fc6": 0.0, "fc8": 10.0}
+
+
+def run_steps(spec, gradients, steps=4, n=8, strip_row_pullback=False):
+    """`steps` SGD steps of a seeded `small` net; gradients(spec, ckpt,
+    state, top_grad) is what each step hands sgd_step."""
+    ckpt = init_params(spec, seed=3)
+    opt = OptState.for_checkpoint(ckpt)
+    lr_mults = {l.name: l.lr_mult for l in spec.parameterized}
+    for step in range(steps):
+        rng = np.random.default_rng([5, step])
+        x = rng.normal(0, 30, size=(n, 3, 64, 64)).astype(np.float32)
+        state = forward(spec, ckpt, x, retain=True)
+        if strip_row_pullback:  # as a wrapper that rebuilds each pair from value and pullback
+            for name, (pair, relu_pullback, flat) in list(state.aux.items()):
+                state.aux[name] = (type(pair)(pair.value, pair.pullback), relu_pullback, flat)
+        (g,) = ops.cross_entropy_loss(state.post[spec.top_name], np.arange(n) % 2).pullback(np.float32(1.0))
+        sgd_step(ckpt, gradients(spec, ckpt, state, g), opt, 0.001, lr_mults, 0.9, 0.0005)
+    return ckpt, opt
+
+
+def fused(block):
+    return lambda spec, ckpt, state, g: backward_walk(spec, state, g, block)
+
+
+def assert_same_bits(a, b):
+    (ckpt_a, opt_a), (ckpt_b, opt_b) = a, b
+    assert list(ckpt_a.entries) == list(ckpt_b.entries)
+    for name in ckpt_a.entries:
+        for got, want in zip(ckpt_a.entries[name] + opt_a.velocities[name],
+                             ckpt_b.entries[name] + opt_b.velocities[name], strict=True):
+            assert got.tobytes() == want.tobytes(), name
+
+
+class TestUpdateDuringBackward:
+    """Updating each layer as the backward walk yields it gives the bits of
+    an update after the whole pass: parameters and velocities, over steps."""
+
+    @pytest.mark.parametrize("mults", [{}, MIXED, FC_LOWEST], ids=["all", "mixed", "fc-lowest"])
+    @pytest.mark.parametrize("block", [FC_BLOCK, 48, None])
+    def test_fused_matches_unfused(self, mults, block):
+        spec = with_lr_mult(reference_spec_small(num_classes=2), mults)
+        want = run_steps(spec, backward)  # the whole pass, then the update
+        assert_same_bits(run_steps(spec, fused(block)), want)
+        frozen = [name for name, mult in mults.items() if mult == 0.0]
+        seeded = init_params(spec, seed=3)
+        for name in frozen:
+            assert want[0].entries[name][0].tobytes() == seeded.entries[name][0].tobytes()
+        assert want[0].entries["fc8"][0].tobytes() != seeded.entries["fc8"][0].tobytes()
+
+    @pytest.mark.parametrize("mults", [{}, MIXED, FC_LOWEST], ids=["all", "mixed", "fc-lowest"])
+    def test_pairs_without_row_pullback_take_the_whole_gradient_path(self, mults):
+        spec = with_lr_mult(reference_spec_small(num_classes=2), mults)
+        want = run_steps(spec, fused(48))
+        assert_same_bits(run_steps(spec, fused(48), strip_row_pullback=True), want)
+
+    def test_walk_yields_fc_rows_in_blocks_and_the_dict_whole(self):
+        spec = with_lr_mult(reference_spec_small(num_classes=2), MIXED)
+        ckpt = init_params(spec, seed=3)
+        x = np.random.default_rng(1).normal(0, 30, size=(4, 3, 64, 64)).astype(np.float32)
+        state = forward(spec, ckpt, x, retain=True)
+        (g,) = ops.cross_entropy_loss(state.post[spec.top_name], np.array([0, 1, 1, 0])).pullback(np.float32(1.0))
+        items = [(name, start, len(dw), db is not None) for name, start, dw, db in backward_walk(spec, state, g, 48)]
+        blocks = [(0, 48, True), (48, 48, False), (96, 32, False)]  # 128 rows each
+        assert items[:9] == [(name, *block) for name in ("fc8", "fc7", "fc6") for block in blocks]
+        assert [name for name, *_ in items[9:]] == ["conv5", "conv4", "conv3", "conv2"]
+        grads = backward(spec, ckpt, state, g)
+        assert list(grads) == ["fc8", "fc7", "fc6", "conv5", "conv4", "conv3", "conv2"]
+        assert grads["fc6"][0].shape == (128, 128)
+
+    def test_train_matches_an_update_after_the_whole_pass(self, monkeypatch):
+        spec = with_lr_mult(reference_spec_small(num_classes=2), MIXED)
+        rng = np.random.default_rng(8)
+        source = ArraySource(rng.normal(0, 30, size=(12, 3, 64, 64)), np.arange(12) % 2)
+        cfg = TrainConfig(base_lr=0.001, epochs=2, batch_size=5, seed=4)
+        got, _ = train(spec, init_params(spec, seed=3), source, cfg)
+        monkeypatch.setattr(optim, "backward_walk", lambda spec, state, g, block: backward(spec, None, state, g))
+        want, _ = train(spec, init_params(spec, seed=3), source, cfg)
+        for name in want.entries:
+            for a, b in zip(got.entries[name], want.entries[name]):
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_train_in_place_updates_and_returns_its_input(self):
+        spec = linear_spec()
+        ckpt = init_params(spec, seed=0)
+        weights = ckpt.entries["f"][0]
+        before = weights.copy()
+        cfg = TrainConfig(base_lr=0.01, epochs=2, batch_size=8)
+        out, _ = train_in_place(spec, ckpt, toy_source(), cfg)
+        want, _ = train(spec, init_params(spec, seed=0), toy_source(), cfg)
+        assert out is ckpt and out.entries["f"][0] is weights
+        assert weights.tobytes() != before.tobytes()
+        assert weights.tobytes() == want.entries["f"][0].tobytes()
 
 
 class TestHistoryCsv:

@@ -47,13 +47,14 @@ def test_every_traced_name_exists(tmp_path):
     load_checkpoint(tmp_path / "s.nsrg").validate_against(parameter_shapes(reference_spec_small(4)))
 
 
-@pytest.mark.parametrize("workload", ["quickstart-small", "probe-small"])
+@pytest.mark.parametrize("workload", ["quickstart-small", "probe-small", "reference-finetune"])
 def test_traced_tiny_run_passes(workload, tmp_path):
     """One traced benchmark run at tiny size, from a copy of bench/ over this src/.
 
-    The copy keeps the run's work directory out of the checkout.
-    reference-finetune takes about four times as long and is left to
-    bench/test_bench.py.
+    The copy keeps the run's work directory out of the checkout. Traced and
+    untraced iterations alternate, so reference-finetune covers both ways a
+    `reference` step updates its FC layers: whole gradients through the
+    tracer's rebuilt pairs, row blocks through the package's own.
     """
     shutil.copytree(ROOT / "bench", tmp_path / "bench", ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
