@@ -16,6 +16,8 @@ array, so neither holds a second copy of the model. A save writes a
 sibling ``<name>.tmp`` and renames it into place, so a failed save leaves
 any earlier file at the path untouched. A load checks every tensor's
 extents against the bytes left in the file before allocating it.
+`read_checkpoint_header` parses the same way but seeks over every payload,
+so it checks a file's shapes and metadata without reading its tensors.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Mapping
+from typing import BinaryIO, Callable, Mapping, TypeVar
 
 import numpy as np
 
@@ -39,6 +41,24 @@ MAGIC = b"NSRG"
 VERSION = 1
 
 Array = np.ndarray
+Shapes = Mapping[str, tuple[tuple[int, ...], tuple[int, ...]]]
+T = TypeVar("T")
+
+
+def _validate_shapes(found: Shapes, shapes: Shapes) -> None:
+    """Check entry names and tensor shapes against a spec's parameter table."""
+    missing = sorted(set(shapes) - set(found))
+    if missing:
+        raise CheckpointMismatchError(f"checkpoint is missing entries for {missing}")
+    extra = sorted(set(found) - set(shapes))
+    if extra:
+        raise CheckpointMismatchError(f"checkpoint has entries for unknown layers {extra}")
+    for name, (w_shape, b_shape) in shapes.items():
+        w, b = found[name]
+        if w != w_shape or b != b_shape:
+            raise CheckpointMismatchError(
+                f"{name}: checkpoint tensors {w}/{b} do not match spec {w_shape}/{b_shape}"
+            )
 
 
 @dataclass
@@ -57,21 +77,21 @@ class Checkpoint:
     def num_parameters(self) -> int:
         return sum(w.size + b.size for w, b in self.entries.values())
 
-    def validate_against(self, shapes: Mapping[str, tuple[tuple[int, ...], tuple[int, ...]]]) -> None:
+    def validate_against(self, shapes: Shapes) -> None:
         """Check entry names and tensor shapes against a spec's parameter table."""
-        missing = sorted(set(shapes) - set(self.entries))
-        if missing:
-            raise CheckpointMismatchError(f"checkpoint is missing entries for {missing}")
-        extra = sorted(set(self.entries) - set(shapes))
-        if extra:
-            raise CheckpointMismatchError(f"checkpoint has entries for unknown layers {extra}")
-        for name, (w_shape, b_shape) in shapes.items():
-            w, b = self.entries[name]
-            if tuple(w.shape) != w_shape or tuple(b.shape) != b_shape:
-                raise CheckpointMismatchError(
-                    f"{name}: checkpoint tensors {tuple(w.shape)}/{tuple(b.shape)} "
-                    f"do not match spec {w_shape}/{b_shape}"
-                )
+        _validate_shapes({k: (tuple(w.shape), tuple(b.shape)) for k, (w, b) in self.entries.items()}, shapes)
+
+
+@dataclass
+class CheckpointHeader:
+    """A checkpoint's entry names, tensor shapes and metadata, without its tensors."""
+
+    shapes: dict[str, tuple[tuple[int, ...], tuple[int, ...]]]
+    metadata: dict[str, str]
+
+    def validate_against(self, shapes: Shapes) -> None:
+        """Check entry names and tensor shapes against a spec's parameter table."""
+        _validate_shapes(self.shapes, shapes)
 
 
 def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
@@ -102,19 +122,24 @@ def _read_extents(f: BinaryIO, what: str) -> tuple[int, ...]:
     return struct.unpack(f"<{rank}Q", _read_exact(f, 8 * rank, f"{what} extents"))
 
 
-def _read_data(f: BinaryIO, extents: tuple[int, ...], what: str) -> Array:
-    """The float32 payload of a tensor, read into a fresh array.
-
-    The extents are checked against the bytes left in the file first, so a
-    corrupt header cannot ask for an allocation the file could never fill.
-    """
+def _payload_bytes(f: BinaryIO, extents: tuple[int, ...], what: str) -> int:
+    """A tensor's payload size, checked before anything is allocated: against
+    the bytes left in the file, so a corrupt header cannot ask for an
+    allocation the file could never fill, and against numpy's limits."""
     nbytes = 4 * math.prod(extents)
     if nbytes > os.fstat(f.fileno()).st_size - f.tell():
         raise CheckpointTruncatedError(f"truncated checkpoint while reading {what} data")
     try:
-        arr = np.empty(extents, dtype="<f4")
+        np.broadcast_to(np.float32(0), extents)  # the shape alone, without memory
     except ValueError:  # e.g. (2**63, 0): no bytes, but beyond numpy's limits
         raise CheckpointFormatError(f"{what}: extents {extents} do not form a tensor") from None
+    return nbytes
+
+
+def _read_data(f: BinaryIO, extents: tuple[int, ...], what: str) -> Array:
+    """The float32 payload of a tensor, read into a fresh array."""
+    nbytes = _payload_bytes(f, extents, what)
+    arr = np.empty(extents, dtype="<f4")
     if f.readinto(_bytes_of(arr)) != nbytes:
         raise CheckpointTruncatedError(f"truncated checkpoint while reading {what} data")
     return arr.astype(np.float32, copy=False)
@@ -122,6 +147,13 @@ def _read_data(f: BinaryIO, extents: tuple[int, ...], what: str) -> Array:
 
 def _read_tensor(f: BinaryIO, what: str) -> Array:
     return _read_data(f, _read_extents(f, what), what)
+
+
+def _skip_tensor(f: BinaryIO, what: str) -> tuple[int, ...]:
+    """A tensor's shape, checked as `_read_tensor` checks it; its payload is skipped."""
+    extents = _read_extents(f, what)
+    f.seek(_payload_bytes(f, extents, what), os.SEEK_CUR)
+    return extents
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
@@ -149,8 +181,10 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         raise
 
 
-def load_checkpoint(path: str | Path, spec=None) -> Checkpoint:
-    """Read a checkpoint; with a spec, also validate names and shapes."""
+def _parse(
+    path: str | Path, tensor: Callable[[BinaryIO, str], T]
+) -> tuple[dict[str, tuple[T, T]], dict[str, str]]:
+    """Entries (each tensor as `tensor` reads it) and metadata of a checkpoint file."""
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, "magic")
         if magic != MAGIC:
@@ -159,15 +193,15 @@ def load_checkpoint(path: str | Path, spec=None) -> Checkpoint:
         if version != VERSION:
             raise CheckpointFormatError(f"unsupported checkpoint version {version}")
         (n_entries,) = struct.unpack("<I", _read_exact(f, 4, "entry count"))
-        entries: dict[str, tuple[Array, Array]] = {}
+        entries: dict[str, tuple[T, T]] = {}
         for i in range(n_entries):
             (name_len,) = struct.unpack("<H", _read_exact(f, 2, "name length"))
             name = _read_exact(f, name_len, "name").decode("utf-8")
             (n_tensors,) = struct.unpack("<B", _read_exact(f, 1, f"{name} tensor count"))
             if n_tensors != 2:
                 raise CheckpointFormatError(f"{name}: expected 2 tensors, found {n_tensors}")
-            w = _read_tensor(f, f"{name} weights")
-            b = _read_tensor(f, f"{name} bias")
+            w = tensor(f, f"{name} weights")
+            b = tensor(f, f"{name} bias")
             if name in entries:
                 raise CheckpointFormatError(f"duplicate entry {name!r}")
             entries[name] = (w, b)
@@ -183,9 +217,20 @@ def load_checkpoint(path: str | Path, spec=None) -> Checkpoint:
             raise CheckpointFormatError(f"malformed metadata line {line!r}")
         key, _, value = line.partition("=")
         metadata[key] = value
-    ckpt = Checkpoint(entries=entries, metadata=metadata)
+    return entries, metadata
+
+
+def load_checkpoint(path: str | Path, spec=None) -> Checkpoint:
+    """Read a checkpoint; with a spec, also validate names and shapes."""
+    ckpt = Checkpoint(*_parse(path, _read_tensor))
     if spec is not None:
         from .network import parameter_shapes
 
         ckpt.validate_against(parameter_shapes(spec))
     return ckpt
+
+
+def read_checkpoint_header(path: str | Path) -> CheckpointHeader:
+    """A checkpoint's shapes and metadata, checked as `load_checkpoint` checks
+    the file, without reading any tensor's payload."""
+    return CheckpointHeader(*_parse(path, _skip_tensor))

@@ -37,7 +37,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import probe as probe_mod
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, load_checkpoint, read_checkpoint_header, save_checkpoint
 from .data import (
     TEN_CROP_CENTER,
     DatasetManifest,
@@ -452,18 +452,18 @@ def load_task(
     `trained` it is one training wrote: its metadata names the preset (a
     different `preset` is an error) and, if the config fixes no means, the
     means.txt beside it holds them. `multiclass` admits any class index in
-    the manifest. The checkpoint is loaded here once to check it, then
-    dropped; it and the means load before the manifest, so their errors
-    come first.
+    the manifest. Only the checkpoint's header is read here, to check its
+    shapes and metadata (Task.network loads the tensors); it and the means
+    load before the manifest, so their errors come first.
     """
     exp = config.experiment
-    ckpt = None
+    header = None
     if exp.base_checkpoint is not None:
-        ckpt = load_checkpoint(exp.base_checkpoint)
-        head = ckpt.entries.get("fc8")
-        base_spec = _arch_spec(exp.arch, 2 if head is None else int(head[1].shape[0]))
+        header = read_checkpoint_header(exp.base_checkpoint)
+        head = header.shapes.get("fc8")
+        base_spec = _arch_spec(exp.arch, 2 if head is None else int(head[1][0]))
     if trained:
-        named, preset = preset, ckpt.metadata.get("surgery")
+        named, preset = preset, header.metadata.get("surgery")
         if named is not None and preset is not None and named != preset:
             raise ConfigError(f"the config names preset {named!r} but the checkpoint was made by {preset!r}")
     means = resolve_means(config)
@@ -476,7 +476,7 @@ def load_task(
             )
         means = read_means(beside)
     manifest = load_manifest(config.dataset.manifest, allow_multiclass=multiclass)
-    if ckpt is None:
+    if header is None:
         base_spec = _arch_spec(exp.arch, max(2, int(manifest.labels.max()) + 1))
     spec, labels = base_spec, manifest.labels
     if preset is not None:
@@ -485,9 +485,8 @@ def load_task(
         if plan.swap_binary_labels:
             labels = np.where(labels == 1, 0, 1)
     shapes = parameter_shapes(base_spec if surgery else spec)
-    if ckpt is not None:
-        ckpt.validate_against(shapes)
-        del ckpt  # each caller loads its own (Task.network)
+    if header is not None:
+        header.validate_against(shapes)
     elif shapes != parameter_shapes(base_spec):
         raise CheckpointMismatchError(
             f"seeded {exp.arch} weights do not fit preset {preset!r}'s network: set experiment.base_checkpoint"

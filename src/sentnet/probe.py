@@ -17,9 +17,14 @@ The descent runs in the dual. It starts from w = 0 and every step maps w to
 with one alpha entry per fitting row (the Pegasos schedule of Shalev-Shwartz
 et al. 2007). Iterating on alpha costs min(n^2, 2nd) multiply-adds per
 lambda and iteration for n rows of width d: the n x n Gram x x^T when
-n <= d, x (x^T alpha) otherwise. Every inner fold and every lambda of the
-grid advance together in one loop; the fitting sets are zero-padded to a
-common row count and masked, and each is standardized by its own rows only.
+n <= d, x (x^T alpha) otherwise. `fit_probes` fits several endpoints on the
+same rows at once: every endpoint, inner fold and lambda advance together
+in one loop, then every endpoint's refit at its own chosen lambda in a
+second. The fitting sets are zero-padded to a common row count and masked,
+each is standardized by its own rows only, and each gets the GEMMs it would
+get alone, so fitting together gives the bits of fitting one at a time.
+A float64 set exists only while its Gram (or narrow stack slot) is filled
+and again while its weights are formed, one set at a time.
 
 The dual gives the primal weights up to rounding, except where the iteration
 itself amplifies rounding: a softmax fit at lambda <= 1e-3 can take steps
@@ -30,7 +35,8 @@ apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import pairwise
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,9 +95,10 @@ class ProbeModel:
     scale: Array | None
 
     def _transform(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=np.float64)
-        if self.mean is not None:
-            x = (x - self.mean) / self.scale
+        if self.mean is None:
+            return np.asarray(x, dtype=np.float64)
+        x = np.subtract(x, self.mean, dtype=np.float64)  # one float64 copy, scaled in place
+        x /= self.scale
         return x
 
     def decision_values(self, x: Array) -> Array:
@@ -105,50 +112,88 @@ class ProbeModel:
         return values.argmax(axis=1)
 
 
+COLUMN_BLOCK = 1 << 16  # float64 elements per column block while a fitting set is built
+
+
 def _fitting_set(features: Array, rows: Array, standardize: bool) -> tuple[Array, Array | None, Array | None]:
-    """Float64 copy of the given rows, standardized by statistics of those rows only."""
-    x = np.asarray(features[rows], dtype=np.float64)
-    if not standardize:
-        return x, None, None
-    mean = x.mean(axis=0)
-    scale = x.std(axis=0)
-    scale = np.where(scale > 0, scale, 1.0)  # constant columns pass through
-    x -= mean  # in place: every fitting set stays alive until its weights are built
-    x /= scale
+    """Float64 copy of the given rows, standardized by statistics of those rows only.
+
+    Built in column blocks of about COLUMN_BLOCK elements, so no temporary is
+    larger than a block. Blocks are at least 2 columns wide: numpy sums 2 or
+    more columns down each column in row order, as it does the whole copy,
+    but a single column pairwise, which would change its statistics' bits.
+    """
+    width = features.shape[1]
+    x = np.empty((len(rows), width))
+    mean, scale = (np.empty(width), np.empty(width)) if standardize else (None, None)
+    count = max(1, min(-(-x.size // COLUMN_BLOCK), width // 2))
+    for a, b in pairwise(width * i // count for i in range(count + 1)):
+        block = x[:, a:b]
+        block[...] = features[rows, a:b]
+        if standardize:
+            mean[a:b] = block.mean(axis=0)
+            std = block.std(axis=0)
+            scale[a:b] = np.where(std > 0, std, 1.0)  # constant columns pass through
+            block -= mean[a:b]
+            block /= scale[a:b]
     return x, mean, scale
 
 
-def _kernel_product(sets: Sequence[Array], rows: int) -> Callable[[Array], Array]:
-    """a [F, rows, m] -> K a, where K_f = x_f x_f^T for the f-th set zero-padded to `rows`.
+def _kernel_product(
+    sets: Sequence[tuple[Array, Array]], rows: int, standardize: bool
+) -> Callable[[Array], Array]:
+    """a [F, rows, m] -> K a, where K_f = x_f x_f^T for fitting set f zero-padded to `rows`.
 
-    Per column of a, the Gram costs rows^2 and going through x^T a costs
-    2 rows d; forming the Gram costs rows^2 d once, so it is formed only
-    when rows <= d.
+    Set f is (features, row indices). Per column of a, the Gram costs rows^2
+    and going through x^T a costs 2 rows d; forming the Gram costs rows^2 d
+    once, so a set takes the Gram when rows <= d. Gram sets share one
+    [G, rows, rows] stack and the others one [S, rows, d] stack per width d,
+    so every set's products are the GEMMs it would get alone. Each float64
+    set lives only while its Gram or its stack slot is filled.
     """
-    width = sets[0].shape[1]
-    if rows <= width:
-        gram = np.zeros((len(sets), rows, rows))
-        for f, x in enumerate(sets):
-            gram[f, : len(x), : len(x)] = x @ x.T
-        return lambda a: gram @ a
-    stacked = np.zeros((len(sets), rows, width))
-    for f, x in enumerate(sets):
-        stacked[f, : len(x)] = x
-    return lambda a: stacked @ (stacked.transpose(0, 2, 1) @ a)
+    groups: dict[int | None, list[int]] = {}  # None: the Gram sets
+    for f, (features, _) in enumerate(sets):
+        width = features.shape[1]
+        groups.setdefault(None if rows <= width else width, []).append(f)
+    products = []
+    for width, members in groups.items():
+        stack = np.zeros((len(members), rows, rows if width is None else width))
+        for slot, f in enumerate(members):
+            x = _fitting_set(*sets[f], standardize)[0]
+            if width is None:
+                stack[slot, : len(x), : len(x)] = x @ x.T
+            else:
+                stack[slot, : len(x)] = x
+            del x  # before the next set is built
+        if width is None:
+            product = lambda a, gram=stack: gram @ a
+        else:
+            product = lambda a, x=stack: x @ (x.transpose(0, 2, 1) @ a)
+        products.append((np.array(members), product))
+    if len(products) == 1:
+        return products[0][1]
+
+    def kernel(a: Array) -> Array:
+        out = np.empty_like(a)
+        for members, product in products:
+            out[members] = product(a[members])
+        return out
+
+    return kernel
 
 
 def _solve_dual(
-    kernel: Callable[[Array], Array], y01: Array, live: Array, kind: str, lams: Sequence[float], iters: int
+    kernel: Callable[[Array], Array], y01: Array, live: Array, kind: str, lams: Array, iters: int
 ) -> tuple[Array, Array]:
-    """Full-batch descent on alpha for F padded fitting sets and every lambda at once.
+    """Full-batch descent on alpha for F padded fitting sets, each at its own L lambdas.
 
-    y01 and live are [F, n]; a padded row (live False) adds nothing to scores,
-    gradients or row counts. Returns alpha [F, n, L] and bias [F, L] for svm,
-    alpha [F, n, L, 2] and bias [F, L, 2] for softmax; set f's weights at
-    lams[l] are x_f^T alpha[f, :, l].
+    y01 and live are [F, n] and lams [F, L]; a padded row (live False) adds
+    nothing to scores, gradients or row counts. Returns alpha [F, n, L] and
+    bias [F, L] for svm, alpha [F, n, L, 2] and bias [F, L, 2] for softmax;
+    set f's weights at lams[f, l] are x_f^T alpha[f, :, l].
     """
     sets, n = live.shape
-    lam = np.asarray(lams, dtype=np.float64)[:, None]  # [L, 1], against [..., L, classes]
+    lam = np.asarray(lams, dtype=np.float64)[:, None, :, None]  # [F, 1, L, 1], against [F, n, L, classes]
     count = live.sum(axis=1)[:, None, None, None]  # every set divides by its own row count
     live = live[:, :, None, None]
     if kind == "svm":
@@ -157,8 +202,8 @@ def _solve_dual(
     else:
         onehot = (y01[:, :, None, None] == np.arange(2)).astype(np.float64)
         classes = 2
-    alpha = np.zeros((sets, n, len(lams), classes))
-    bias = np.zeros((sets, len(lams), classes))
+    alpha = np.zeros((sets, n, lam.shape[2], classes))
+    bias = np.zeros((sets, lam.shape[2], classes))
     for t in range(1, iters + 1):
         step = 1.0 / (lam * t)
         scores = kernel(alpha.reshape(sets, n, -1)).reshape(alpha.shape) + bias[:, None]
@@ -171,38 +216,102 @@ def _solve_dual(
             probs = e / (e[..., :1] + e[..., 1:])
             grad = np.where(live, probs - onehot, 0.0) / count  # mean cross-entropy, by score
         alpha -= step * (lam * alpha + grad)
-        bias -= step * grad.sum(axis=1)
+        bias -= step[:, 0] * grad.sum(axis=1)
     if kind == "svm":
         return alpha[..., 0], bias[..., 0]
     return alpha, bias
 
 
-def _fit_sets(
-    features: Array,
-    labels: Array,
-    kind: str,
-    lams: Sequence[float],
-    row_sets: Sequence[Array],
-    standardize: bool,
-    iters: int,
-) -> list[list[ProbeModel]]:
-    """One probe per (fitting set, lambda), all fitted in one dual loop."""
-    fitted = [_fitting_set(features, rows, standardize) for rows in row_sets]
-    n = max(len(rows) for rows in row_sets)
-    live = np.zeros((len(row_sets), n), dtype=bool)
-    y01 = np.zeros((len(row_sets), n), dtype=np.int64)
-    for f, rows in enumerate(row_sets):
+def _dual_models(
+    sets: Sequence[tuple[Array, Array]], labels: Array, kind: str, lams: Array, standardize: bool, iters: int
+) -> Iterator[list[ProbeModel]]:
+    """Fit every (features, rows) set at each of its lams[f] in one dual loop;
+    yield set f's probes, one per lambda, in order.
+
+    Set f's float64 rows are built again while its weights x^T alpha are
+    formed, and dropped before the next set's.
+    """
+    n = max(len(rows) for _, rows in sets)
+    live = np.zeros((len(sets), n), dtype=bool)
+    y01 = np.zeros((len(sets), n), dtype=np.int64)
+    for f, (_, rows) in enumerate(sets):
         live[f, : len(rows)] = True
         y01[f, : len(rows)] = labels[rows]
-    kernel = _kernel_product([x for x, _, _ in fitted], n)
-    alpha, bias = _solve_dual(kernel, y01, live, kind, lams, iters)
-    return [
-        [
-            ProbeModel(kind, lam, x.T @ alpha[f, : len(x), l], bias[f, l, ...], mean, scale)
-            for l, lam in enumerate(lams)
-        ]
-        for f, (x, mean, scale) in enumerate(fitted)
-    ]
+    alpha, bias = _solve_dual(_kernel_product(sets, n, standardize), y01, live, kind, lams, iters)
+    for f, (features, rows) in enumerate(sets):
+        yield _probes(features, rows, standardize, kind, lams[f], alpha[f], bias[f])
+
+
+def _probes(
+    features: Array, rows: Array, standardize: bool, kind: str, lams: Array, alpha: Array, bias: Array
+) -> list[ProbeModel]:
+    """One set's probe per lambda: weights x^T alpha[:, l] from the set built again."""
+    x, mean, scale = _fitting_set(features, rows, standardize)
+    weights = [x.T @ alpha[: len(x), l] for l in range(len(lams))]
+    del x  # before the caller scores these probes
+    return [ProbeModel(kind, float(lams[l]), w, bias[l, ...], mean, scale) for l, w in enumerate(weights)]
+
+
+def fit_probes(
+    matrices: Sequence[Array],
+    labels: Array,
+    kind: str,
+    lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
+    inner_folds: int = 3,
+    standardize: bool = True,
+    seed: int = 0,
+    iters: int = ITERATION_BUDGET,
+    rows: Array | None = None,
+) -> Iterator[tuple[ProbeModel, dict[float, float]]]:
+    """fit_probe on each feature matrix's `rows` (all rows by default), every
+    matrix fitted together; yields (model, inner scores) per matrix, in order.
+
+    Every matrix has one row per label and all share the inner folds, so one
+    dual loop advances every matrix, inner fold and lambda, and a second one
+    refits every matrix at its own chosen lambda. A model is built only when
+    it is yielded.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    matrices = [np.asarray(features) for features in matrices]
+    for features in matrices:
+        if features.ndim != 2 or len(features) != len(labels):
+            raise DataError(f"features {features.shape} do not match {len(labels)} labels")
+    rows = np.arange(len(labels)) if rows is None else np.asarray(rows)
+    if len(rows) == 0:
+        raise DataError("no rows to fit a probe on")
+    if not lambda_grid or any(l <= 0 for l in lambda_grid):
+        raise ConfigError(f"lambda grid must be positive, got {lambda_grid}")
+    if labels[rows].min() < 0 or labels[rows].max() > 1:
+        raise DataError("probe labels must be binary 0/1")
+    if kind not in PROBE_KINDS:
+        raise ConfigError(f"unknown probe kind {kind!r}; expected one of {PROBE_KINDS}")
+
+    grid = sorted(set(float(l) for l in lambda_grid))
+    if len(grid) == 1:
+        chosen = [{grid[0]: float("nan")} for _ in matrices]
+        lams = [grid[0]] * len(matrices)
+    else:
+        inner = stratified_kfold(labels[rows], inner_folds, seed)
+        fitting = [rows[inner != f] for f in range(inner_folds)]
+        held_out = [rows[inner == f] for f in range(inner_folds)]
+        models = _dual_models(
+            [(features, r) for features in matrices for r in fitting], labels, kind,
+            np.tile(grid, (len(matrices) * inner_folds, 1)), standardize, iters,
+        )
+        chosen, lams = [], []
+        for features in matrices:
+            accs = [
+                [float((model.predict(features[va]) == labels[va]).mean()) for model in next(models)]
+                for va in held_out
+            ]
+            scores = {lam: float(np.mean([fold[l] for fold in accs])) for l, lam in enumerate(grid)}
+            best = max(scores.values())
+            chosen.append(scores)
+            lams.append(min(l for l, s in scores.items() if s == best))
+    refits = _dual_models([(features, rows) for features in matrices], labels, kind,
+                          np.array(lams)[:, None], standardize, iters)
+    for scores in chosen:
+        yield next(refits)[0], scores
 
 
 def fit_probe(
@@ -220,42 +329,9 @@ def fit_probe(
     Returns the refitted model and the inner-CV accuracy per lambda. Inner
     folds are stratified and deterministic in seed; ties go to the smaller
     lambda. Standardization statistics always come from the fitting rows
-    only.
+    only. This is fit_probes on one matrix.
     """
-    features = np.asarray(features)
-    labels = np.asarray(labels, dtype=np.int64)
-    if features.ndim != 2 or len(features) != len(labels):
-        raise DataError(f"features {features.shape} do not match {len(labels)} labels")
-    if len(labels) == 0:
-        raise DataError("no rows to fit a probe on")
-    if not lambda_grid or any(l <= 0 for l in lambda_grid):
-        raise ConfigError(f"lambda grid must be positive, got {lambda_grid}")
-    if labels.min() < 0 or labels.max() > 1:
-        raise DataError("probe labels must be binary 0/1")
-    if kind not in PROBE_KINDS:
-        raise ConfigError(f"unknown probe kind {kind!r}; expected one of {PROBE_KINDS}")
-
-    grid = sorted(set(float(l) for l in lambda_grid))
-    if len(grid) == 1:
-        chosen = {grid[0]: float("nan")}
-        lam = grid[0]
-    else:
-        inner = stratified_kfold(labels, inner_folds, seed)
-        models = _fit_sets(
-            features, labels, kind, grid, [np.flatnonzero(inner != f) for f in range(inner_folds)],
-            standardize, iters,
-        )
-        scores: dict[float, float] = {}
-        for l, lam_cand in enumerate(grid):
-            accs = []
-            for f in range(inner_folds):
-                va = inner == f
-                accs.append(float((models[f][l].predict(features[va]) == labels[va]).mean()))
-            scores[lam_cand] = float(np.mean(accs))
-        best = max(scores.values())
-        lam = min(l for l, s in scores.items() if s == best)
-        chosen = scores
-    model = _fit_sets(features, labels, kind, [lam], [np.arange(len(labels))], standardize, iters)[0][0]
+    ((model, chosen),) = fit_probes([features], labels, kind, lambda_grid, inner_folds, standardize, seed, iters)
     return model, chosen
 
 
@@ -364,20 +440,22 @@ def probe_all_layers(
             raise ConfigError(f"unknown probe kind {kind!r}")
     names = tuple(endpoints) if endpoints is not None else spec.endpoints
     fold_ids = sorted(int(f) for f in np.unique(folds))
-    rows: list[ProbeRow] = []
     by_endpoint = extract_features(spec, ckpt, source, names, pre_activation=pre_activation)
-    for endpoint in names:
-        features = by_endpoint.pop(endpoint)  # freed once its probes are fitted
-        for kind in kinds:
-            for f in fold_ids:
-                tr, te = folds != f, folds == f
-                model, _ = fit_probe(
-                    features[tr], labels[tr], kind, lambda_grid, inner_folds, standardize, seed, iters
-                )
-                acc = float((model.predict(features[te]) == labels[te]).mean())
-                rows.append(ProbeRow(endpoint, kind, f, acc, model.lam))
+    found: dict[tuple[str, str, int], ProbeRow] = {}
+    for kind in kinds:
+        for f in fold_ids:
+            test = folds == f
+            fitted = fit_probes(
+                list(by_endpoint.values()), labels, kind, lambda_grid, inner_folds, standardize, seed, iters,
+                rows=np.flatnonzero(~test),
+            )
+            for endpoint, features in by_endpoint.items():
+                model, _ = next(fitted)
+                acc = float((model.predict(features[test]) == labels[test]).mean())
+                found[endpoint, kind, f] = ProbeRow(endpoint, kind, f, acc, model.lam)
+                del model  # before the next endpoint's refit set is built
     return ProbeReport(
-        rows=rows,
+        rows=[found[endpoint, kind, f] for endpoint in names for kind in kinds for f in fold_ids],
         endpoints=names,
         kinds=tuple(kinds),
         pre_activation=pre_activation,

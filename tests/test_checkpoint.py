@@ -1,11 +1,19 @@
 """Tests for the binary checkpoint format."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sentnet.checkpoint import MAGIC, VERSION, Checkpoint, load_checkpoint, save_checkpoint
+from sentnet.checkpoint import (
+    MAGIC,
+    VERSION,
+    Checkpoint,
+    load_checkpoint,
+    read_checkpoint_header,
+    save_checkpoint,
+)
 from sentnet.errors import (
     CheckpointError,
     CheckpointFormatError,
@@ -15,7 +23,7 @@ from sentnet.errors import (
 from sentnet import checkpoint as checkpoint_mod
 from sentnet import cli
 from sentnet.harness import config_from_dict, save_config
-from sentnet.network import init_params, reference_spec_small
+from sentnet.network import init_params, parameter_shapes, reference_spec_small
 
 from oracles import checkpoint_bytes, checkpoint_entries
 
@@ -240,6 +248,85 @@ class TestLoadErrors:
         path.write_bytes(b"XX")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+def corrupt_files(tmp_path):
+    """(label, path) for every way a file can fail to parse."""
+    full = tmp_path / "full.nsrg"
+    save_checkpoint(sample_checkpoint(), full)
+    raw = full.read_bytes()
+    head = MAGIC + struct.pack("<I", VERSION)
+    one = checkpoint_bytes({"a": (np.ones((2, 3), np.float32), np.ones(2, np.float32))}, {})
+    entry = one[12:-4]  # between the entry count and the empty metadata block
+    cases = {
+        "bad magic": b"XXXX" + raw[4:],
+        "version": MAGIC + struct.pack("<I", 99) + raw[8:],
+        "duplicate": head + struct.pack("<I", 2) + entry + entry + struct.pack("<I", 0),
+        "trailing": raw + b"\x00",
+        "metadata": head + struct.pack("<I", 0) + struct.pack("<I", 8) + b"novalue\n",
+        "tensor count": head + struct.pack("<I", 1) + struct.pack("<H", 2) + b"w1" + struct.pack("<B", 3),
+        "oversized": head + struct.pack("<I", 1) + struct.pack("<H", 3) + b"fc6" + struct.pack("<B", 2)
+        + struct.pack("<B", 2) + struct.pack("<2Q", 2**20, 2**20) + b"\x00" * 8,
+        "beyond numpy": head + struct.pack("<I", 1) + struct.pack("<H", 1) + b"f" + struct.pack("<B", 2)
+        + struct.pack("<B", 2) + struct.pack("<2Q", 2**63, 0),
+    }
+    cases.update({f"cut at {n}": raw[:n] for n in (0, 3, 4, 8, 11, 12, 20, len(raw) // 2, len(raw) - 5, len(raw) - 1)})
+    for label, data in cases.items():
+        path = tmp_path / f"{label.replace(' ', '_')}.nsrg"
+        path.write_bytes(data)
+        yield label, path
+
+
+class TestHeaderRead:
+    def test_shapes_and_metadata_match_a_full_load(self, tmp_path):
+        for ckpt in (sample_checkpoint(seed=2), init_params(reference_spec_small(num_classes=4), seed=1)):
+            path = tmp_path / "a.nsrg"
+            save_checkpoint(ckpt, path)
+            header = read_checkpoint_header(path)
+            full = load_checkpoint(path)
+            assert header.shapes == {k: (w.shape, b.shape) for k, (w, b) in full.entries.items()}
+            assert list(header.shapes) == list(full.entries)
+            assert header.metadata == full.metadata
+
+    def test_reads_no_payload(self, tmp_path):
+        ckpt = Checkpoint(entries={"fc6": (np.ones((4, 500_000), np.float32), np.ones(500_000, np.float32)),
+                                   "fc7": (np.ones((2, 3), np.float32), np.ones(2, np.float32))})
+        path = tmp_path / "a.nsrg"
+        save_checkpoint(ckpt, path)
+        tracemalloc.start()
+        try:
+            header = read_checkpoint_header(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert header.shapes["fc6"] == ((4, 500_000), (500_000,))
+        assert peak < 100_000, f"{peak} bytes traced for a {4 * ckpt.num_parameters()}-byte payload"
+
+    def test_every_corruption_fails_as_in_a_full_load(self, tmp_path):
+        labels = []
+        for label, path in corrupt_files(tmp_path):
+            with pytest.raises(CheckpointError) as full:
+                load_checkpoint(path)
+            with pytest.raises(CheckpointError) as header:
+                read_checkpoint_header(path)
+            assert type(header.value) is type(full.value), label
+            assert str(header.value) == str(full.value), label
+            labels.append((label, type(full.value).__name__))
+        assert ("duplicate", "CheckpointFormatError") in labels
+        assert ("cut at 0", "CheckpointTruncatedError") in labels
+
+    def test_validates_like_a_full_load(self, tmp_path):
+        spec = reference_spec_small(num_classes=2)
+        ckpt = init_params(spec, seed=0)
+        ckpt.entries["fc8"] = (np.zeros((128, 5), dtype=np.float32), np.zeros(5, dtype=np.float32))
+        path = tmp_path / "a.nsrg"
+        save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointMismatchError) as full:
+            load_checkpoint(path).validate_against(parameter_shapes(spec))
+        with pytest.raises(CheckpointMismatchError) as header:
+            read_checkpoint_header(path).validate_against(parameter_shapes(spec))
+        assert str(header.value) == str(full.value)
+        assert "fc8" in str(header.value)
 
 
 class TestSpecValidation:

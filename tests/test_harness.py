@@ -30,7 +30,10 @@ from sentnet.data import (
     stratified_kfold,
     write_means,
 )
-from sentnet.errors import CheckpointMismatchError, ConfigError, DataError, DivergenceError
+from sentnet.errors import (
+    CheckpointFormatError, CheckpointMismatchError, CheckpointTruncatedError, ConfigError, DataError,
+    DivergenceError,
+)
 from sentnet.harness import (
     PRESET_ORDER,
     ExperimentConfig,
@@ -1079,13 +1082,13 @@ class TestCli:
         assert "channel_means" in err and "means.txt" in err
         assert len(seen) == 2
 
-    def test_cv_artifacts_identical_across_blas_thread_counts(self, tiny_corpus, tmp_path):
+    @staticmethod
+    def artifact_digests_by_thread_count(command, config, tmp_path):
+        """{BLAS threads: [(path, sha256)] of every file `command` writes}, for 1 and 2 threads."""
         threads = sorted({1, min(2, os.cpu_count() or 1)})
         if len(threads) < 2:
             pytest.skip("needs at least 2 cores to vary the BLAS thread count")
-        payload = config_to_dict(tiny_config(tiny_corpus))
-        payload["train"]["epochs"] = 1
-        save_config(config_from_dict(payload), tmp_path / "c.json")
+        save_config(config, tmp_path / "c.json")
         src = str(Path(cli.__file__).resolve().parents[1])
         digests = {}
         for n in threads:
@@ -1093,15 +1096,27 @@ class TestCli:
             env = {**os.environ, "OPENBLAS_NUM_THREADS": str(n),
                    "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
             subprocess.run(
-                [sys.executable, "-m", "sentnet.cli", "finetune", "--config", str(tmp_path / "c.json"),
+                [sys.executable, "-m", "sentnet.cli", command, "--config", str(tmp_path / "c.json"),
                  "--out", str(out)],
                 env=env, check=True, capture_output=True, timeout=600,
             )
-            files = [out / "summary.json", *sorted(out.rglob("*.nsrg"))]
-            assert len(files) == 3  # summary plus one checkpoint per fold
             digests[n] = [(f.relative_to(out).as_posix(), hashlib.sha256(f.read_bytes()).hexdigest())
-                          for f in files]
+                          for f in sorted(out.rglob("*")) if f.is_file()]
         assert digests[threads[0]] == digests[threads[1]]
+        return digests[threads[0]]
+
+    def test_cv_artifacts_identical_across_blas_thread_counts(self, tiny_corpus, tmp_path):
+        payload = config_to_dict(tiny_config(tiny_corpus))
+        payload["train"]["epochs"] = 1
+        files = self.artifact_digests_by_thread_count("finetune", config_from_dict(payload), tmp_path)
+        assert sum(name.endswith(".nsrg") for name, _ in files) == 2  # one checkpoint per fold
+        assert "summary.json" in dict(files)
+
+    def test_probe_artifacts_identical_across_blas_thread_counts(self, tiny_corpus, tmp_path):
+        payload = config_to_dict(tiny_config(tiny_corpus))
+        payload["experiment"] = {"kind": "probe", "probe": {"lambda_grid": [0.01, 0.1, 1.0], "iters": 40}}
+        files = dict(self.artifact_digests_by_thread_count("probe", config_from_dict(payload), tmp_path))
+        assert {"summary.json", "probe_report.csv", "probe_report.md"} <= set(files)
 
     def test_probe_with_an_empty_training_fold_exits_two(self, tiny_corpus, tmp_path, capsys):
         # a manifest whose rows all sit in fold 0 leaves that fold no training rows
@@ -1208,6 +1223,55 @@ class TestEvaluateFoldCheckpoints:
         )
         report = run_probe_experiment(config, tmp_path / "probe")
         assert len(report.rows) == 2
+
+
+class TestLoadTask:
+    """load_task checks a base checkpoint from its header; Task.network reads the tensors."""
+
+    @pytest.fixture
+    def base(self, tmp_path):
+        path = tmp_path / "base" / "checkpoint.nsrg"
+        path.parent.mkdir()
+        save_checkpoint(init_params(reference_spec_small(num_classes=2), seed=0), path)
+        return path
+
+    def config(self, corpus, base):
+        payload = config_to_dict(tiny_config(corpus))
+        payload["experiment"]["base_checkpoint"] = str(base)
+        return config_from_dict(payload)
+
+    def test_allocates_no_tensor_payload(self, tiny_corpus, base, monkeypatch):
+        monkeypatch.setattr(harness, "decode_squares", lambda manifest, preprocess: None)  # images are not checked
+        payload = 4 * load_checkpoint(base).num_parameters()
+        tracemalloc.start()
+        try:
+            task = harness.load_task(self.config(tiny_corpus, base), "fc7-2", surgery=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < payload // 4, f"load_task traced {peak} bytes for a {payload}-byte checkpoint"
+        assert task.base_spec.layers[-2].units == 2  # the width read from the header's fc8
+        task.network().validate_against(parameter_shapes(task.base_spec))
+
+    @pytest.mark.parametrize("damage, error", [
+        (lambda raw: raw[: len(raw) // 2], CheckpointTruncatedError),
+        (lambda raw: b"XXXX" + raw[4:], CheckpointFormatError),
+    ], ids=["truncated", "bad-magic"])
+    def test_a_damaged_checkpoint_still_fails_here(self, tiny_corpus, base, damage, error, tmp_path, monkeypatch,
+                                                    capsys):
+        base.write_bytes(damage(base.read_bytes()))
+        config = self.config(tiny_corpus, base)
+
+        def never(*args):
+            raise AssertionError("the images were decoded before the checkpoint was checked")
+
+        monkeypatch.setattr(harness, "decode_squares", never)
+        with pytest.raises(error) as raised:
+            harness.load_task(config)
+        save_config(config, tmp_path / "c.json")
+        for command in ("finetune", "probe"):
+            assert cli.main([command, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / command)]) == 2
+            assert str(raised.value) in capsys.readouterr().err
 
 
 class TestRunFold:

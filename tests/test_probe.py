@@ -1,5 +1,8 @@
 """Tests for feature extraction and linear probes."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from sentnet.probe import (
     ProbeRow,
     extract_features,
     fit_probe,
+    fit_probes,
     probe_all_layers,
 )
 
@@ -334,3 +338,137 @@ class TestProbeAllLayers:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             self.run_probe(kinds=("svm", "tree"))
+
+
+def pinned_spec():
+    """A Gram-path endpoint (c1, 256 wide) and narrow ones, two of equal width (f1, f2)."""
+    return NetworkSpec(
+        input_shape=(3, 8, 8),
+        layers=(
+            LayerSpec("c1", LayerKind.CONV, out_channels=4, kernel=3, stride=1, pad=1, relu=True, init_std=0.2),
+            LayerSpec("f1", LayerKind.FC, units=6, relu=True, init_std=0.3),
+            LayerSpec("f2", LayerKind.FC, units=6, relu=True, init_std=0.5),
+            LayerSpec("f3", LayerKind.FC, units=2, init_std=0.5),
+            LayerSpec("prob", LayerKind.SOFTMAX),
+        ),
+    )
+
+
+def pinned_source(n=36, seed=3):
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % 2
+    squares = rng.normal(0, 1, size=(n, 3, 8, 8)).astype(np.float32)
+    squares[:, 0] += 0.6 * (2 * labels - 1)[:, None, None]
+    return ViewSource(squares, labels, crop=8)
+
+
+class TestPinnedProbeBytes:
+    """probe_all_layers' report bytes, recorded when every endpoint was fitted on its own.
+
+    36 rows in 3 outer folds: the refits see 24 rows and the inner fits 16, so
+    c1 takes the Gram and f1, f2, f3 the x (x^T a) product in both loops.
+    """
+
+    GRID = (1e-3, 1e-2, 1e-1, 1.0)
+    DIGESTS = {
+        GRID: "9d8f28bbe32a4332bc11232139f9e607c7579d201fa2c9ac457e4d8d64c48fc6",
+        (0.1,): "8f822a79b4bd7a79faabb1061885c5025399c307b468d94fddc1a11b6c19efcb",
+    }
+
+    def setup_method(self):
+        self.spec = pinned_spec()
+        self.ckpt = init_params(self.spec, seed=0)
+        self.src = pinned_source()
+        self.folds = np.arange(36) % 3
+
+    def report(self, grid):
+        return probe_all_layers(self.spec, self.ckpt, self.src, self.folds, lambda_grid=grid, iters=60)
+
+    @pytest.mark.parametrize("grid", [GRID, (0.1,)], ids=["four-lambdas", "one-lambda"])
+    def test_report_bytes(self, grid):
+        report = self.report(grid)
+        text = report.to_csv() + report.to_markdown()
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[grid]
+
+    def test_case_covers_both_kernels_and_different_choices(self):
+        widths = {name: feats.shape[1] for name, feats in
+                  extract_features(self.spec, self.ckpt, self.src, self.spec.endpoints).items()}
+        assert widths["c1"] >= 24 and max(widths["f1"], widths["f2"], widths["f3"]) < 16
+        assert widths["f1"] == widths["f2"]
+        for kind in ("svm", "softmax"):
+            by_endpoint = {}
+            for r in self.report(self.GRID).rows:
+                if r.kind == kind:
+                    by_endpoint.setdefault(r.endpoint, []).append(r.lam)
+            assert len({tuple(lams) for lams in by_endpoint.values()}) == len(by_endpoint)
+
+    @pytest.mark.parametrize("grid", [GRID, (0.1,)], ids=["four-lambdas", "one-lambda"])
+    def test_each_endpoint_alone_gives_the_same_rows(self, grid):
+        report = self.report(grid)
+        feats = extract_features(self.spec, self.ckpt, self.src, self.spec.endpoints)
+        labels = self.src.labels
+        alone = []
+        for endpoint in self.spec.endpoints:
+            for kind in ("svm", "softmax"):
+                for f in range(3):
+                    tr, te = self.folds != f, self.folds == f
+                    model, _ = fit_probe(feats[endpoint][tr], labels[tr], kind, grid, iters=60)
+                    acc = float((model.predict(feats[endpoint][te]) == labels[te]).mean())
+                    alone.append(ProbeRow(endpoint, kind, f, acc, model.lam))
+        assert report.rows == alone
+
+    @pytest.mark.parametrize("kind", ["svm", "softmax"])
+    @pytest.mark.parametrize("grid", [GRID, (0.1,)], ids=["four-lambdas", "one-lambda"])
+    def test_fitted_together_is_bitwise_fitted_alone(self, kind, grid):
+        feats = extract_features(self.spec, self.ckpt, self.src, self.spec.endpoints)
+        labels = self.src.labels
+        rows = np.flatnonzero(self.folds != 1)
+        together = list(fit_probes(list(feats.values()), labels, kind, grid, iters=60, rows=rows))
+        assert len(together) == len(feats)
+        for (model, scores), matrix in zip(together, feats.values()):
+            want, want_scores = fit_probe(matrix[rows], labels[rows], kind, grid, iters=60)
+            assert model.lam == want.lam
+            assert scores.keys() == want_scores.keys()
+            assert np.array_equal(list(scores.values()), list(want_scores.values()), equal_nan=True)
+            for got, ref in [(model.weights, want.weights), (model.bias, want.bias),
+                             (model.mean, want.mean), (model.scale, want.scale)]:
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_fitting_memory_stays_one_set_at_a_time(monkeypatch):
+    """The peak while probing several wide endpoints stays below the widest
+    one's float64 fitting set plus the Grams (and one column block of
+    scratch, in which a set is built).
+
+    Four 12000-wide endpoints, 60 rows in 5 outer folds: each refit fits 48
+    rows (4.6 MB as float64), each inner fit 32. Holding every endpoint's
+    sets at once would take several times that. The outer test fold is 12
+    rows, so scoring it (float32 rows plus one float64 copy) stays below a
+    fitting set.
+    """
+    n, width, endpoints = 60, 12000, ("a", "b", "c", "d")
+    rng = np.random.default_rng(0)
+    labels = np.arange(n) % 2
+    feats = {e: (rng.normal(size=(n, width)) + labels[:, None] * 0.1).astype(np.float32) for e in endpoints}
+    monkeypatch.setattr(probe_mod, "extract_features", lambda *a, **k: dict(feats))
+    src = ViewSource(np.zeros((n, 3, 8, 8), dtype=np.float32), labels, crop=8)
+    folds = np.arange(n) % 5
+
+    def run():
+        probe_all_layers(mini_spec(), None, src, folds, endpoints=endpoints, lambda_grid=(0.01, 0.1, 1.0), iters=5)
+
+    run()  # first-call imports and caches are not the fit's
+    n_fit = int((folds != 0).sum())
+    inner_fit = n_fit - n_fit // 3
+    fitting_set = (n_fit + 2) * width * 8  # rows, mean and scale
+    grams = len(endpoints) * (3 * inner_fit**2 + n_fit**2) * 8
+    scratch = 12 * probe_mod.COLUMN_BLOCK  # one block: float32 rows and numpy's float64 std temporary
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < fitting_set + grams + scratch, (
+        f"peak {peak} B: one fitting set {fitting_set} B, Grams {grams} B, block scratch {scratch} B"
+    )
