@@ -19,7 +19,7 @@ from .errors import (
     ShapeError,
     SurgeryError,
 )
-from .harness import ExperimentConfig, cross_validate, evaluate, fuse_scores, summarize, write_report
+from .harness import ExperimentConfig, cross_validate, evaluate, fuse_scores, write_report
 from .network import (
     ForwardState,
     LayerKind,

@@ -101,6 +101,13 @@ def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
     return data
 
 
+def _read_text(f: BinaryIO, n: int, what: str) -> str:
+    try:
+        return _read_exact(f, n, what).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise CheckpointFormatError(f"{what} is not UTF-8: byte {e.start} of {n}") from None
+
+
 def _bytes_of(arr: Array) -> memoryview:
     """Flat byte view of a C-contiguous array's memory (no copy)."""
     return memoryview(arr.reshape(-1)).cast("B")
@@ -196,7 +203,7 @@ def _parse(
         entries: dict[str, tuple[T, T]] = {}
         for i in range(n_entries):
             (name_len,) = struct.unpack("<H", _read_exact(f, 2, "name length"))
-            name = _read_exact(f, name_len, "name").decode("utf-8")
+            name = _read_text(f, name_len, "name")
             (n_tensors,) = struct.unpack("<B", _read_exact(f, 1, f"{name} tensor count"))
             if n_tensors != 2:
                 raise CheckpointFormatError(f"{name}: expected 2 tensors, found {n_tensors}")
@@ -206,7 +213,7 @@ def _parse(
                 raise CheckpointFormatError(f"duplicate entry {name!r}")
             entries[name] = (w, b)
         (meta_len,) = struct.unpack("<I", _read_exact(f, 4, "metadata length"))
-        meta_raw = _read_exact(f, meta_len, "metadata").decode("utf-8")
+        meta_raw = _read_text(f, meta_len, "metadata")
         if f.read(1):
             raise CheckpointFormatError("trailing bytes after metadata block")
     metadata: dict[str, str] = {}

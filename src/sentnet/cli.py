@@ -172,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as e:
         print(f"sentnet: {e}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (SentnetError, FileNotFoundError) as e:  # data, checkpoint and shape problems
+    except (SentnetError, OSError) as e:  # data, checkpoint, shape and file-system problems
         print(f"sentnet: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -81,47 +81,48 @@ def load_manifest(path: str | Path, allow_multiclass: bool = False) -> DatasetMa
     """Parse a CSV manifest with header path,label[,fold].
 
     Labels accept positive/negative/1/0; with allow_multiclass=True any
-    nonnegative integer token is accepted (used only for source-task
+    token of decimal digits is accepted (used only for source-task
     pretraining data). Errors carry 1-based line numbers.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"manifest not found: {path}")
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty manifest") from None
-        header = [h.strip().lower() for h in header]
-        if header[:2] != ["path", "label"] or (len(header) > 2 and header[2] != "fold"):
-            raise DataError(f"{path}: header must be path,label[,fold], got {header}")
-        has_fold = len(header) > 2
-        records: list[ManifestRecord] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            rec_path = row[0].strip()
-            if not rec_path:
-                raise DataError(f"{path}:{lineno}: empty image path")
-            token = row[1].strip().lower()
-            if token in _LABEL_TOKENS:
-                label = _LABEL_TOKENS[token]
-            elif allow_multiclass and token.isdigit():
-                label = int(token)
-            else:
-                raise DataError(f"{path}:{lineno}: bad label {row[1]!r}")
-            fold: int | None = None
-            if has_fold and row[2].strip():
-                try:
-                    fold = int(row[2])
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad fold {row[2]!r}") from None
-                if fold < 0:
-                    raise DataError(f"{path}:{lineno}: negative fold {fold}")
-            records.append(ManifestRecord(rec_path, label, fold))
+    try:
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"{path}: unreadable manifest: {e}") from None
+    if not rows:
+        raise DataError(f"{path}: empty manifest")
+    header = [h.strip().lower() for h in rows[0]]
+    if header[:2] != ["path", "label"] or (len(header) > 2 and header[2] != "fold"):
+        raise DataError(f"{path}: header must be path,label[,fold], got {header}")
+    has_fold = len(header) > 2
+    records: list[ManifestRecord] = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+        rec_path = row[0].strip()
+        if not rec_path:
+            raise DataError(f"{path}:{lineno}: empty image path")
+        token = row[1].strip().lower()
+        if token in _LABEL_TOKENS:
+            label = _LABEL_TOKENS[token]
+        elif allow_multiclass and token.isdecimal():
+            label = int(token)
+        else:
+            raise DataError(f"{path}:{lineno}: bad label {row[1]!r}")
+        fold: int | None = None
+        if has_fold and row[2].strip():
+            try:
+                fold = int(row[2])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad fold {row[2]!r}") from None
+            if fold < 0:
+                raise DataError(f"{path}:{lineno}: negative fold {fold}")
+        records.append(ManifestRecord(rec_path, label, fold))
     if not records:
         raise DataError(f"{path}: manifest has no records")
     manifest = DatasetManifest(records=tuple(records), root=path.parent)
@@ -223,18 +224,19 @@ def read_raw_tensor(path: str | Path) -> Array:
 
 
 def load_image(path: str | Path) -> Array:
-    """Decode one image file to float32 [3,H,W] on the 0..255 scale."""
+    """Decode one image file to float32 [3,H,W] on the 0..255 scale.
+
+    An image without pixels (zero width or height) is rejected.
+    """
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".ppm":
-        hwc = read_ppm(path)
-        return np.ascontiguousarray(hwc.transpose(2, 0, 1)).astype(np.float32)
-    if suffix == RAW_TENSOR_SUFFIX:
+        chw = np.ascontiguousarray(read_ppm(path).transpose(2, 0, 1)).astype(np.float32)
+    elif suffix == RAW_TENSOR_SUFFIX:
         chw = read_raw_tensor(path)
         if chw.ndim != 3 or chw.shape[0] != 3:
             raise DataError(f"{path}: raw tensor image must be [3,H,W], got {chw.shape}")
-        return chw
-    if suffix in (".png", ".jpg", ".jpeg"):
+    elif suffix in (".png", ".jpg", ".jpeg"):
         try:
             from PIL import Image
         except ImportError:
@@ -244,8 +246,12 @@ def load_image(path: str | Path) -> Array:
             ) from None
         with Image.open(path) as im:
             rgb = np.asarray(im.convert("RGB"))
-        return np.ascontiguousarray(rgb.transpose(2, 0, 1)).astype(np.float32)
-    raise DataError(f"{path}: unsupported image format {suffix!r}")
+        chw = np.ascontiguousarray(rgb.transpose(2, 0, 1)).astype(np.float32)
+    else:
+        raise DataError(f"{path}: unsupported image format {suffix!r}")
+    if not chw.size:
+        raise DataError(f"{path}: image has no pixels ({chw.shape[1]}x{chw.shape[2]})")
+    return chw
 
 
 # -- geometry ---------------------------------------------------------------
@@ -342,7 +348,11 @@ def write_means(path: str | Path, means: Array) -> None:
 
 
 def read_means(path: str | Path) -> Array:
-    lines = [l for l in Path(path).read_text(encoding="utf-8").splitlines() if l.strip()]
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: unreadable means file: {e}") from None
+    lines = [l for l in text.splitlines() if l.strip()]
     if len(lines) != 3:
         raise DataError(f"{path}: means file must hold three values, found {len(lines)}")
     try:

@@ -203,6 +203,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON: {e}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: unreadable config: {e}") from None
     return config_from_dict(payload)
 
 
@@ -236,7 +238,6 @@ def fuse_scores(view_scores: Array, pre_softmax: bool = False) -> Array:
 @dataclass(frozen=True)
 class EvalResult:
     accuracy: float
-    confusion: Array  # [observed true classes, model classes]
     per_class: dict[int, float]
     degenerate: bool
     n: int
@@ -310,18 +311,10 @@ def _view_scores(
 def _result(scores: Array, labels: Array) -> EvalResult:
     preds = scores.argmax(axis=1)
     accuracy = float((preds == labels).mean())
-    true_classes = sorted(int(c) for c in np.unique(labels))
-    confusion = np.zeros((len(true_classes), scores.shape[1]), dtype=np.int64)
-    per_class: dict[int, float] = {}
-    for row, cls in enumerate(true_classes):
-        mask = labels == cls
-        for p in preds[mask]:
-            confusion[row, int(p)] += 1
-        per_class[cls] = float((preds[mask] == cls).mean())
+    per_class = {int(cls): float((preds[labels == cls] == cls).mean()) for cls in np.unique(labels)}
     degenerate = len(np.unique(preds)) <= 1
     return EvalResult(
         accuracy=accuracy,
-        confusion=confusion,
         per_class=per_class,
         degenerate=degenerate,
         n=len(labels),
@@ -335,7 +328,7 @@ def evaluate(
     oversample: bool = False,
     pre_softmax_fusion: bool = False,
 ) -> EvalResult:
-    """Accuracy, confusion, per-class accuracy, and a degenerate flag.
+    """Accuracy, per-class accuracy, and a degenerate flag.
 
     Without oversampling each image contributes its center view; with it,
     the ten fixed views are fused by score averaging, and the result's
@@ -354,13 +347,6 @@ def evaluate(
     if not oversample:
         return plain
     return dataclasses.replace(_result(fused_scores, source.labels), plain=plain)
-
-
-def summarize(values: Sequence[float]) -> tuple[float, float]:
-    """probe.fold_stats of at least 2 values: their mean and sample standard deviation."""
-    if len(values) < 2:
-        raise DataError(f"need at least 2 fold accuracies to summarize, got {len(values)}")
-    return probe_mod.fold_stats(values)
 
 
 def audit_folds(folds: Array, k: int | None = None) -> list[tuple[Array, Array]]:
@@ -517,13 +503,13 @@ def _train_and_write(
 def pretrain(config: ExperimentConfig, out_dir: str | Path) -> Path:
     """Train the source network on every manifest image from seeded weights
     (experiment.base_checkpoint is not read); returns the checkpoint's path."""
+    base_lr = config.train.base_lr if config.train.base_lr is not None else 0.01
+    cfg = _train_config(config.train, base_lr, config.seeds.train)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seeded = dataclasses.replace(config.experiment, base_checkpoint=None)
     task = load_task(dataclasses.replace(config, experiment=seeded), multiclass=True)
     source = ViewSource(task.squares, task.labels, config.preprocess.crop, task.means())
-    base_lr = config.train.base_lr if config.train.base_lr is not None else 0.01
-    cfg = _train_config(config.train, base_lr, config.seeds.train)
     _train_and_write(task.spec, task.network(), source, cfg, out / "pretrained.nsrg")
     return out / "pretrained.nsrg"
 
@@ -682,10 +668,11 @@ def run_fold(
 def cross_validate(config: ExperimentConfig, out_dir: str | Path, label: str | None = None) -> CVSummary:
     """Run the configured k-fold experiment, writing artifacts under out_dir."""
     preset = resolve_preset(config)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     plan = preset_plan(preset)
     base_lr = resolve_base_lr(config.train, plan)
+    _train_config(config.train, base_lr, config.seeds.train)  # the recipe's errors come before any work
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     task = load_task(config, preset, surgery=True)
     folds, folds_note = _load_folds(task.manifest, config)
     outcomes = [
@@ -719,7 +706,6 @@ def run_probe_experiment(config: ExperimentConfig, out_dir: str | Path, label: s
     out.mkdir(parents=True, exist_ok=True)
     task = load_task(config, config.experiment.preset)
     folds, folds_note = _load_folds(task.manifest, config)
-    audit_folds(folds)
     # Means over every image, the outer test folds' too (README, "Linear probes").
     source = ViewSource(task.squares, task.labels, config.preprocess.crop, task.means())
     report = probe_mod.probe_all_layers(

@@ -219,11 +219,6 @@ def init_params(spec: NetworkSpec, seed: int) -> Checkpoint:
     )
 
 
-def check_params(spec: NetworkSpec, ckpt: Checkpoint) -> None:
-    """Raise if the checkpoint does not carry matching tensors for the spec."""
-    ckpt.validate_against(parameter_shapes(spec))
-
-
 @dataclass
 class ForwardState:
     """Everything retained by a forward pass.
@@ -264,7 +259,7 @@ def forward(
         raise ShapeError(
             f"batch shape {batch.shape} does not match input {('N',) + spec.input_shape}"
         )
-    check_params(spec, ckpt)
+    ckpt.validate_against(parameter_shapes(spec))
     pre: dict[str, Array] = {}
     post: dict[str, Array] = {}
     aux: dict[str, object] = {}
@@ -322,10 +317,10 @@ def backward_walk(
     A layer's input gradient is computed, from its weights as they are,
     before the walk yields for it, and no weight is read after that, so a
     consumer may update each layer as its gradient arrives (optim.sgd_step
-    does) with the bits of an update after the whole pass. With `block`,
-    an FC layer's weight gradient comes in blocks of that many rows
-    (GradPair.row_pullback); without it, or for a pair that has no
-    row_pullback, each layer's comes whole.
+    does) with the bits of an update after the whole pass. An FC layer's
+    weight gradient comes from GradPair.row_pullback, in blocks of `block`
+    rows, or whole when block is None; a conv layer's, and that of a pair
+    rebuilt without row_pullback, comes whole.
 
     The walk ends at the lowest trained layer (parameters and lr_mult > 0):
     no gradient below it is ever read, so layers under it get no pullback
@@ -346,7 +341,7 @@ def backward_walk(
         pair, relu_pullback, flat_shape = state.aux[layer.name]
         if relu_pullback is not None:
             (g,) = relu_pullback(g)
-        if block and pair.row_pullback is not None:
+        if pair.row_pullback is not None:
             g, db, blocks = pair.row_pullback(g, block, i > lowest)
             for start, dw in blocks:
                 yield layer.name, start, dw, db

@@ -44,15 +44,15 @@ Array = np.ndarray
 class GradPair:
     """Forward value plus a pullback from upstream gradient to input gradients.
 
-    Ops with parameters also set param_pullback, which returns only the
-    parameter gradients (dw, db) and skips the input gradient: the cheaper
-    call for a bottom layer, whose input gradient nothing reads.
+    conv2d also sets param_pullback, which returns only the parameter
+    gradients (dw, db) and skips the input gradient: the cheaper call for a
+    bottom layer, whose input gradient nothing reads.
 
     affine also sets row_pullback(g, block, with_dx) -> (dx, db, blocks):
     dx (None without with_dx) from the weights as they are at the call,
-    then dw as (first row, rows) blocks of `block` rows, each computed when
-    the iterator reaches it, so a caller may update each block of weights
-    before drawing the next.
+    then dw as (first row, rows) blocks of `block` rows (one whole block
+    when block is None), each computed when the iterator reaches it, so a
+    caller may update each block of weights before drawing the next.
     """
 
     value: Array
@@ -66,7 +66,7 @@ def _check_finite(arr: Array, op: str) -> None:
         raise NonFiniteError(op)
 
 
-def _as_float(x, name: str, op: str) -> Array:
+def _as_float(x) -> Array:
     arr = np.asarray(x)
     if arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(np.float32)
@@ -91,9 +91,9 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
     divide (H + 2*pad - kh) exactly; positions are never dropped silently.
     Pullback returns (dx, dw, db).
     """
-    x = _as_float(x, "x", "conv2d")
-    w = _as_float(w, "w", "conv2d")
-    b = _as_float(b, "b", "conv2d")
+    x = _as_float(x)
+    w = _as_float(w)
+    b = _as_float(b)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: expected 4d input and weights, got {x.shape} and {w.shape}")
     n, c, h, wd = x.shape
@@ -205,7 +205,7 @@ def max_pool2d(x, size: int, stride: int) -> tuple[GradPair, Callable[[], Array]
     bit. The pullback and the argmax read x and the value as the forward
     left them, so neither may be written in place.
     """
-    x = _as_float(x, "x", "max_pool2d")
+    x = _as_float(x)
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d: expected 4d input, got {x.shape}")
     h, w = x.shape[2:]
@@ -260,7 +260,7 @@ def local_response_norm(x, size: int = 5, k: float = 2.0, alpha: float = 1e-4, b
     size adjacent channels centered on it)^beta, with the window clipped at
     the channel boundaries.
     """
-    x = _as_float(x, "x", "local_response_norm")
+    x = _as_float(x)
     if x.ndim != 4:
         raise ShapeError(f"local_response_norm: expected 4d input, got {x.shape}")
     if size < 1:
@@ -303,9 +303,9 @@ def _channel_window_sum(a: Array, below: int, above: int) -> Array:
 
 def affine(x, w, b) -> GradPair:
     """Fully connected map [N,D] @ [D,M] + [M]; pullback returns (dx, dw, db)."""
-    x = _as_float(x, "x", "affine")
-    w = _as_float(w, "w", "affine")
-    b = _as_float(b, "b", "affine")
+    x = _as_float(x)
+    w = _as_float(w)
+    b = _as_float(b)
     if x.ndim != 2 or w.ndim != 2:
         raise ShapeError(f"affine: expected 2d input and weights, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[0]:
@@ -315,25 +315,22 @@ def affine(x, w, b) -> GradPair:
     out = x @ w + b
     _check_finite(out, "affine")
 
-    def param_pullback(g: Array) -> tuple[Array, Array]:
-        g = np.asarray(g, dtype=out.dtype)
-        return x.T @ g, g.sum(axis=0)
-
     def pullback(g: Array) -> tuple[Array, Array, Array]:
         g = np.asarray(g, dtype=out.dtype)
-        return (g @ w.T, *param_pullback(g))
+        return g @ w.T, x.T @ g, g.sum(axis=0)
 
-    def row_pullback(g: Array, block: int, with_dx: bool):
+    def row_pullback(g: Array, block: int | None, with_dx: bool):
         g = np.asarray(g, dtype=out.dtype)
+        block = block or w.shape[0]
         blocks = ((s, x[:, s : s + block].T @ g) for s in range(0, w.shape[0], block))
         return (g @ w.T if with_dx else None), g.sum(axis=0), blocks
 
-    return GradPair(out, pullback, param_pullback, row_pullback)
+    return GradPair(out, pullback, row_pullback=row_pullback)
 
 
 def relu(x) -> GradPair:
     """Elementwise max(x, 0); subgradient at exactly 0 is 0."""
-    x = _as_float(x, "x", "relu")
+    x = _as_float(x)
     out = np.maximum(x, 0)
 
     def pullback(g: Array) -> tuple[Array]:
@@ -345,7 +342,7 @@ def relu(x) -> GradPair:
 
 def softmax(logits) -> Array:
     """Row-wise softmax of [N,C], computed with the max-shift for stability."""
-    logits = _as_float(logits, "logits", "softmax")
+    logits = _as_float(logits)
     if logits.ndim != 2:
         raise ShapeError(f"softmax: expected 2d logits, got {logits.shape}")
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -361,7 +358,7 @@ def cross_entropy_loss(logits, labels) -> GradPair:
     Pullback returns (dlogits,) where dlogits = (softmax - onehot) / N scaled
     by the upstream scalar.
     """
-    logits = _as_float(logits, "logits", "cross_entropy_loss")
+    logits = _as_float(logits)
     labels = np.asarray(labels)
     if logits.ndim != 2:
         raise ShapeError(f"cross_entropy_loss: expected 2d logits, got {logits.shape}")
@@ -395,7 +392,7 @@ def hinge_loss(scores, labels, weights_norm_sq=0.0, reg: float = 0.0) -> GradPai
     labels must be in {-1, +1}. Pullback returns (dscores, dweights_norm_sq);
     the subgradient at a margin of exactly 1 is 0.
     """
-    scores = _as_float(scores, "scores", "hinge_loss")
+    scores = _as_float(scores)
     labels = np.asarray(labels)
     if scores.ndim != 1:
         raise ShapeError(f"hinge_loss: expected 1d scores, got {scores.shape}")

@@ -32,7 +32,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol
+from typing import Iterable, Protocol
 
 import numpy as np
 
@@ -106,7 +106,7 @@ class OptState:
 
 def sgd_step(
     ckpt: Checkpoint,
-    grads: Mapping[str, tuple[Array, Array]] | Iterable[tuple[str, int, Array, Array | None]],
+    grads: Iterable[tuple[str, int, Array, Array | None]],
     state: OptState,
     lr: float,
     lr_mults: dict[str, float],
@@ -115,14 +115,11 @@ def sgd_step(
 ) -> None:
     """One in-place momentum update over every gradient in grads.
 
-    grads is a dict of whole (dw, db) pairs, as network.backward returns, or
-    the items of network.backward_walk: (name, start, dw, db) updates the
-    weight rows from start on, and the bias unless db is None. Items are
-    applied in order as they arrive, so a walk's layer is updated before
-    the walk computes the next gradient.
+    grads are the items of network.backward_walk: (name, start, dw, db)
+    updates the weight rows from start on, and the bias unless db is None.
+    Items are applied in order as they arrive, so a walk's layer is updated
+    before the walk computes the next gradient.
     """
-    if isinstance(grads, Mapping):
-        grads = ((name, 0, dw, db) for name, (dw, db) in grads.items())
     mom = np.float32(momentum)
     decay = np.float32(weight_decay)
     for name, start, dw, db in grads:

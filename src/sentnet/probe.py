@@ -373,16 +373,9 @@ class ProbeReport:
     kinds: tuple[str, ...]
     pre_activation: bool
     standardize: bool
-    view: str = "center"
 
     def accuracies(self, endpoint: str, kind: str) -> list[float]:
         return [r.accuracy for r in self.rows if r.endpoint == endpoint and r.kind == kind]
-
-    def mean_accuracy(self, endpoint: str, kind: str) -> float:
-        accs = self.accuracies(endpoint, kind)
-        if not accs:
-            raise DataError(f"no probe rows for {endpoint}/{kind}")
-        return float(np.mean(accs))
 
     def to_csv(self) -> str:
         lines = ["endpoint,kind,fold,accuracy,lambda"]
@@ -405,7 +398,7 @@ class ProbeReport:
         feature_note = "pre-activation" if self.pre_activation else "post-activation"
         lines = self.table() + [
             "",
-            f"Features: {feature_note}, single {self.view} view, "
+            f"Features: {feature_note}, single center view, "
             f"{'standardized' if self.standardize else 'raw'} columns.",
         ]
         return "\n".join(lines) + "\n"

@@ -86,14 +86,8 @@ def generate_image(kind: str, size: int, seed: int, index: int, palette: str = "
     return np.clip(np.round(img), 0, 255).astype(np.uint8)
 
 
-def generate_arrays(
-    task: str,
-    count: int,
-    size: int,
-    seed: int,
-    palette: str = "base",
-) -> tuple[Array, Array]:
-    """In-memory dataset: float32 squares [n,3,S,S] on 0..255 plus labels.
+def _task_images(task: str, count: int, size: int, seed: int, palette: str):
+    """(uint8 [H,W,3] image, label) for each index below count, in order.
 
     task 'binary' alternates aligned (0) / crossed (1); task 'multiclass'
     cycles the four attribute combinations.
@@ -101,11 +95,23 @@ def generate_arrays(
     kinds = {"binary": BINARY_KINDS, "multiclass": MULTICLASS_KINDS}.get(task)
     if kinds is None:
         raise ConfigError(f"unknown synthetic task {task!r}")
-    images = np.empty((count, 3, size, size), dtype=np.float32)
-    labels = np.empty(count, dtype=np.int64)
     for i in range(count):
         label = i % len(kinds)
-        hwc = generate_image(kinds[label], size, seed, i, palette=palette)
+        yield generate_image(kinds[label], size, seed, i, palette=palette), label
+
+
+def generate_arrays(
+    task: str,
+    count: int,
+    size: int,
+    seed: int,
+    palette: str = "base",
+) -> tuple[Array, Array]:
+    """In-memory dataset: float32 squares [n,3,S,S] on 0..255 plus labels,
+    the images and labels write_synthetic_dataset writes."""
+    images = np.empty((count, 3, size, size), dtype=np.float32)
+    labels = np.empty(count, dtype=np.int64)
+    for i, (hwc, label) in enumerate(_task_images(task, count, size, seed, palette)):
         images[i] = hwc.transpose(2, 0, 1).astype(np.float32)
         labels[i] = label
     return images, labels
@@ -124,13 +130,8 @@ def write_synthetic_dataset(
     out_dir = Path(out_dir)
     images_dir = out_dir / "images"
     images_dir.mkdir(parents=True, exist_ok=True)
-    kinds = {"binary": BINARY_KINDS, "multiclass": MULTICLASS_KINDS}.get(task)
-    if kinds is None:
-        raise ConfigError(f"unknown synthetic task {task!r}")
     records: list[ManifestRecord] = []
-    for i in range(count):
-        label = i % len(kinds)
-        hwc = generate_image(kinds[label], size, seed, i, palette=palette)
+    for i, (hwc, label) in enumerate(_task_images(task, count, size, seed, palette)):
         name = f"images/{task}_{i:05d}.ppm"
         write_ppm(out_dir / name, hwc)
         records.append(ManifestRecord(name, label))

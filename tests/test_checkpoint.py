@@ -269,6 +269,8 @@ def corrupt_files(tmp_path):
         + struct.pack("<B", 2) + struct.pack("<2Q", 2**20, 2**20) + b"\x00" * 8,
         "beyond numpy": head + struct.pack("<I", 1) + struct.pack("<H", 1) + b"f" + struct.pack("<B", 2)
         + struct.pack("<B", 2) + struct.pack("<2Q", 2**63, 0),
+        "name byte 0xff": raw[:14] + b"\xff" + raw[15:],  # the first byte of "conv1"
+        "metadata byte 0xff": head + struct.pack("<I", 0) + struct.pack("<I", 1) + b"\xff",
     }
     cases.update({f"cut at {n}": raw[:n] for n in (0, 3, 4, 8, 11, 12, 20, len(raw) // 2, len(raw) - 5, len(raw) - 1)})
     for label, data in cases.items():
@@ -314,6 +316,8 @@ class TestHeaderRead:
             labels.append((label, type(full.value).__name__))
         assert ("duplicate", "CheckpointFormatError") in labels
         assert ("cut at 0", "CheckpointTruncatedError") in labels
+        assert ("name byte 0xff", "CheckpointFormatError") in labels
+        assert ("metadata byte 0xff", "CheckpointFormatError") in labels
 
     def test_validates_like_a_full_load(self, tmp_path):
         spec = reference_spec_small(num_classes=2)

@@ -71,6 +71,17 @@ class TestManifest:
         m = load_manifest(p, allow_multiclass=True)
         assert m.records[0].label == 3
 
+    @pytest.mark.parametrize("token", ["²", "⑦", "-1", "+2", "1_0"])
+    def test_multiclass_label_must_be_decimal_digits(self, tmp_path, token):
+        p = write_text(tmp_path / "m.csv", f"path,label\na.ppm,{token}\n")
+        with pytest.raises(DataError, match=r"m\.csv:2: bad label"):
+            load_manifest(p, allow_multiclass=True)
+
+    def test_undecodable_manifest_rejected(self, tmp_path):
+        (tmp_path / "m.csv").write_bytes(b"path,label\n\xff.ppm,1\n")
+        with pytest.raises(DataError, match=r"m\.csv: unreadable manifest"):
+            load_manifest(tmp_path / "m.csv")
+
     def test_wrong_field_count_names_line(self, tmp_path):
         p = write_text(tmp_path / "m.csv", "path,label\na.ppm,1,9,9\n")
         with pytest.raises(DataError, match=r":2:"):
@@ -246,6 +257,15 @@ class TestLoadImage:
         PIL.fromarray(img).save(tmp_path / "a.png")
         out = load_image(tmp_path / "a.png")
         np.testing.assert_array_equal(out, img.transpose(2, 0, 1).astype(np.float32))
+
+    @pytest.mark.parametrize("name", ["empty.ppm", "flat.ppm", "empty.rawt"])
+    def test_image_without_pixels_rejected(self, tmp_path, name):
+        if name.endswith(".rawt"):
+            write_raw_tensor(tmp_path / name, np.zeros((3, 0, 5), dtype=np.float32))
+        else:
+            (tmp_path / name).write_bytes(b"P6\n0 0\n255\n" if name == "empty.ppm" else b"P6\n4 0\n255\n")
+        with pytest.raises(DataError, match=rf"{name}: image has no pixels"):
+            load_image(tmp_path / name)
 
     def test_unknown_suffix_rejected(self, tmp_path):
         (tmp_path / "a.gif").write_bytes(b"GIF89a")
@@ -441,6 +461,9 @@ class TestChannelMeans:
         (tmp_path / "m2.txt").write_text("1.0\n2.0\n")
         with pytest.raises(DataError, match="three"):
             read_means(tmp_path / "m2.txt")
+        (tmp_path / "m3.txt").write_bytes(b"\x93NUMPY\x01\x00")
+        with pytest.raises(DataError, match="unreadable means file"):
+            read_means(tmp_path / "m3.txt")
 
 
 class TestStratifiedKfold:

@@ -29,6 +29,7 @@ from sentnet.data import (
     read_means,
     stratified_kfold,
     write_means,
+    write_raw_tensor,
 )
 from sentnet.errors import (
     CheckpointFormatError, CheckpointMismatchError, CheckpointTruncatedError, ConfigError, DataError,
@@ -50,7 +51,6 @@ from sentnet.harness import (
     resolve_preset,
     run_probe_experiment,
     save_config,
-    summarize,
     write_report,
 )
 from sentnet.network import (
@@ -120,7 +120,6 @@ class TestEvaluate:
         assert result.accuracy == pytest.approx(0.4)
         assert result.degenerate
         assert result.per_class == {0: 1.0, 1: 0.0}
-        np.testing.assert_array_equal(result.confusion, [[2, 0], [3, 0]])
         assert result.n == 5
 
     def test_tied_scores_pick_the_lowest_class(self):
@@ -227,20 +226,24 @@ class TestOnePassEvaluate:
         assert head == [13]
         assert len(passes) == len(full) + len(head)
 
-    def test_oversampled_result_carries_the_plain_one(self):
+    def test_oversampled_result_carries_the_plain_one(self, monkeypatch):
         spec = reference_spec_small(2)
         ckpt = init_params(spec, seed=3)
         src = random_source(7, 72, 64)
+        preds = []  # the predictions behind each result evaluate builds
+        inner = harness._result
+        monkeypatch.setattr(harness, "_result",
+                            lambda scores, labels: preds.append(scores.argmax(axis=1)) or inner(scores, labels))
         plain = evaluate(spec, ckpt, src)
         assert plain.plain is None
         for pre_softmax in (False, True):
             fused = evaluate(spec, ckpt, src, oversample=True, pre_softmax_fusion=pre_softmax)
-            for got, want in ((fused.plain, plain),
-                              (fused, harness._result(eval_scores_oversampled(spec, ckpt, src, pre_softmax),
-                                                      src.labels))):
+            want_scores = eval_scores_oversampled(spec, ckpt, src, pre_softmax)
+            assert preds[-2].tobytes() == preds[0].tobytes()
+            assert preds[-1].tobytes() == want_scores.argmax(axis=1).tobytes()
+            for got, want in ((fused.plain, plain), (fused, inner(want_scores, src.labels))):
                 assert got.accuracy == want.accuracy and got.degenerate == want.degenerate
                 assert got.per_class == want.per_class and got.n == want.n
-                assert got.confusion.tobytes() == want.confusion.tobytes()
 
     def test_one_chunk_of_activations_alive_at_a_time(self):
         spec = reference_spec_small(2)
@@ -265,27 +268,13 @@ class TestOnePassEvaluate:
             evaluate(spec, ckpt, src)
 
 
-class TestSummarize:
-    def test_hand_values(self):
-        mean, std = summarize([0.8, 0.9])
-        assert mean == pytest.approx(0.85)
-        assert std == pytest.approx(0.070710678118, rel=1e-9)
-
-    def test_sample_std_uses_ddof_one(self):
-        values = [0.7, 0.75, 0.8, 0.85]
-        _, std = summarize(values)
-        assert std == pytest.approx(float(np.std(values, ddof=1)), rel=1e-12)
-
-    def test_single_value_rejected(self):
-        with pytest.raises(DataError, match="at least 2"):
-            summarize([0.5])
-
-
 class TestFoldStats:
     def test_two_or_more_values_give_mean_and_sample_std(self):
         values = [0.7, 0.75, 0.8, 0.85]
         assert fold_stats(values) == (float(np.mean(values)), float(np.std(values, ddof=1)))
-        assert fold_stats(values) == summarize(values)
+        mean, std = fold_stats([0.8, 0.9])
+        assert mean == pytest.approx(0.85)
+        assert std == pytest.approx(0.070710678118, rel=1e-9)
 
     def test_one_value_gives_itself_and_nan(self):
         mean, std = fold_stats([0.625])
@@ -913,7 +902,74 @@ PINNED_CSV = [
 ]
 
 
+MALFORMED_INPUTS = {  # case: (command, exit code, words of its one error line)
+    "config is a directory": ("finetune", 1, "unreadable config"),
+    "config is not UTF-8": ("finetune", 1, "unreadable config"),
+    "manifest is a directory": ("pretrain", 2, "Is a directory"),
+    "manifest label int rejects": ("pretrain", 2, "m.csv:2: bad label"),
+    "means file is binary": ("pretrain", 2, "unreadable means file"),
+    "PPM of 0x0 pixels": ("pretrain", 2, "empty.ppm: image has no pixels"),
+    "raw tensor of 3x0x5": ("pretrain", 2, "empty.rawt: image has no pixels"),
+    "checkpoint name byte 0xff": ("evaluate", 2, "name is not UTF-8"),
+}
+
+
+def malformed_config(root, case, manifest):
+    """The path of a config whose inputs are well formed but for the one `case` names."""
+    payload = {"dataset": {"manifest": str(manifest), "k": 2}, "train": {"epochs": 1, "batch_size": 8}}
+    if case == "config is a directory":
+        (root / "c.json").mkdir()
+        return root / "c.json"
+    if case == "config is not UTF-8":
+        (root / "c.json").write_bytes(b'{"train": {"epochs": "\xff"}}')
+        return root / "c.json"
+    if case == "manifest is a directory":
+        payload["dataset"]["manifest"] = str(root)
+    elif case == "manifest label int rejects":
+        (root / "m.csv").write_text("path,label\na.ppm,\u00b2\n", encoding="utf-8")
+        payload["dataset"]["manifest"] = str(root / "m.csv")
+    elif case == "means file is binary":
+        (root / "means.txt").write_bytes(b"\x93NUMPY\x01\x00")
+        payload["dataset"]["means"] = str(root / "means.txt")
+    elif case == "PPM of 0x0 pixels":
+        (root / "empty.ppm").write_bytes(b"P6\n0 0\n255\n")
+        (root / "m.csv").write_text("path,label\nempty.ppm,1\n")
+        payload["dataset"]["manifest"] = str(root / "m.csv")
+    elif case == "raw tensor of 3x0x5":
+        write_raw_tensor(root / "empty.rawt", np.zeros((3, 0, 5), dtype=np.float32))
+        (root / "m.csv").write_text("path,label\nempty.rawt,1\n")
+        payload["dataset"]["manifest"] = str(root / "m.csv")
+    elif case == "checkpoint name byte 0xff":
+        save_checkpoint(init_params(reference_spec_small(2), seed=0), root / "c.nsrg")
+        raw = bytearray((root / "c.nsrg").read_bytes())
+        raw[14] = 0xFF  # the first byte of the first entry's name
+        (root / "c.nsrg").write_bytes(bytes(raw))
+        payload["experiment"] = {"base_checkpoint": str(root / "c.nsrg")}
+    (root / "c.json").write_text(json.dumps(payload))
+    return root / "c.json"
+
+
 class TestCli:
+    @pytest.mark.parametrize("case", MALFORMED_INPUTS)
+    def test_malformed_input_exits_with_one_line(self, case, tiny_corpus, tmp_path, capsys):
+        command, code, words = MALFORMED_INPUTS[case]
+        config = malformed_config(tmp_path, case, tiny_corpus)
+        assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if line.startswith("sentnet:")]
+        assert len(lines) == 1 and words in lines[0], err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_train_recipe_checked_before_any_work(self, command, tiny_corpus, tmp_path, monkeypatch, capsys):
+        decoded = []
+        monkeypatch.setattr(harness, "decode_squares", lambda *args: decoded.append(args))
+        payload = {"dataset": {"manifest": str(tiny_corpus), "k": 2}, "train": {"epochs": 0}}
+        (tmp_path / "c.json").write_text(json.dumps(payload))
+        assert cli.main([command, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "out")]) == 1
+        assert "epochs must be >= 1" in capsys.readouterr().err
+        assert decoded == [] and not (tmp_path / "out").exists()
+
     def test_prepare_data_synthetic(self, tmp_path, capsys):
         code = cli.main([
             "prepare-data", "--out", str(tmp_path / "data"),

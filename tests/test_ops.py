@@ -412,12 +412,13 @@ for d, m in WIDTHS:
     w = np.zeros((d, m), dtype=np.float32)  # the weight gradient reads no weight
     for n in (1, 6, 8, 32, 60):
         rng = np.random.default_rng([d, m, n])
-        pair = ops.affine(rng.standard_normal((n, d), dtype=np.float32), w, np.zeros(m, dtype=np.float32))
+        x = rng.standard_normal((n, d), dtype=np.float32)
+        pair = ops.affine(x, w, np.zeros(m, dtype=np.float32))
         g = rng.standard_normal((n, m), dtype=np.float32)
-        whole = pair.param_pullback(g)[0]
-        for block in sorted({256, 1000, FC_BLOCK}):
+        whole = x.T @ g
+        for block in (None, *sorted({256, 1000, FC_BLOCK})):  # None: one whole block
             _, _, blocks = pair.row_pullback(g, block, False)
-            if any(rows.tobytes() != whole[start : start + block].tobytes() for start, rows in blocks):
+            if any(rows.tobytes() != whole[start : start + len(rows)].tobytes() for start, rows in blocks):
                 mismatches.append([d, m, n, block])
 print(json.dumps(mismatches))
 """

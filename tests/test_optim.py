@@ -135,7 +135,7 @@ class TestSgdStep:
         for g in grads:
             sgd_step(
                 ckpt,
-                {"f": (np.array([g], dtype=np.float32), np.zeros(1, dtype=np.float32))},
+                [("f", 0, np.array([g], dtype=np.float32), np.zeros(1, dtype=np.float32))],
                 state, lr, {"f": 1.0}, mom, wd,
             )
         np.testing.assert_allclose(float(ckpt.entries["f"][0][0]), trace[-1], rtol=1e-6)
@@ -145,7 +145,7 @@ class TestSgdStep:
         ckpt, state = self.make(0.75)
         g = np.array([0.5], dtype=np.float32)
         for _ in range(2):
-            sgd_step(ckpt, {"f": (g, np.zeros(1, dtype=np.float32))},
+            sgd_step(ckpt, [("f", 0, g, np.zeros(1, dtype=np.float32))],
                      state, 0.1, {"f": 1.0}, 0.9, 0.0)
         want = 0.75 - 0.1 * 0.5 * (2 + 0.9)
         np.testing.assert_allclose(float(ckpt.entries["f"][0][0]), want, rtol=1e-6)
@@ -153,14 +153,14 @@ class TestSgdStep:
     def test_zero_momentum_is_plain_sgd(self):
         ckpt, state = self.make(1.0)
         g = np.array([2.0], dtype=np.float32)
-        sgd_step(ckpt, {"f": (g, np.zeros(1, dtype=np.float32))},
+        sgd_step(ckpt, [("f", 0, g, np.zeros(1, dtype=np.float32))],
                  state, 0.05, {"f": 1.0}, 0.0, 0.0)
         np.testing.assert_allclose(float(ckpt.entries["f"][0][0]), 0.9, rtol=1e-6)
 
     def test_lr_mult_scales_the_step(self):
         ckpt, state = self.make(1.0)
         g = np.array([1.0], dtype=np.float32)
-        sgd_step(ckpt, {"f": (g, np.zeros(1, dtype=np.float32))},
+        sgd_step(ckpt, [("f", 0, g, np.zeros(1, dtype=np.float32))],
                  state, 0.01, {"f": 10.0}, 0.0, 0.0)
         np.testing.assert_allclose(float(ckpt.entries["f"][0][0]), 0.9, rtol=1e-6)
 
@@ -168,8 +168,8 @@ class TestSgdStep:
         ckpt, state = self.make(1.2345)
         before = ckpt.entries["f"][0].tobytes()
         for _ in range(5):
-            sgd_step(ckpt, {"f": (np.array([3.0], dtype=np.float32),
-                                  np.ones(1, dtype=np.float32))},
+            sgd_step(ckpt, [("f", 0, np.array([3.0], dtype=np.float32),
+                             np.ones(1, dtype=np.float32))],
                      state, 0.1, {"f": 0.0}, 0.9, 0.01)
         assert ckpt.entries["f"][0].tobytes() == before
         assert not state.velocities["f"][0].any()
@@ -177,8 +177,13 @@ class TestSgdStep:
     def test_weight_decay_pulls_toward_zero(self):
         ckpt, state = self.make(10.0)
         zero = np.zeros(1, dtype=np.float32)
-        sgd_step(ckpt, {"f": (zero, zero)}, state, 0.1, {"f": 1.0}, 0.0, 0.5)
+        sgd_step(ckpt, [("f", 0, zero, zero)], state, 0.1, {"f": 1.0}, 0.0, 0.5)
         np.testing.assert_allclose(float(ckpt.entries["f"][0][0]), 9.5, rtol=1e-6)
+
+
+def walk_items(grads):
+    """A dict of whole (dw, db) pairs as the items backward_walk yields."""
+    return [(name, 0, dw, db) for name, (dw, db) in grads.items()]
 
 
 class TestBlockedUpdateMatchesWholeArray:
@@ -195,7 +200,7 @@ class TestBlockedUpdateMatchesWholeArray:
                 name: tuple(rng.standard_normal(t.shape, dtype=np.float32) for t in tensors)
                 for name, tensors in entries.items()
             }
-            sgd_step(ckpt, grads, state, 0.01, lr_mults, 0.9, 0.0005)
+            sgd_step(ckpt, walk_items(grads), state, 0.01, lr_mults, 0.9, 0.0005)
             sgd_step_whole_array(want, grads, want_state, 0.01, lr_mults, 0.9, 0.0005)
         for name in entries:
             for got, ref in zip(ckpt.entries[name] + state.velocities[name],
@@ -235,7 +240,7 @@ class TestBlockedUpdateMatchesWholeArray:
         ckpt = Checkpoint(entries={"f": (w, np.zeros(4, dtype=np.float32))})
         grads = {"f": (np.ones((3, 4), dtype=np.float32), np.ones(4, dtype=np.float32))}
         with pytest.raises(ValueError, match="contiguous"):
-            sgd_step(ckpt, grads, OptState.for_checkpoint(ckpt), 0.1, {"f": 1.0}, 0.9, 0.0)
+            sgd_step(ckpt, walk_items(grads), OptState.for_checkpoint(ckpt), 0.1, {"f": 1.0}, 0.9, 0.0)
 
 
 class TestTrainLoop:
@@ -397,6 +402,11 @@ def fused(block):
     return lambda spec, ckpt, state, g: backward_walk(spec, state, g, block)
 
 
+def whole_pass(spec, ckpt, state, g):
+    """The whole backward pass, then the update."""
+    return list(backward_walk(spec, state, g))
+
+
 def assert_same_bits(a, b):
     (ckpt_a, opt_a), (ckpt_b, opt_b) = a, b
     assert list(ckpt_a.entries) == list(ckpt_b.entries)
@@ -414,7 +424,7 @@ class TestUpdateDuringBackward:
     @pytest.mark.parametrize("block", [FC_BLOCK, 48, None])
     def test_fused_matches_unfused(self, mults, block):
         spec = with_lr_mult(reference_spec_small(num_classes=2), mults)
-        want = run_steps(spec, backward)  # the whole pass, then the update
+        want = run_steps(spec, whole_pass)
         assert_same_bits(run_steps(spec, fused(block)), want)
         frozen = [name for name, mult in mults.items() if mult == 0.0]
         seeded = init_params(spec, seed=3)
@@ -448,7 +458,7 @@ class TestUpdateDuringBackward:
         source = ArraySource(rng.normal(0, 30, size=(12, 3, 64, 64)), np.arange(12) % 2)
         cfg = TrainConfig(base_lr=0.001, epochs=2, batch_size=5, seed=4)
         got, _ = train(spec, init_params(spec, seed=3), source, cfg)
-        monkeypatch.setattr(optim, "backward_walk", lambda spec, state, g, block: backward(spec, None, state, g))
+        monkeypatch.setattr(optim, "backward_walk", lambda spec, state, g, block: whole_pass(spec, None, state, g))
         want, _ = train(spec, init_params(spec, seed=3), source, cfg)
         for name in want.entries:
             for a, b in zip(got.entries[name], want.entries[name]):

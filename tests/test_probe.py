@@ -287,9 +287,7 @@ class TestProbeAllLayers:
             pre_activation=False, standardize=True,
         )
         assert report.accuracies("f1", "svm") == [0.5, 0.7]
-        assert report.mean_accuracy("f1", "svm") == pytest.approx(0.6)
-        with pytest.raises(DataError, match="no probe rows"):
-            report.mean_accuracy("f2", "svm")
+        assert report.accuracies("f2", "svm") == []
 
     def test_csv_format(self):
         report = ProbeReport(
