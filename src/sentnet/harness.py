@@ -55,7 +55,7 @@ from .errors import CheckpointMismatchError, ConfigError, DataError, DivergenceE
 from .network import (
     LayerKind,
     NetworkSpec,
-    forward,
+    infer,
     infer_shapes,
     init_params,
     parameter_shapes,
@@ -270,14 +270,15 @@ def _ten_crop_chunk(
 ) -> tuple[Array, Array]:
     """One chunk's center-view inputs to the head and its fused scores.
 
-    The chunk's batch and forward state die when this returns, so no two
-    chunks' activations are ever alive at once.
+    The pass keeps only those two endpoints, and the chunk's batch and
+    activations die when this returns, so no two chunks' activations are
+    ever alive at once.
     """
     x = ten_crop(source, idx)
-    state = forward(spec, ckpt, x)
-    center = (state.post[below] if below else x)[TEN_CROP_CENTER::10].copy()
-    raw = state.post[spec.top_name if pre_softmax else spec.layers[-1].name]
-    return center, fuse_scores(raw.reshape(len(idx), 10, -1), pre_softmax=pre_softmax)
+    scored = spec.top_name if pre_softmax else spec.layers[-1].name
+    kept = infer(spec, ckpt, x, (scored,) if below is None else (below, scored))
+    center = (kept[below] if below else x)[TEN_CROP_CENTER::10].copy()
+    return center, fuse_scores(kept[scored].reshape(len(idx), 10, -1), pre_softmax=pre_softmax)
 
 
 def _view_scores(
@@ -304,7 +305,7 @@ def _view_scores(
         center_inputs = np.concatenate([center for center, _ in chunks])
         fused = np.vstack([rows for _, rows in chunks])
         batches = (center_inputs[s : s + EVAL_BATCH] for s in range(0, source.n, EVAL_BATCH))
-    plain = np.vstack([forward(head, head_ckpt, x).post[prob_name] for x in batches])
+    plain = np.vstack([infer(head, head_ckpt, x, (prob_name,))[prob_name] for x in batches])
     return plain, fused
 
 
@@ -700,8 +701,33 @@ def cross_validate(config: ExperimentConfig, out_dir: str | Path, label: str | N
     return summary
 
 
+def _check_probe_section(config: ExperimentConfig) -> None:
+    """Raise ConfigError for a probe section no run could use, before any work:
+    kinds and endpoints (of the network the preset makes of the arch) must be
+    known and non-empty, the lambda grid non-empty and positive, inner_folds
+    at least 2 and iters at least 1."""
+    exp, probe = config.experiment, config.experiment.probe
+    if not probe.kinds or any(kind not in probe_mod.PROBE_KINDS for kind in probe.kinds):
+        raise ConfigError(f"experiment.probe.kinds must name some of {probe_mod.PROBE_KINDS}, got {probe.kinds}")
+    if probe.endpoints is not None:
+        spec = _arch_spec(exp.arch, 2)  # the width of fc8 does not change a layer's name
+        if exp.preset is not None:
+            spec = plan_spec(preset_plan(exp.preset), spec)
+        if not probe.endpoints or any(name not in spec.endpoints for name in probe.endpoints):
+            raise ConfigError(
+                f"experiment.probe.endpoints must name some of {spec.endpoints}, got {probe.endpoints}"
+            )
+    if not probe.lambda_grid or min(probe.lambda_grid) <= 0:
+        raise ConfigError(f"experiment.probe.lambda_grid must be non-empty and positive, got {probe.lambda_grid}")
+    if probe.inner_folds < 2:
+        raise ConfigError(f"experiment.probe.inner_folds must be >= 2, got {probe.inner_folds}")
+    if probe.iters < 1:
+        raise ConfigError(f"experiment.probe.iters must be >= 1, got {probe.iters}")
+
+
 def run_probe_experiment(config: ExperimentConfig, out_dir: str | Path, label: str | None = None) -> probe_mod.ProbeReport:
     """Probe every endpoint of the configured network across the outer folds."""
+    _check_probe_section(config)  # before --out is made or any image decoded
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     task = load_task(config, config.experiment.preset)

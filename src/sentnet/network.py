@@ -4,6 +4,11 @@ A network is a flat stack of named layers over [N,C,H,W] batches. ReLU is a
 flag on CONV/FC layers, mirroring in-place rectification: the layer's named
 endpoint is its post-activation output, and probes can still request the
 pre-activation values. Parameters live in a checkpoint keyed by layer name.
+
+forward keeps every endpoint, and with retain=True each layer's pullbacks,
+for training and feature extraction; infer is the forward-only pass that
+keeps only the endpoints it is asked for. Both run each layer through one
+dispatch, _run_layer.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -242,6 +247,49 @@ class ForwardState:
         return table[name]
 
 
+def _input(spec: NetworkSpec, ckpt: Checkpoint, batch: Array) -> Array:
+    """The batch as a pass runs it: float64 stays float64 (the gradient-check
+    path, since every op preserves the input dtype), anything else is float32.
+    Checks the batch and the checkpoint against spec."""
+    dtype = np.float64 if np.asarray(batch).dtype == np.float64 else np.float32
+    batch = np.ascontiguousarray(batch, dtype=dtype)
+    if batch.ndim != 4 or batch.shape[1:] != spec.input_shape:
+        raise ShapeError(
+            f"batch shape {batch.shape} does not match input {('N',) + spec.input_shape}"
+        )
+    ckpt.validate_against(parameter_shapes(spec))
+    return batch
+
+
+def _run_layer(layer: LayerSpec, ckpt: Checkpoint, x: Array) -> tuple[Array, ops.GradPair | None, tuple | None]:
+    """One layer over its input: (value before any fused ReLU, GradPair,
+    the input's shape when an FC or softmax layer flattened it, else None).
+
+    The softmax has no pair: the loss owns its pullback.
+    """
+    flat_shape = None
+    if layer.kind in (LayerKind.FC, LayerKind.SOFTMAX) and x.ndim > 2:
+        flat_shape, x = x.shape, x.reshape(x.shape[0], -1)
+    try:
+        if layer.kind == LayerKind.CONV:
+            w, b = ckpt.entries[layer.name]
+            pair = ops.conv2d(x, w, b, stride=layer.stride, pad=layer.pad)
+        elif layer.kind == LayerKind.POOL:
+            pair, _ = ops.max_pool2d(x, size=layer.kernel, stride=layer.stride)
+        elif layer.kind == LayerKind.NORM:
+            pair = ops.local_response_norm(
+                x, size=layer.norm_size, k=layer.norm_k, alpha=layer.norm_alpha, beta=layer.norm_beta
+            )
+        elif layer.kind == LayerKind.FC:
+            w, b = ckpt.entries[layer.name]
+            pair = ops.affine(x, w, b)
+        else:
+            return ops.softmax(x), None, flat_shape
+    except NonFiniteError as exc:
+        raise NonFiniteError(exc.op, layer=layer.name) from None
+    return pair.value, pair, flat_shape
+
+
 def forward(
     spec: NetworkSpec,
     ckpt: Checkpoint,
@@ -252,56 +300,50 @@ def forward(
 
     float32 batches run in float32; a float64 batch promotes the whole pass
     (the gradient-check path), since every op preserves the input dtype.
+    Every layer's pre- and post-activation values are kept; a pass that
+    needs only some of them is infer's.
     """
-    dtype = np.float64 if np.asarray(batch).dtype == np.float64 else np.float32
-    batch = np.ascontiguousarray(batch, dtype=dtype)
-    if batch.ndim != 4 or batch.shape[1:] != spec.input_shape:
-        raise ShapeError(
-            f"batch shape {batch.shape} does not match input {('N',) + spec.input_shape}"
-        )
-    ckpt.validate_against(parameter_shapes(spec))
+    batch = x = _input(spec, ckpt, batch)
     pre: dict[str, Array] = {}
     post: dict[str, Array] = {}
     aux: dict[str, object] = {}
-    x = batch
     for layer in spec.layers:
-        flat_shape = None
-        try:
-            if layer.kind == LayerKind.CONV:
-                w, b = ckpt.entries[layer.name]
-                pair = ops.conv2d(x, w, b, stride=layer.stride, pad=layer.pad)
-            elif layer.kind == LayerKind.POOL:
-                pair, _ = ops.max_pool2d(x, size=layer.kernel, stride=layer.stride)
-            elif layer.kind == LayerKind.NORM:
-                pair = ops.local_response_norm(
-                    x, size=layer.norm_size, k=layer.norm_k, alpha=layer.norm_alpha, beta=layer.norm_beta
-                )
-            elif layer.kind == LayerKind.FC:
-                w, b = ckpt.entries[layer.name]
-                if x.ndim > 2:
-                    flat_shape = x.shape
-                    x = x.reshape(x.shape[0], -1)
-                pair = ops.affine(x, w, b)
-            elif layer.kind == LayerKind.SOFTMAX:
-                value = ops.softmax(x if x.ndim == 2 else x.reshape(x.shape[0], -1))
-                pre[layer.name] = post[layer.name] = value
-                x = value
-                continue
-        except NonFiniteError as exc:
-            raise NonFiniteError(exc.op, layer=layer.name) from None
-        out = pair.value
+        out, pair, flat_shape = _run_layer(layer, ckpt, x)
         pre[layer.name] = out
+        relu_pullback = None
         if layer.relu and layer.kind in (LayerKind.CONV, LayerKind.FC):
             act = ops.relu(out)
-            post[layer.name] = act.value
-            if retain:
-                aux[layer.name] = (pair, act.pullback, flat_shape)
-        else:
-            post[layer.name] = out
-            if retain:
-                aux[layer.name] = (pair, None, flat_shape)
-        x = post[layer.name]
+            out, relu_pullback = act.value, act.pullback
+        post[layer.name] = x = out
+        if retain and pair is not None:
+            aux[layer.name] = (pair, relu_pullback, flat_shape)
     return ForwardState(batch=batch, pre=pre, post=post, aux=aux, retained=retain)
+
+
+def infer(spec: NetworkSpec, ckpt: Checkpoint, batch: Array, keep: Iterable[str]) -> dict[str, Array]:
+    """Forward-only pass over batch [N,C,H,W]: {name: endpoint value} for
+    each layer named in keep, with the bits forward gives its post values.
+
+    Only what keep names outlives the layer that reads it: each other
+    activation, and each layer's GradPair, is dropped once the next layer
+    has read it, a fused ReLU rectifies its layer's output in place (as
+    ops.relu computes it, np.maximum(x, 0)), and no layer above the highest
+    kept one runs.
+    """
+    x = _input(spec, ckpt, batch)
+    wanted = set(keep)
+    for name in wanted:
+        spec.layer(name)
+    kept: dict[str, Array] = {}
+    for layer in spec.layers:
+        if len(kept) == len(wanted):
+            break
+        x = _run_layer(layer, ckpt, x)[0]
+        if layer.relu and layer.kind in (LayerKind.CONV, LayerKind.FC):
+            np.maximum(x, 0, out=x)
+        if layer.name in wanted:
+            kept[layer.name] = x
+    return kept
 
 
 def backward_walk(

@@ -14,16 +14,17 @@ holding a -0, where the argmax also fixes the sign of zero maxima and is
 built in the forward (see max_pool2d).
 
 Convolution multiplies each example's patch matrix by the flattened
-kernels, one GEMM per example. When the whole batch's patch matrix would
-exceed IM2COL_BUDGET bytes, the forward fills one example's matrix at a
-time into a single buffer, as Caffe's convolution layer does, so a
-60-view evaluation chunk of the full-size network never holds conv2's
-420 MB matrix. Each GEMM sees the same operands either way, so the bytes
-match. The budget sits above every `small` network's matrix and a
-full-size training batch's of up to 8 images, and below every full-size
-60-view one: on small maps the per-example loop is slower. Parameter
-gradients read the whole batch's matrix, which the pullback rebuilds when
-the forward streamed.
+kernels, one GEMM per example. When one example's matrix reaches
+IM2COL_EXAMPLE bytes, or the whole batch's would exceed IM2COL_BUDGET, the
+convolution streams, as Caffe's convolution layer does: the forward fills
+one example's matrix at a time into a single buffer and keeps none, and
+the pullbacks rebuild each example's matrix into one buffer, add that
+example's dw GEMM into one dw in example order, and add its dx GEMM back
+onto its slice of the input gradient. Each GEMM sees the same operands and
+the sums run in the same order either way, so the bytes match. Every
+full-size layer streams (each example's matrix is 1.5 MB or more); every
+`small` one keeps the whole-batch matrix (235 KB per example at most),
+where the per-example loop is slower.
 """
 
 from __future__ import annotations
@@ -76,12 +77,31 @@ def _as_float(x) -> Array:
 
 
 IM2COL_BUDGET = 64 << 20  # bytes of whole-batch patch matrix above which conv2d streams
+IM2COL_EXAMPLE = 1 << 20  # bytes of one example's patch matrix from which conv2d streams
 
 
 def _patches(xp: Array, kh: int, kw: int, stride: int) -> Array:
     """Patch view [N, C, kh, kw, out_h, out_w] of a padded input; copies nothing."""
     windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     return windows.transpose(0, 1, 4, 5, 2, 3)
+
+
+def _example_cols(patches: Array) -> Iterator[tuple[int, Array]]:
+    """(i, example i's patch matrix [C*kh*kw, out_h*out_w]), each filled in turn into one buffer."""
+    n, c, kh, kw, out_h, out_w = patches.shape
+    col = np.empty((c * kh * kw, out_h * out_w), dtype=patches.dtype)
+    for i in range(n):
+        col.reshape(patches.shape[1:])[...] = patches[i]
+        yield i, col
+
+
+def _col2im_add(dxp: Array, dcols: Array, stride: int) -> None:
+    """Add patch gradients [..., C, kh, kw, out_h, out_w] back onto the padded
+    input gradient [..., C, H, W], one window offset at a time in row-major order."""
+    kh, kw, out_h, out_w = dcols.shape[-4:]
+    for r in range(kh):
+        for s in range(kw):
+            dxp[..., r : r + stride * out_h : stride, s : s + stride * out_w : stride] += dcols[..., r, s, :, :]
 
 
 def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
@@ -121,12 +141,11 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
     out_h, out_w = patches.shape[4:]
     rows, positions = c * kh * kw, out_h * out_w
     w_flat = w.reshape(k, rows)
-    if n * rows * positions * xp.itemsize > IM2COL_BUDGET:
-        cols = None
+    example_bytes = rows * positions * xp.itemsize
+    streamed = example_bytes >= IM2COL_EXAMPLE or n * example_bytes > IM2COL_BUDGET
+    if streamed:
         out = np.empty((n, k, positions), dtype=np.result_type(w_flat, xp))
-        col = np.empty((rows, positions), dtype=xp.dtype)
-        for i in range(n):
-            col.reshape(patches.shape[1:])[...] = patches[i]
+        for i, col in _example_cols(patches):
             np.matmul(w_flat, col, out=out[i])
     else:
         cols = patches.reshape(n, rows, positions)
@@ -135,28 +154,36 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
     out = out.reshape(n, k, out_h, out_w)
     _check_finite(out, "conv2d")
 
-    def flat_param_grads(g: Array) -> tuple[Array, Array, Array]:
-        g = np.ascontiguousarray(g, dtype=out.dtype).reshape(n, k, out_h * out_w)
-        db = g.sum(axis=(0, 2))
-        batch_cols = patches.reshape(n, rows, positions) if cols is None else cols
-        dw = np.matmul(g, batch_cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-        return g, dw, db
+    def grads(g: Array, with_dx: bool) -> tuple[Array | None, Array, Array]:
+        g = np.ascontiguousarray(g, dtype=out.dtype).reshape(n, k, positions)
+        dxp = None
+        if not streamed:
+            dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+            if with_dx:
+                dcols = np.matmul(w_flat.T[None], g).reshape(n, c, kh, kw, out_h, out_w)
+                dxp = np.zeros_like(xp)
+                _col2im_add(dxp, dcols, stride)
+        else:
+            # One example at a time, with the GEMMs above and dw's terms added
+            # in example order, as numpy sums the [n, k, rows] stack over axis 0.
+            dw, term = np.empty((k, rows), dtype=out.dtype), np.empty((k, rows), dtype=out.dtype)
+            if with_dx:
+                dxp, dcol = np.zeros_like(xp), np.empty((rows, positions), dtype=out.dtype)
+            for i, col in _example_cols(patches):
+                np.matmul(g[i], col.T, out=term if i else dw)
+                if i:
+                    dw += term
+                if with_dx:
+                    np.matmul(w_flat.T, g[i], out=dcol)
+                    _col2im_add(dxp[i], dcol.reshape(c, kh, kw, out_h, out_w), stride)
+        return dxp, dw.reshape(w.shape), g.sum(axis=(0, 2))
 
     def param_pullback(g: Array) -> tuple[Array, Array]:
-        return flat_param_grads(g)[1:]
+        return grads(g, False)[1:]
 
     def pullback(g: Array) -> tuple[Array, Array, Array]:
-        g, dw, db = flat_param_grads(g)
-        dcols = np.matmul(w_flat.T[None], g)
-        dcols = dcols.reshape(n, c, kh, kw, out_h, out_w)
-        dxp = np.zeros_like(xp)
-        for r in range(kh):
-            for s in range(kw):
-                dxp[:, :, r : r + stride * out_h : stride, s : s + stride * out_w : stride] += dcols[
-                    :, :, r, s
-                ]
-        dx = dxp[:, :, pad : pad + h, pad : pad + wd] if pad else dxp
-        return dx, dw, db
+        dxp, dw, db = grads(g, True)
+        return (dxp[:, :, pad : pad + h, pad : pad + wd] if pad else dxp), dw, db
 
     return GradPair(out, pullback, param_pullback)
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .errors import ConfigError, DivergenceError, NonFiniteError
-from .network import NetworkSpec, backward_walk, forward
+from .network import NetworkSpec, backward_walk, forward, infer
 from .ops import cross_entropy_loss
 
 log = logging.getLogger(__name__)
@@ -186,8 +186,7 @@ def accuracy_on(spec: NetworkSpec, ckpt: Checkpoint, source: BatchSource, batch_
     total = 0
     top = spec.top_name
     for x, y in source.eval_batches(batch_size):
-        state = forward(spec, ckpt, x)
-        preds = state.post[top].argmax(axis=1)
+        preds = infer(spec, ckpt, x, (top,))[top].argmax(axis=1)
         correct += int((preds == y).sum())
         total += len(y)
     return correct / total if total else 0.0

@@ -168,15 +168,15 @@ def random_source(n, side, crop, seed=0):
 
 
 def record_forward_rows(monkeypatch):
-    """(layers, rows) of every forward pass harness makes while a test runs."""
+    """(layers, rows) of every inference pass harness makes while a test runs."""
     passes = []
-    inner = harness.forward
+    inner = harness.infer
 
-    def recording(spec, ckpt, batch, retain=False):
+    def recording(spec, ckpt, batch, keep):
         passes.append((len(spec.layers), len(batch)))
-        return inner(spec, ckpt, batch, retain)
+        return inner(spec, ckpt, batch, keep)
 
-    monkeypatch.setattr(harness, "forward", recording)
+    monkeypatch.setattr(harness, "infer", recording)
     return passes
 
 
@@ -968,6 +968,24 @@ class TestCli:
         (tmp_path / "c.json").write_text(json.dumps(payload))
         assert cli.main([command, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "out")]) == 1
         assert "epochs must be >= 1" in capsys.readouterr().err
+        assert decoded == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("kinds", ["lda"]),
+        ("endpoints", ["nope"]),
+        ("lambda_grid", []),
+        ("lambda_grid", [0.1, 0]),
+        ("inner_folds", 1),
+        ("iters", 0),
+    ])
+    def test_probe_section_checked_before_any_work(self, key, value, tiny_corpus, tmp_path, monkeypatch, capsys):
+        decoded = []
+        monkeypatch.setattr(harness, "decode_squares", lambda *args: decoded.append(args))
+        payload = {"dataset": {"manifest": str(tiny_corpus), "k": 2},
+                   "experiment": {"kind": "probe", "probe": {key: value}}}
+        (tmp_path / "c.json").write_text(json.dumps(payload))
+        assert cli.main(["probe", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "out")]) == 1
+        assert f"experiment.probe.{key}" in capsys.readouterr().err
         assert decoded == [] and not (tmp_path / "out").exists()
 
     def test_prepare_data_synthetic(self, tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Tests for network specs, shape inference, init, and forward/backward."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sentnet import network, ops
-from sentnet.errors import ShapeError
+from sentnet.checkpoint import Checkpoint
+from sentnet.errors import NonFiniteError, ShapeError
 from sentnet.network import (
     LayerKind,
     LayerSpec,
@@ -12,6 +15,7 @@ from sentnet.network import (
     backward,
     count_parameters,
     forward,
+    infer,
     infer_shapes,
     init_params,
     parameter_shapes,
@@ -247,6 +251,70 @@ class TestForward:
         assert state.post["f2"].dtype == np.float64
         state32 = forward(spec, ckpt, x.astype(np.float32))
         assert state32.post["f2"].dtype == np.float32
+
+
+class TestInfer:
+    """The forward-only pass: forward's post values, bit for bit, for just
+    the endpoints asked for."""
+
+    @pytest.mark.parametrize("keep", [("conv1",), ("pool5", "prob"), ("fc8",), ENDPOINTS + ("prob",)])
+    def test_kept_endpoints_have_the_bits_of_forward(self, keep):
+        spec = reference_spec_small(num_classes=3)
+        ckpt = init_params(spec, seed=4)
+        x = np.random.default_rng(5).normal(0, 40, size=(5, 3, 64, 64)).astype(np.float32)
+        x[0, :, :8] = -0.0  # a -0 through the first conv and pool
+        post = forward(spec, ckpt, x).post
+        kept = infer(spec, ckpt, x, keep)
+        assert sorted(kept) == sorted(keep)
+        for name in keep:
+            assert kept[name].dtype == post[name].dtype and kept[name].tobytes() == post[name].tobytes(), name
+
+    def test_float64_batch_promotes_the_pass(self):
+        spec = tiny_spec()
+        ckpt = init_params(spec, seed=0)
+        x = np.random.default_rng(4).normal(size=(2, 3, 8, 8))
+        assert infer(spec, ckpt, x, ("f2",))["f2"].tobytes() == forward(spec, ckpt, x).post["f2"].tobytes()
+
+    def test_layers_above_the_highest_kept_one_do_not_run(self, monkeypatch):
+        calls = []
+        inner = ops.affine
+        monkeypatch.setattr(ops, "affine", lambda *args: calls.append(1) or inner(*args))
+        spec = tiny_spec()
+        infer(spec, init_params(spec, seed=0), np.ones((2, 3, 8, 8), dtype=np.float32), ("n1",))
+        assert calls == []
+
+    def test_unknown_endpoint_and_bad_batch_rejected(self):
+        spec = tiny_spec()
+        ckpt = init_params(spec, seed=0)
+        with pytest.raises(ShapeError, match="no layer named 'c9'"):
+            infer(spec, ckpt, np.zeros((2, 3, 8, 8), dtype=np.float32), ("c9",))
+        with pytest.raises(ShapeError):
+            infer(spec, ckpt, np.zeros((2, 3, 9, 9), dtype=np.float32), ("f2",))
+
+    def test_non_finite_value_names_its_layer(self):
+        spec = tiny_spec()
+        ckpt = init_params(spec, seed=0)
+        ckpt.entries["f1"][1][:] = np.inf
+        with pytest.raises(NonFiniteError) as caught:
+            infer(spec, ckpt, np.ones((2, 3, 8, 8), dtype=np.float32), ("prob",))
+        assert caught.value.layer == "f1"
+
+    def test_reference_ten_crop_chunk_peaks_below_200_mb(self):
+        """A 60-view chunk of the full-size network, keeping what a ten-crop
+        evaluation reads (pool5 for the center views, the probabilities),
+        with the layers' outputs and their rectified values never both alive."""
+        spec = reference_spec(num_classes=2)
+        ckpt = Checkpoint(entries={name: (np.zeros(w, dtype=np.float32), np.zeros(b, dtype=np.float32))
+                                   for name, (w, b) in parameter_shapes(spec).items()})
+        x = np.random.default_rng(0).normal(0, 30, size=(60, 3, 227, 227)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            kept = infer(spec, ckpt, x, ("pool5", "prob"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept["prob"].shape == (60, 2) and kept["pool5"].shape == (60, 256, 6, 6)
+        assert peak < 200e6
 
 
 class TestBackward:

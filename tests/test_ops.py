@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from sentnet import ops
 from sentnet.errors import ShapeError
+from sentnet.network import LayerKind, infer_shapes, reference_spec, reference_spec_small
 
 from oracles import (
     conv2d_loops,
@@ -117,11 +118,42 @@ class TestConv2d:
         np.testing.assert_allclose(db, np.full(3, 2 * 2 * 2))
 
 
+def check_against_whole_batch_oracle(pad, stride, kernel, dtype):
+    """conv2d's value, pullback and param_pullback equal conv2d_whole_batch's
+    bytes on a few batch and channel sizes."""
+    for n, (c, k) in [(1, (3, 5)), (2, (4, 2)), (7, (2, 3))]:
+        h = kernel + 4 * stride - 2 * pad
+        wd = kernel + 3 * stride - 2 * pad
+        seed = 10 * n + c
+        x = bit_test_input("normal", (n, c, h, wd), dtype, seed)
+        w = bit_test_input("normal", (k, c, kernel, kernel), dtype, seed + 1)
+        b = bit_test_input("normal", (k,), dtype, seed + 2)
+        pair = ops.conv2d(x, w, b, stride=stride, pad=pad)
+        want, want_pullback, want_param_pullback = conv2d_whole_batch(x, w, b, stride=stride, pad=pad)
+        assert pair.value.dtype == want.dtype
+        assert pair.value.tobytes() == want.tobytes()
+        g = upstream(want.shape, dtype, seed + 3)
+        for got_grad, want_grad in zip(pair.pullback(g), want_pullback(g), strict=True):
+            assert got_grad.tobytes() == want_grad.tobytes()
+        for got_grad, want_grad in zip(pair.param_pullback(g), want_param_pullback(g), strict=True):
+            assert got_grad.tobytes() == want_grad.tobytes()
+
+
+def traced_peak(fn):
+    """(tracemalloc peak while fn runs, fn's result)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
 class TestStreamedIm2col:
-    """conv2d with the patch matrix built one example at a time (budget 0)
-    and for the whole batch (budget never reached) against the whole-batch
-    formulation it grew from, byte for byte: value, pullback and
-    param_pullback."""
+    """conv2d with the patch matrix built one example at a time and for the
+    whole batch against the whole-batch formulation it grew from, byte for
+    byte: value, pullback and param_pullback. It streams when one example's
+    matrix reaches IM2COL_EXAMPLE bytes or the batch's exceeds IM2COL_BUDGET."""
 
     @pytest.mark.parametrize("budget", [0, 1 << 62])
     @pytest.mark.parametrize("pad", [0, 1, 2])
@@ -129,22 +161,15 @@ class TestStreamedIm2col:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_whole_batch_oracle(self, monkeypatch, budget, pad, stride, kernel, dtype):
         monkeypatch.setattr(ops, "IM2COL_BUDGET", budget)
-        for n, (c, k) in [(1, (3, 5)), (2, (4, 2)), (7, (2, 3))]:
-            h = kernel + 4 * stride - 2 * pad
-            wd = kernel + 3 * stride - 2 * pad
-            seed = 10 * n + c
-            x = bit_test_input("normal", (n, c, h, wd), dtype, seed)
-            w = bit_test_input("normal", (k, c, kernel, kernel), dtype, seed + 1)
-            b = bit_test_input("normal", (k,), dtype, seed + 2)
-            pair = ops.conv2d(x, w, b, stride=stride, pad=pad)
-            want, want_pullback, want_param_pullback = conv2d_whole_batch(x, w, b, stride=stride, pad=pad)
-            assert pair.value.dtype == want.dtype
-            assert pair.value.tobytes() == want.tobytes()
-            g = upstream(want.shape, dtype, seed + 3)
-            for got_grad, want_grad in zip(pair.pullback(g), want_pullback(g), strict=True):
-                assert got_grad.tobytes() == want_grad.tobytes()
-            for got_grad, want_grad in zip(pair.param_pullback(g), want_param_pullback(g), strict=True):
-                assert got_grad.tobytes() == want_grad.tobytes()
+        check_against_whole_batch_oracle(pad, stride, kernel, dtype)
+
+    @pytest.mark.parametrize("pad", [0, 2])
+    @pytest.mark.parametrize("stride,kernel", [(1, 3), (4, 5)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_example_size_alone_streams_to_the_same_bytes(self, monkeypatch, pad, stride, kernel, dtype):
+        monkeypatch.setattr(ops, "IM2COL_BUDGET", 1 << 62)
+        monkeypatch.setattr(ops, "IM2COL_EXAMPLE", 0)
+        check_against_whole_batch_oracle(pad, stride, kernel, dtype)
 
     @pytest.mark.parametrize("budget,streams", [(0, True), (1 << 62, False)])
     def test_streamed_forward_never_holds_the_batch_patch_matrix(self, monkeypatch, budget, streams):
@@ -153,17 +178,47 @@ class TestStreamedIm2col:
         w = rand((4, 16, 5, 5), seed=2)
         b = rand((4,), seed=3)
         batch_cols_bytes = 8 * (16 * 5 * 5) * (20 * 20) * 4
-        tracemalloc.start()
-        try:
-            pair = ops.conv2d(x, w, b, stride=1, pad=2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, pair = traced_peak(lambda: ops.conv2d(x, w, b, stride=1, pad=2))
         assert pair.value.shape == (8, 4, 20, 20)
         if streams:
             assert peak < batch_cols_bytes / 4
         else:
             assert peak >= batch_cols_bytes
+
+    @pytest.mark.parametrize("extra,streams", [(0, True), (1, False)])
+    def test_one_example_matrix_of_the_threshold_streams(self, monkeypatch, extra, streams):
+        """The per-example rule at its edge, under a budget never reached."""
+        monkeypatch.setattr(ops, "IM2COL_BUDGET", 1 << 62)
+        example_bytes = (16 * 5 * 5) * (20 * 20) * 4
+        monkeypatch.setattr(ops, "IM2COL_EXAMPLE", example_bytes + extra)
+        x, w, b = rand((8, 16, 20, 20), seed=1), rand((4, 16, 5, 5), seed=2), rand((4,), seed=3)
+        peak, _ = traced_peak(lambda: ops.conv2d(x, w, b, stride=1, pad=2))
+        assert (peak < 2 * example_bytes) if streams else (peak >= 8 * example_bytes)
+
+    def test_every_reference_layer_streams_and_no_small_one_does(self):
+        for spec, streams in ((reference_spec(2), True), (reference_spec_small(2), False)):
+            shapes = infer_shapes(spec)
+            below = spec.input_shape
+            for layer in spec.layers:
+                if layer.kind == LayerKind.CONV:
+                    _, oh, ow = shapes[layer.name]
+                    example_bytes = below[0] * layer.kernel**2 * oh * ow * 4
+                    assert (example_bytes >= ops.IM2COL_EXAMPLE) == streams, layer.name
+                below = shapes[layer.name]
+
+    def test_reference_conv2_pullback_holds_one_example_at_a_time(self):
+        """conv2 of the full-size network at training batch 32: the pullback
+        allocates neither the batch's patch matrix (224 MB), nor the
+        [n, k, rows] stack of per-example dw (79 MB), nor the batch's patch
+        gradients (224 MB)."""
+        n, c, k, side = 32, 96, 256, 27
+        x, w, b = rand((n, c, side, side), seed=1), rand((k, c, 5, 5), seed=2), rand((k,), seed=3)
+        pair = ops.conv2d(x, w, b, stride=1, pad=2)
+        g = np.ones_like(pair.value)
+        peak, (dx, dw, db) = traced_peak(lambda: pair.pullback(g))
+        assert dx.shape == x.shape and dw.shape == w.shape and db.shape == b.shape
+        stack_bytes = n * k * c * 25 * 4  # the smallest of the three
+        assert peak < stack_bytes / 2  # 31 MB: dx, two examples' matrices, dw and one term
 
 
 class TestMaxPool2d:
@@ -434,6 +489,47 @@ def test_fc_weight_gradient_row_blocks_equal_the_whole_gemm(threads):
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", ROW_BLOCK_PROGRAM], env=env, check=True,
+                          capture_output=True, text=True, timeout=600)
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == []
+
+
+STREAMED_CONV_PROGRAM = """
+import json
+import numpy as np
+from sentnet import ops
+from oracles import conv2d_whole_batch
+
+# (batch, input [C, H, W], kernels, kernel, stride, pad): the reference conv1 and conv2
+SHAPES = [(6, (3, 227, 227), 96, 11, 4, 0), (6, (96, 27, 27), 256, 5, 1, 2)]
+mismatches = []
+for n, chw, k, kernel, stride, pad in SHAPES:
+    rng = np.random.default_rng([n, k])
+    x = rng.standard_normal((n, *chw), dtype=np.float32)
+    w = rng.standard_normal((k, chw[0], kernel, kernel), dtype=np.float32)
+    b = rng.standard_normal(k, dtype=np.float32)
+    pair = ops.conv2d(x, w, b, stride=stride, pad=pad)
+    want, want_pullback, want_param_pullback = conv2d_whole_batch(x, w, b, stride=stride, pad=pad)
+    g = rng.standard_normal(want.shape, dtype=np.float32)
+    got = [pair.value, *pair.pullback(g), *pair.param_pullback(g)]
+    for i, (a, e) in enumerate(zip(got, [want, *want_pullback(g), *want_param_pullback(g)], strict=True)):
+        if a.tobytes() != e.tobytes():
+            mismatches.append([k, i])
+print(json.dumps(mismatches))
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_streamed_conv_gradients_equal_the_whole_batch_gemms(threads):
+    """A reference-sized conv streams: its dw adds one GEMM per example and
+    its dx is built per example. Their bytes rest on the BLAS giving each
+    per-example GEMM the bits of the batched call, a property of the BLAS
+    build, so it is pinned here at both thread counts on the reference conv1
+    and conv2 (value, pullback and param_pullback)."""
+    here = Path(__file__).resolve().parent
+    src = str(Path(ops.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, str(here), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", STREAMED_CONV_PROGRAM], env=env, check=True,
                           capture_output=True, text=True, timeout=600)
     assert json.loads(done.stdout.strip().splitlines()[-1]) == []
 
