@@ -386,6 +386,8 @@ def stratified_kfold(labels: Array, k: int, seed: int) -> Array:
 
 # -- views -----------------------------------------------------------------
 
+EVAL_BATCH = 64  # center views per plain forward pass; it sets the FC rows' bits (README "Evaluation")
+
 
 class ViewSource:
     """BatchSource over pre-decoded square images.
@@ -442,7 +444,7 @@ class ViewSource:
         flips = rng.integers(0, 2, size=len(indices))
         return self.views(indices, tops, lefts, flips), self.labels[indices]
 
-    def eval_batches(self, batch_size: int = 64):
+    def eval_batches(self, batch_size: int = EVAL_BATCH):
         for start in range(0, self.n, batch_size):
             idx = np.arange(start, min(start + batch_size, self.n))
             offsets = np.full(len(idx), self.center)

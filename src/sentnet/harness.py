@@ -39,6 +39,7 @@ import numpy as np
 from . import probe as probe_mod
 from .checkpoint import Checkpoint, load_checkpoint, read_checkpoint_header, save_checkpoint
 from .data import (
+    EVAL_BATCH,
     TEN_CROP_CENTER,
     DatasetManifest,
     PreprocessConfig,
@@ -245,7 +246,6 @@ class EvalResult:
 
 
 TEN_CROP_CHUNK = 6  # images per oversampled forward pass (60 views)
-EVAL_BATCH = 64  # center views per plain forward pass
 
 
 def _split_head(spec: NetworkSpec, ckpt: Checkpoint) -> tuple[str | None, NetworkSpec, Checkpoint]:

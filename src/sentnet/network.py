@@ -229,16 +229,14 @@ class ForwardState:
     """Everything retained by a forward pass.
 
     pre holds pre-activation outputs, post the named endpoint values (equal
-    when the layer has no fused ReLU). aux carries each layer's GradPair,
-    fused-ReLU pullback and pre-flatten shape when the pass was run with
-    retain=True.
+    when the layer has no fused ReLU), each in the dtype the pass ran in.
+    aux carries each layer's GradPair, fused-ReLU pullback and pre-flatten
+    shape when the pass was run with retain=True, and is empty otherwise.
     """
 
-    batch: Array
     pre: dict[str, Array]
     post: dict[str, Array]
     aux: dict[str, object]
-    retained: bool
 
     def endpoint(self, name: str, pre_activation: bool = False) -> Array:
         table = self.pre if pre_activation else self.post
@@ -303,7 +301,7 @@ def forward(
     Every layer's pre- and post-activation values are kept; a pass that
     needs only some of them is infer's.
     """
-    batch = x = _input(spec, ckpt, batch)
+    x = _input(spec, ckpt, batch)
     pre: dict[str, Array] = {}
     post: dict[str, Array] = {}
     aux: dict[str, object] = {}
@@ -317,7 +315,7 @@ def forward(
         post[layer.name] = x = out
         if retain and pair is not None:
             aux[layer.name] = (pair, relu_pullback, flat_shape)
-    return ForwardState(batch=batch, pre=pre, post=post, aux=aux, retained=retain)
+    return ForwardState(pre=pre, post=post, aux=aux)
 
 
 def infer(spec: NetworkSpec, ckpt: Checkpoint, batch: Array, keep: Iterable[str]) -> dict[str, Array]:
@@ -359,10 +357,11 @@ def backward_walk(
     A layer's input gradient is computed, from its weights as they are,
     before the walk yields for it, and no weight is read after that, so a
     consumer may update each layer as its gradient arrives (optim.sgd_step
-    does) with the bits of an update after the whole pass. An FC layer's
-    weight gradient comes from GradPair.row_pullback, in blocks of `block`
-    rows, or whole when block is None; a conv layer's, and that of a pair
-    rebuilt without row_pullback, comes whole.
+    does) with the bits of an update after the whole pass. Gradients come
+    from GradPair.param_pullback: an FC layer's weight gradient in blocks
+    of `block` rows, or whole when block is None, a conv layer's whole. A
+    pair with parameters but no param_pullback gives its gradients whole
+    through its full pullback.
 
     The walk ends at the lowest trained layer (parameters and lr_mult > 0):
     no gradient below it is ever read, so layers under it get no pullback
@@ -370,10 +369,10 @@ def backward_walk(
     parameterized layer from the top down to that layer; frozen layers
     above it are included, frozen layers below it are not.
     """
-    if not state.retained:
+    if not state.aux:
         raise ShapeError("backward requires a forward pass run with retain=True")
-    g = np.asarray(top_grad, dtype=state.batch.dtype)
     top = spec.top_name
+    g = np.asarray(top_grad, dtype=state.post[top].dtype)
     if g.shape != state.post[top].shape:
         raise ShapeError(f"top gradient shape {g.shape} does not match {state.post[top].shape}")
     below = [l for l in spec.layers if l.kind != LayerKind.SOFTMAX]
@@ -383,28 +382,21 @@ def backward_walk(
         pair, relu_pullback, flat_shape = state.aux[layer.name]
         if relu_pullback is not None:
             (g,) = relu_pullback(g)
-        if pair.row_pullback is not None:
-            g, db, blocks = pair.row_pullback(g, block, i > lowest)
-            for start, dw in blocks:
-                yield layer.name, start, dw, db
-                db = None
-        elif i == lowest and pair.param_pullback is not None:
-            yield layer.name, 0, *pair.param_pullback(g)
-        elif layer.has_params:
+        if pair.param_pullback is not None:
+            g, db, blocks = pair.param_pullback(g, block, i > lowest)
+        elif layer.has_params:  # rebuilt from value and pullback, as bench/tracing.py does
             g, dw, db = pair.pullback(g)
-            yield layer.name, 0, dw, db
+            blocks = ((0, dw),)
         else:
-            (g,) = pair.pullback(g)
+            (g,), blocks = pair.pullback(g), ()
+        for start, dw in blocks:
+            yield layer.name, start, dw, db
+            db = None
         if flat_shape is not None and i > lowest:
             g = g.reshape(flat_shape)
 
 
-def backward(
-    spec: NetworkSpec,
-    ckpt: Checkpoint,
-    state: ForwardState,
-    top_grad: Array,
-) -> dict[str, tuple[Array, Array]]:
+def backward(spec: NetworkSpec, state: ForwardState, top_grad: Array) -> dict[str, tuple[Array, Array]]:
     """Parameter gradients from the upstream gradient at the top endpoint.
 
     top_grad is the loss gradient with respect to the post-activation output

@@ -2,7 +2,8 @@
 
 Each operation validates shapes, computes its forward value, and returns a
 :class:`GradPair`: the value plus a pullback closure that maps the upstream
-gradient to gradients for every differentiable input, in input order.
+gradient to gradients for every differentiable input, in input order;
+conv2d's and affine's is built on the form training calls, param_pullback.
 Arithmetic stays in the dtype of the inputs, so training runs in float32
 while the finite-difference checker promotes to float64.
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -45,21 +46,27 @@ Array = np.ndarray
 class GradPair:
     """Forward value plus a pullback from upstream gradient to input gradients.
 
-    conv2d also sets param_pullback, which returns only the parameter
-    gradients (dw, db) and skips the input gradient: the cheaper call for a
-    bottom layer, whose input gradient nothing reads.
-
-    affine also sets row_pullback(g, block, with_dx) -> (dx, db, blocks):
-    dx (None without with_dx) from the weights as they are at the call,
-    then dw as (first row, rows) blocks of `block` rows (one whole block
-    when block is None), each computed when the iterator reaches it, so a
-    caller may update each block of weights before drawing the next.
+    conv2d and affine also set param_pullback(g, block, with_dx) -> (dx, db,
+    blocks), which their pullback is built on: dx (None without with_dx)
+    from the weights as they are at the call, the bias gradient, then the
+    weight gradient as (first row, rows) blocks of `block` rows, each
+    computed when the iterator reaches it, so a caller may update each block
+    before drawing the next. conv2d, and a block of None, give one block.
     """
 
     value: Array
     pullback: Callable[[Array], tuple[Array, ...]]
-    param_pullback: Callable[[Array], tuple[Array, ...]] | None = None
-    row_pullback: Callable[..., tuple[Array | None, Array, Iterator[tuple[int, Array]]]] | None = None
+    param_pullback: Callable[..., tuple[Array | None, Array, Iterable[tuple[int, Array]]]] | None = None
+
+
+def _full_pullback(param_pullback) -> Callable[[Array], tuple[Array, Array, Array]]:
+    """(dx, dw, db) from a param_pullback, its weight gradient in one block."""
+
+    def pullback(g: Array) -> tuple[Array, Array, Array]:
+        dx, db, ((_, dw),) = param_pullback(g, None, True)
+        return dx, dw, db
+
+    return pullback
 
 
 def _check_finite(arr: Array, op: str) -> None:
@@ -154,7 +161,7 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
     out = out.reshape(n, k, out_h, out_w)
     _check_finite(out, "conv2d")
 
-    def grads(g: Array, with_dx: bool) -> tuple[Array | None, Array, Array]:
+    def param_pullback(g: Array, _block: int | None, with_dx: bool):
         g = np.ascontiguousarray(g, dtype=out.dtype).reshape(n, k, positions)
         dxp = None
         if not streamed:
@@ -176,16 +183,10 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
                 if with_dx:
                     np.matmul(w_flat.T, g[i], out=dcol)
                     _col2im_add(dxp[i], dcol.reshape(c, kh, kw, out_h, out_w), stride)
-        return dxp, dw.reshape(w.shape), g.sum(axis=(0, 2))
+        dx = dxp[:, :, pad : pad + h, pad : pad + wd] if pad and with_dx else dxp
+        return dx, g.sum(axis=(0, 2)), ((0, dw.reshape(w.shape)),)
 
-    def param_pullback(g: Array) -> tuple[Array, Array]:
-        return grads(g, False)[1:]
-
-    def pullback(g: Array) -> tuple[Array, Array, Array]:
-        dxp, dw, db = grads(g, True)
-        return (dxp[:, :, pad : pad + h, pad : pad + wd] if pad else dxp), dw, db
-
-    return GradPair(out, pullback, param_pullback)
+    return GradPair(out, _full_pullback(param_pullback), param_pullback)
 
 
 def _pool_window(a: Array, idx: int, size: int, stride: int, out_shape: tuple[int, ...]) -> Array:
@@ -342,17 +343,16 @@ def affine(x, w, b) -> GradPair:
     out = x @ w + b
     _check_finite(out, "affine")
 
-    def pullback(g: Array) -> tuple[Array, Array, Array]:
+    def param_pullback(g: Array, block: int | None, with_dx: bool):
         g = np.asarray(g, dtype=out.dtype)
-        return g @ w.T, x.T @ g, g.sum(axis=0)
-
-    def row_pullback(g: Array, block: int | None, with_dx: bool):
-        g = np.asarray(g, dtype=out.dtype)
-        block = block or w.shape[0]
-        blocks = ((s, x[:, s : s + block].T @ g) for s in range(0, w.shape[0], block))
+        d = w.shape[0]
+        starts = list(range(0, d, block or d))
+        if len(starts) > 1 and starts[-1] == d - 1:
+            starts.pop()  # numpy runs a one-row product as a GEMV, whose bits differ from the GEMM's
+        blocks = ((s, x[:, s:e].T @ g) for s, e in zip(starts, starts[1:] + [d]))
         return (g @ w.T if with_dx else None), g.sum(axis=0), blocks
 
-    return GradPair(out, pullback, row_pullback=row_pullback)
+    return GradPair(out, _full_pullback(param_pullback), param_pullback)
 
 
 def relu(x) -> GradPair:

@@ -37,6 +37,7 @@ from typing import Iterable, Protocol
 import numpy as np
 
 from .checkpoint import Checkpoint
+from .data import EVAL_BATCH
 from .errors import ConfigError, DivergenceError, NonFiniteError
 from .network import NetworkSpec, backward_walk, forward, infer
 from .ops import cross_entropy_loss
@@ -89,10 +90,9 @@ def lr_at(config: TrainConfig, epoch: int) -> float:
 
 @dataclass
 class OptState:
-    """Per-parameter velocity tensors plus the current epoch index."""
+    """Per-parameter velocity tensors, one (weights, bias) pair per layer."""
 
     velocities: dict[str, tuple[Array, Array]]
-    epoch: int = 0
 
     @classmethod
     def for_checkpoint(cls, ckpt: Checkpoint) -> "OptState":
@@ -116,9 +116,10 @@ def sgd_step(
     """One in-place momentum update over every gradient in grads.
 
     grads are the items of network.backward_walk: (name, start, dw, db)
-    updates the weight rows from start on, and the bias unless db is None.
-    Items are applied in order as they arrive, so a walk's layer is updated
-    before the walk computes the next gradient.
+    updates the weight rows from start on, and the bias unless db is None
+    (only a layer's first block carries it). Items are applied in order as
+    they arrive, so a walk's layer is updated before the walk computes the
+    next gradient. state holds the velocities alone.
     """
     mom = np.float32(momentum)
     decay = np.float32(weight_decay)
@@ -180,7 +181,7 @@ def history_to_csv(rows: Iterable[HistoryRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def accuracy_on(spec: NetworkSpec, ckpt: Checkpoint, source: BatchSource, batch_size: int = 64) -> float:
+def accuracy_on(spec: NetworkSpec, ckpt: Checkpoint, source: BatchSource, batch_size: int = EVAL_BATCH) -> float:
     """Fraction of correct argmax predictions over deterministic eval views."""
     correct = 0
     total = 0
@@ -257,7 +258,6 @@ def train_in_place(
             sgd_step(ckpt, walk, state, lr, lr_mults, config.momentum, config.weight_decay)
             loss_sum += loss * len(y)
             correct += int((logits.argmax(axis=1) == y).sum())
-        state.epoch = epoch + 1
         train_acc = correct / source.n
         val_acc = accuracy_on(spec, ckpt, val_source) if val_source is not None else None
         history.append(HistoryRow(epoch, loss_sum / source.n, train_acc, val_acc))
@@ -268,6 +268,6 @@ def train_in_place(
         if config.stop_at_train_acc is not None and train_acc >= config.stop_at_train_acc:
             log.info("early stop at epoch %d: train accuracy %.4f", epoch, train_acc)
             break
-    ckpt.metadata["epoch"] = str(state.epoch)
+    ckpt.metadata["epoch"] = str(len(history))
     ckpt.metadata["seed"] = str(config.seed)
     return ckpt, history

@@ -1,8 +1,12 @@
-"""Every module in src/sentnet uses each name it imports.
+"""Every module in src/sentnet uses each name it imports, and every
+function reads each parameter it takes.
 
 No linter ships with the test environment, so this stands in for the
-unused-import check (pyflakes F401). The package's __init__.py is exempt:
-its imports are the public re-exports.
+unused-import check (pyflakes F401) and an unused-argument check. The
+package's __init__.py is exempt from the first: its imports are the public
+re-exports. The second skips self and cls, parameters named with a leading
+underscore (kept for a caller's signature), and stubs whose body is only a
+docstring or `...`, such as a Protocol's methods.
 """
 
 import ast
@@ -37,3 +41,33 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
 def test_module_imports_only_what_it_uses(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters a function never reads, as "function(name) (line N)"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        body = node.body if isinstance(node.body, list) else [node.body]
+        if all(isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant) for stmt in body):
+            continue  # a stub: only a docstring or `...`
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg) if a]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        found += [f"{name}({p}) (line {node.lineno})" for p in params
+                  if p not in read and p not in ("self", "cls") and not p.startswith("_")]
+    return found
+
+
+def test_finds_an_unused_parameter():
+    source = "def f(a, b, *args, c, _d, **kw):\n    x = b\n    return lambda e: kw[x]\n"
+    source += "class P:\n    def stub(self, n):\n        \"\"\"Doc.\"\"\"\n    def dots(self, n): ...\n"
+    source += "def g(self, h):\n    def inner():\n        return h\n    return inner\n"
+    assert unused_parameters(source) == ["f(a) (line 1)", "f(args) (line 1)", "f(c) (line 1)", "<lambda>(e) (line 3)"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_reads_every_parameter(module):
+    assert unused_parameters((PACKAGE / module).read_text()) == []

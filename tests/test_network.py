@@ -324,7 +324,7 @@ class TestBackward:
         x = np.zeros((1, 3, 8, 8), dtype=np.float32)
         state = forward(spec, ckpt, x)
         with pytest.raises(ShapeError, match="retain"):
-            backward(spec, ckpt, state, np.zeros((1, 2), dtype=np.float32))
+            backward(spec, state, np.zeros((1, 2), dtype=np.float32))
 
     def test_gradients_match_finite_differences(self):
         # a kink-free stack (no relu, no pool), so central differences hold
@@ -348,7 +348,7 @@ class TestBackward:
         state = forward(spec, ckpt, x, retain=True)
         loss = ops.cross_entropy_loss(state.post[spec.top_name], labels)
         (g,) = loss.pullback(1.0)
-        grads = backward(spec, ckpt, state, g)
+        grads = backward(spec, state, g)
 
         def objective():
             s = forward(spec, ckpt, x)
@@ -376,7 +376,7 @@ class TestBackward:
         state = forward(spec, ckpt, x, retain=True)
         loss = ops.cross_entropy_loss(state.post[spec.top_name], labels)
         (g,) = loss.pullback(1.0)
-        grads = backward(spec, ckpt, state, g)
+        grads = backward(spec, state, g)
 
         w1, b1 = ckpt.entries["c1"]
         conv = ops.conv2d(x, w1, b1, stride=1, pad=1)
@@ -413,7 +413,7 @@ class TestBackward:
         ckpt = init_params(spec, seed=0)
         x = np.random.default_rng(9).normal(size=(2, 3, 8, 8)).astype(np.float32)
         state = forward(spec, ckpt, x, retain=True)
-        grads = backward(spec, ckpt, state, np.zeros((2, 2), dtype=np.float32))
+        grads = backward(spec, state, np.zeros((2, 2), dtype=np.float32))
         for name, (dw, db) in grads.items():
             assert not dw.any(), name
             assert not db.any(), name
@@ -430,7 +430,7 @@ class TestBackward:
             state = forward(spec, ckpt, x, retain=True)
             loss = ops.cross_entropy_loss(state.post[spec.top_name], labels)
             (g,) = loss.pullback(1.0)
-            return backward(spec, ckpt, state, g)
+            return backward(spec, state, g)
 
         g1 = grads_for(x1, np.array([1]))
         g4 = grads_for(x4, np.array([1, 1, 1, 1]))
@@ -442,7 +442,7 @@ class TestBackward:
         ckpt = init_params(spec, seed=0)
         x = np.random.default_rng(11).normal(0, 30, size=(2, 3, 64, 64)).astype(np.float32)
         state = forward(spec, ckpt, x, retain=True)
-        grads = backward(spec, ckpt, state, np.ones((2, 2), dtype=np.float32))
+        grads = backward(spec, state, np.ones((2, 2), dtype=np.float32))
         assert set(grads) == {l.name for l in spec.parameterized}
 
 
@@ -464,20 +464,19 @@ def full_chain_grads(spec, state, g):
 
 
 def record_pullbacks(state):
-    """Replace each retained GradPair with one that logs which pullback ran."""
+    """Replace each retained GradPair with one that logs which pullback ran:
+    "full", "params+dx", or "params" for a parameter form without dx."""
     calls = []
 
-    def logged(name, kind, fn):
-        def run(g):
-            calls.append((name, kind))
-            return fn(g)
+    def logged(name, fn):
+        def run(g, *form):
+            calls.append((name, "full" if not form else "params+dx" if form[1] else "params"))
+            return fn(g, *form)
 
         return None if fn is None else run
 
     for name, (pair, relu_pullback, flat_shape) in list(state.aux.items()):
-        logged_pair = ops.GradPair(
-            pair.value, logged(name, "full", pair.pullback), logged(name, "params", pair.param_pullback)
-        )
+        logged_pair = ops.GradPair(pair.value, logged(name, pair.pullback), logged(name, pair.param_pullback))
         state.aux[name] = (logged_pair, relu_pullback, flat_shape)
     return calls
 
@@ -498,7 +497,7 @@ class TestBackwardStopsAtLowestTrainedLayer:
     def test_gradients_equal_the_full_chain_bit_for_bit(self, frozen):
         spec = with_lr_mult(reference_spec_small(num_classes=2), frozen)
         ckpt, state, g = self.step_state(spec)
-        grads = backward(spec, ckpt, state, g)
+        grads = backward(spec, state, g)
         want = full_chain_grads(spec, state, g)
         trained = {l.name for l in spec.parameterized if l.name not in frozen}
         assert set(grads) == trained
@@ -510,17 +509,17 @@ class TestBackwardStopsAtLowestTrainedLayer:
         spec = with_lr_mult(reference_spec_small(num_classes=2), self.FROZEN)
         ckpt, state, g = self.step_state(spec)
         calls = record_pullbacks(state)
-        backward(spec, ckpt, state, g)
+        backward(spec, state, g)
         names = [name for name, _ in calls]
         assert names == ["fc8", "fc7", "fc6", "pool5", "conv5", "conv4", "conv3"]
         assert calls[-1] == ("conv3", "params")
-        assert all(kind == "full" for _, kind in calls[:-1])
+        assert [kind for _, kind in calls[:-1]] == ["params+dx"] * 3 + ["full"] + ["params+dx"] * 2
 
     def test_bottom_layer_skips_its_input_gradient(self):
         spec = reference_spec_small(num_classes=2)
         ckpt, state, g = self.step_state(spec)
         calls = record_pullbacks(state)
-        backward(spec, ckpt, state, g)
+        backward(spec, state, g)
         assert calls[-1] == ("conv1", "params")
         assert [kind for _, kind in calls].count("params") == 1
 
@@ -529,10 +528,10 @@ class TestBackwardStopsAtLowestTrainedLayer:
         # around the ops would) takes the full pullback at the bottom layer
         spec = reference_spec_small(num_classes=2)
         ckpt, state, g = self.step_state(spec)
-        want = backward(spec, ckpt, state, g)
+        want = backward(spec, state, g)
         for name, (pair, relu_pullback, flat_shape) in list(state.aux.items()):
             state.aux[name] = (ops.GradPair(pair.value, pair.pullback), relu_pullback, flat_shape)
-        got = backward(spec, ckpt, state, g)
+        got = backward(spec, state, g)
         for name in want:
             assert got[name][0].tobytes() == want[name][0].tobytes(), name
 
@@ -541,7 +540,7 @@ class TestBackwardStopsAtLowestTrainedLayer:
         spec = with_lr_mult(spec, {l.name: 0.0 for l in spec.parameterized})
         ckpt, state, g = self.step_state(spec)
         calls = record_pullbacks(state)
-        assert backward(spec, ckpt, state, g) == {}
+        assert backward(spec, state, g) == {}
         assert calls == []
 
     def test_frozen_lower_layers_stay_byte_identical_through_train(self):
@@ -583,7 +582,7 @@ class TestForwardOnlyPooling:
         spec = with_lr_mult(reference_spec_small(num_classes=2), {"conv1": 0.0, "conv2": 0.0})
         ckpt, state, g = TestBackwardStopsAtLowestTrainedLayer().step_state(spec)
         assert calls == []
-        backward(spec, ckpt, state, g)
+        backward(spec, state, g)
         assert len(calls) == 1  # pool5; pool1 and pool2 lie below conv3
 
 

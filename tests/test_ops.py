@@ -118,9 +118,29 @@ class TestConv2d:
         np.testing.assert_allclose(db, np.full(3, 2 * 2 * 2))
 
 
+def check_param_pullback(pair, g, want_dx, want_dw, want_db):
+    """pair.param_pullback(g, block, with_dx) gives the bytes of want's dx
+    (None without with_dx), db, and dw's rows block by block from row 0, with
+    and without dx, at block=None and at an odd block size. Returns the
+    number of blocks each call gave."""
+    counts = []
+    for with_dx in (True, False):
+        for block in (None, 3):
+            dx, db, blocks = pair.param_pullback(g, block, with_dx)
+            assert dx.tobytes() == want_dx.tobytes() if with_dx else dx is None
+            assert db.tobytes() == want_db.tobytes()
+            rows = count = 0
+            for start, dw in blocks:
+                assert start == rows and dw.tobytes() == want_dw[start : start + len(dw)].tobytes()
+                rows, count = rows + len(dw), count + 1
+            assert rows == len(want_dw)
+            counts.append(count)
+    return counts
+
+
 def check_against_whole_batch_oracle(pad, stride, kernel, dtype):
     """conv2d's value, pullback and param_pullback equal conv2d_whole_batch's
-    bytes on a few batch and channel sizes."""
+    bytes on a few batch and channel sizes; its dw is one block at any block size."""
     for n, (c, k) in [(1, (3, 5)), (2, (4, 2)), (7, (2, 3))]:
         h = kernel + 4 * stride - 2 * pad
         wd = kernel + 3 * stride - 2 * pad
@@ -135,8 +155,7 @@ def check_against_whole_batch_oracle(pad, stride, kernel, dtype):
         g = upstream(want.shape, dtype, seed + 3)
         for got_grad, want_grad in zip(pair.pullback(g), want_pullback(g), strict=True):
             assert got_grad.tobytes() == want_grad.tobytes()
-        for got_grad, want_grad in zip(pair.param_pullback(g), want_param_pullback(g), strict=True):
-            assert got_grad.tobytes() == want_grad.tobytes()
+        assert check_param_pullback(pair, g, want_pullback(g)[0], *want_param_pullback(g)) == [1] * 4
 
 
 def traced_peak(fn):
@@ -448,6 +467,7 @@ class TestAffine:
         np.testing.assert_allclose(dx, g @ w.T, rtol=1e-12)
         np.testing.assert_allclose(dw, x.T @ g, rtol=1e-12)
         np.testing.assert_allclose(db, g.sum(axis=0), rtol=1e-12)
+        assert check_param_pullback(pair, g, dx, dw, db) == [1, 2, 1, 2]  # 5 rows, blocks of 3
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="width"):
@@ -471,10 +491,14 @@ for d, m in WIDTHS:
         pair = ops.affine(x, w, np.zeros(m, dtype=np.float32))
         g = rng.standard_normal((n, m), dtype=np.float32)
         whole = x.T @ g
-        for block in (None, *sorted({256, 1000, FC_BLOCK})):  # None: one whole block
-            _, _, blocks = pair.row_pullback(g, block, False)
+        # None: one whole block; 97 leaves fc6's 9216 rows a one-row tail
+        for block in (None, 97, *sorted({256, 1000, FC_BLOCK})):
+            with_dx = block is None  # with and without dx
+            dx, _, blocks = pair.param_pullback(g, block, with_dx)
             if any(rows.tobytes() != whole[start : start + len(rows)].tobytes() for start, rows in blocks):
                 mismatches.append([d, m, n, block])
+            if (dx is None) == with_dx:
+                mismatches.append([d, m, n, block, "dx"])
 print(json.dumps(mismatches))
 """
 
@@ -484,7 +508,9 @@ def test_fc_weight_gradient_row_blocks_equal_the_whole_gemm(threads):
     """Training updates FC weights one row block of x.T @ g at a time, so its
     bytes rest on the BLAS giving each block's rows the bits of the whole
     GEMM. That is a property of the BLAS build, not of numpy, so it is
-    pinned here at both thread counts, on every FC shape the presets train."""
+    pinned here at both thread counts, on every FC shape the presets train.
+    It fails for a one-row block, which numpy runs as a GEMV, so a one-row
+    tail joins the block before it."""
     src = str(Path(ops.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -510,8 +536,15 @@ for n, chw, k, kernel, stride, pad in SHAPES:
     pair = ops.conv2d(x, w, b, stride=stride, pad=pad)
     want, want_pullback, want_param_pullback = conv2d_whole_batch(x, w, b, stride=stride, pad=pad)
     g = rng.standard_normal(want.shape, dtype=np.float32)
-    got = [pair.value, *pair.pullback(g), *pair.param_pullback(g)]
-    for i, (a, e) in enumerate(zip(got, [want, *want_pullback(g), *want_param_pullback(g)], strict=True)):
+    want_dx, want_dw, want_db = want_pullback(g)
+    got, expected = [pair.value, *pair.pullback(g)], [want, want_dx, want_dw, want_db]
+    for with_dx, block in ((True, None), (False, 5)):  # with and without dx; conv's dw is one block
+        dx, db, ((start, dw),) = pair.param_pullback(g, block, with_dx)
+        got += [dw, db, *([dx] if with_dx else [])]
+        expected += [*want_param_pullback(g), *([want_dx] if with_dx else [])]
+        if start or (dx is None) == with_dx:
+            mismatches.append([k, "form", with_dx])
+    for i, (a, e) in enumerate(zip(got, expected, strict=True)):
         if a.tobytes() != e.tobytes():
             mismatches.append([k, i])
 print(json.dumps(mismatches))

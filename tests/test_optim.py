@@ -380,7 +380,7 @@ MIXED = {"conv1": 0.0, "conv3": 0.0, "fc7": 0.0, "fc8": 10.0}
 FC_LOWEST = {"conv1": 0.0, "conv2": 0.0, "conv3": 0.0, "conv4": 0.0, "conv5": 0.0, "fc6": 0.0, "fc8": 10.0}
 
 
-def run_steps(spec, gradients, steps=4, n=8, strip_row_pullback=False):
+def run_steps(spec, gradients, steps=4, n=8, strip_param_pullback=False):
     """`steps` SGD steps of a seeded `small` net; gradients(spec, ckpt,
     state, top_grad) is what each step hands sgd_step."""
     ckpt = init_params(spec, seed=3)
@@ -390,7 +390,7 @@ def run_steps(spec, gradients, steps=4, n=8, strip_row_pullback=False):
         rng = np.random.default_rng([5, step])
         x = rng.normal(0, 30, size=(n, 3, 64, 64)).astype(np.float32)
         state = forward(spec, ckpt, x, retain=True)
-        if strip_row_pullback:  # as a wrapper that rebuilds each pair from value and pullback
+        if strip_param_pullback:  # as a wrapper that rebuilds each pair from value and pullback
             for name, (pair, relu_pullback, flat) in list(state.aux.items()):
                 state.aux[name] = (type(pair)(pair.value, pair.pullback), relu_pullback, flat)
         (g,) = ops.cross_entropy_loss(state.post[spec.top_name], np.arange(n) % 2).pullback(np.float32(1.0))
@@ -433,10 +433,10 @@ class TestUpdateDuringBackward:
         assert want[0].entries["fc8"][0].tobytes() != seeded.entries["fc8"][0].tobytes()
 
     @pytest.mark.parametrize("mults", [{}, MIXED, FC_LOWEST], ids=["all", "mixed", "fc-lowest"])
-    def test_pairs_without_row_pullback_take_the_whole_gradient_path(self, mults):
+    def test_pairs_without_param_pullback_take_the_whole_gradient_path(self, mults):
         spec = with_lr_mult(reference_spec_small(num_classes=2), mults)
         want = run_steps(spec, fused(48))
-        assert_same_bits(run_steps(spec, fused(48), strip_row_pullback=True), want)
+        assert_same_bits(run_steps(spec, fused(48), strip_param_pullback=True), want)
 
     def test_walk_yields_fc_rows_in_blocks_and_the_dict_whole(self):
         spec = with_lr_mult(reference_spec_small(num_classes=2), MIXED)
@@ -448,7 +448,7 @@ class TestUpdateDuringBackward:
         blocks = [(0, 48, True), (48, 48, False), (96, 32, False)]  # 128 rows each
         assert items[:9] == [(name, *block) for name in ("fc8", "fc7", "fc6") for block in blocks]
         assert [name for name, *_ in items[9:]] == ["conv5", "conv4", "conv3", "conv2"]
-        grads = backward(spec, ckpt, state, g)
+        grads = backward(spec, state, g)
         assert list(grads) == ["fc8", "fc7", "fc6", "conv5", "conv4", "conv3", "conv2"]
         assert grads["fc6"][0].shape == (128, 128)
 
