@@ -15,17 +15,22 @@ holding a -0, where the argmax also fixes the sign of zero maxima and is
 built in the forward (see max_pool2d).
 
 Convolution multiplies each example's patch matrix by the flattened
-kernels, one GEMM per example. When one example's matrix reaches
+kernels, one GEMM per example. As in Caffe's convolution layer, no patch
+matrix outlives the forward: a convolution keeps its padded input, and its
+pullbacks rebuild the matrix from it. When one example's matrix reaches
 IM2COL_EXAMPLE bytes, or the whole batch's would exceed IM2COL_BUDGET, the
-convolution streams, as Caffe's convolution layer does: the forward fills
-one example's matrix at a time into a single buffer and keeps none, and
-the pullbacks rebuild each example's matrix into one buffer, add that
-example's dw GEMM into one dw in example order, and add its dx GEMM back
-onto its slice of the input gradient. Each GEMM sees the same operands and
-the sums run in the same order either way, so the bytes match. Every
-full-size layer streams (each example's matrix is 1.5 MB or more); every
-`small` one keeps the whole-batch matrix (235 KB per example at most),
-where the per-example loop is slower.
+convolution streams: the forward fills one example's matrix at a time into
+a single buffer, and the pullbacks rebuild each example's matrix into one
+buffer, add that example's dw GEMM into one dw in example order, and add
+its dx GEMM back onto its slice of the input gradient. Otherwise the
+forward builds the whole batch's matrix as its GEMM's temporary, the
+pullback builds it again for dw, and dx's patch gradients are added back in
+a batch-inner [H, W, N, C] layout, where each window offset's add runs over
+contiguous rows. Each GEMM sees the same operands and every sum runs in the
+same order on either path, so the bytes match. Every full-size layer
+streams (each example's matrix is 1.5 MB or more), where the batch-inner
+add is slower on its large maps; every `small` one takes the whole-batch
+path (235 KB per example at most), where the per-example loop is slower.
 """
 
 from __future__ import annotations
@@ -104,7 +109,10 @@ def _example_cols(patches: Array) -> Iterator[tuple[int, Array]]:
 
 def _col2im_add(dxp: Array, dcols: Array, stride: int) -> None:
     """Add patch gradients [..., C, kh, kw, out_h, out_w] back onto the padded
-    input gradient [..., C, H, W], one window offset at a time in row-major order."""
+    input gradient [..., C, H, W], one window offset at a time in row-major order.
+
+    Both may be transposed views of other layouts: every element receives its
+    kh*kw terms in that order whatever the memory order, so the sums match."""
     kh, kw, out_h, out_w = dcols.shape[-4:]
     for r in range(kh):
         for s in range(kw):
@@ -155,8 +163,8 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
         for i, col in _example_cols(patches):
             np.matmul(w_flat, col, out=out[i])
     else:
-        cols = patches.reshape(n, rows, positions)
-        out = np.matmul(w_flat[None], cols)
+        # the batch's patch matrix is the GEMM's temporary; the pullback rebuilds it
+        out = np.matmul(w_flat[None], patches.reshape(n, rows, positions))
     out += b[None, :, None]
     out = out.reshape(n, k, out_h, out_w)
     _check_finite(out, "conv2d")
@@ -165,11 +173,14 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
         g = np.ascontiguousarray(g, dtype=out.dtype).reshape(n, k, positions)
         dxp = None
         if not streamed:
-            dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+            dw = np.matmul(g, patches.reshape(n, rows, positions).transpose(0, 2, 1)).sum(axis=0)
             if with_dx:
+                # col2im in the batch-inner layout [H, W, n, c], through transposed views
                 dcols = np.matmul(w_flat.T[None], g).reshape(n, c, kh, kw, out_h, out_w)
-                dxp = np.zeros_like(xp)
-                _col2im_add(dxp, dcols, stride)
+                dcols = np.ascontiguousarray(dcols.transpose(2, 3, 4, 5, 0, 1))
+                inner = np.zeros((*xp.shape[2:], n, c), dtype=xp.dtype)
+                _col2im_add(inner.transpose(2, 3, 0, 1), dcols.transpose(4, 5, 0, 1, 2, 3), stride)
+                dxp = np.ascontiguousarray(inner.transpose(2, 3, 0, 1))
         else:
             # One example at a time, with the GEMMs above and dw's terms added
             # in example order, as numpy sums the [n, k, rows] stack over axis 0.

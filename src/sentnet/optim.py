@@ -16,7 +16,9 @@ gradient comes in blocks of FC_BLOCK rows, each applied before the next
 is computed. The update is elementwise, so the bits are those of an
 update after the whole pass, while no gradient dict is built: one conv
 layer's gradient or one FC block (16 MB of the reference fc6's 151 MB)
-is alive at a time.
+is alive at a time. train_in_place then drops the step's forward state,
+loss and batch, so the next step's forward runs with no state of this one
+alive.
 
 The update runs over blocks of BLOCK elements through one small scratch
 buffer instead of building model-sized temporaries (fc6 of the reference
@@ -25,6 +27,8 @@ its order, decay * param, grad + that, lr * lr_mult * that, then the
 velocity and parameter updates, so parameters and velocities come out
 bit-identical to the whole-array expression. Parameters and velocities
 must be C-contiguous, as every checkpoint the package builds is.
+Velocities start as np.zeros: a large one is fresh zero pages from the
+allocator, so no pass writes it before the first update does.
 """
 
 from __future__ import annotations
@@ -98,7 +102,7 @@ class OptState:
     def for_checkpoint(cls, ckpt: Checkpoint) -> "OptState":
         return cls(
             velocities={
-                name: (np.zeros_like(w), np.zeros_like(b))
+                name: (np.zeros(w.shape, w.dtype), np.zeros(b.shape, b.dtype))
                 for name, (w, b) in ckpt.entries.items()
             }
         )
@@ -258,6 +262,8 @@ def train_in_place(
             sgd_step(ckpt, walk, state, lr, lr_mults, config.momentum, config.weight_decay)
             loss_sum += loss * len(y)
             correct += int((logits.argmax(axis=1) == y).sum())
+            # so the next forward runs with no state of this step alive
+            del fwd, pair, walk, logits, dlogits, x, y
         train_acc = correct / source.n
         val_acc = accuracy_on(spec, ckpt, val_source) if val_source is not None else None
         history.append(HistoryRow(epoch, loss_sum / source.n, train_acc, val_acc))

@@ -252,6 +252,22 @@ class TestForward:
         state32 = forward(spec, ckpt, x.astype(np.float32))
         assert state32.post["f2"].dtype == np.float32
 
+    def test_small_retained_forward_holds_no_patch_matrix(self):
+        """A training forward of the small network at batch 32 keeps each
+        layer's output, rectified value and pullback state, but no conv's
+        patch matrix (conv1's alone is 7.18 MiB)."""
+        spec = reference_spec_small(num_classes=2)
+        ckpt = init_params(spec, seed=0)
+        x = np.random.default_rng(0).normal(0, 50, size=(32, *spec.input_shape)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            state = forward(spec, ckpt, x, retain=True)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.post["prob"].shape == (32, 2)
+        assert held < 8 << 20
+
 
 class TestInfer:
     """The forward-only pass: forward's post values, bit for bit, for just

@@ -168,6 +168,16 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def traced_current(fn):
+    """(tracemalloc size still allocated when fn returns, fn's result)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[0], result
+    finally:
+        tracemalloc.stop()
+
+
 class TestStreamedIm2col:
     """conv2d with the patch matrix built one example at a time and for the
     whole batch against the whole-batch formulation it grew from, byte for
@@ -203,6 +213,23 @@ class TestStreamedIm2col:
             assert peak < batch_cols_bytes / 4
         else:
             assert peak >= batch_cols_bytes
+
+    @pytest.mark.parametrize("budget", [0, None], ids=["streamed", "whole-batch"])
+    def test_pair_holds_no_patch_matrix(self, monkeypatch, budget):
+        """conv1 of the small network at training batch 32, on both paths:
+        past the forward its pair keeps its input and its output, not the
+        7.18 MiB patch matrix, which the pullback rebuilds."""
+        if budget is not None:
+            monkeypatch.setattr(ops, "IM2COL_BUDGET", budget)
+        spec = reference_spec_small(2)
+        conv1 = spec.layer("conv1")
+        n, c = 32, spec.input_shape[0]
+        _, oh, ow = infer_shapes(spec)["conv1"]
+        x = rand((n, *spec.input_shape), seed=1)
+        w, b = rand((conv1.out_channels, c, conv1.kernel, conv1.kernel), seed=2), rand((conv1.out_channels,), seed=3)
+        held, _pair = traced_current(lambda: ops.conv2d(x, w, b, stride=conv1.stride, pad=conv1.pad))
+        batch_cols_bytes = n * c * conv1.kernel**2 * oh * ow * 4
+        assert held < batch_cols_bytes / 4
 
     @pytest.mark.parametrize("extra,streams", [(0, True), (1, False)])
     def test_one_example_matrix_of_the_threshold_streams(self, monkeypatch, extra, streams):

@@ -1,5 +1,7 @@
 """Tests for the SGD optimizer, schedule, and train loop."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -463,6 +465,25 @@ class TestUpdateDuringBackward:
         for name in want.entries:
             for a, b in zip(got.entries[name], want.entries[name]):
                 assert a.tobytes() == b.tobytes(), name
+
+    def test_each_step_state_is_dead_before_the_next_forward(self, monkeypatch):
+        """A step's ForwardState (its activations and the pullbacks' inputs)
+        is freed once its update is applied, so two steps' states are never
+        alive at once, across batches and epochs."""
+        spec = with_lr_mult(reference_spec_small(num_classes=2), MIXED)
+        rng = np.random.default_rng(8)
+        source = ArraySource(rng.normal(0, 30, size=(12, 3, 64, 64)), np.arange(12) % 2)
+        states = []
+
+        def tracked(*args, **kwargs):
+            assert all(ref() is None for ref in states), "a previous step's state is still alive"
+            state = forward(*args, **kwargs)
+            states.append(weakref.ref(state))
+            return state
+
+        monkeypatch.setattr(optim, "forward", tracked)
+        train_in_place(spec, init_params(spec, seed=3), source, TrainConfig(base_lr=0.001, epochs=2, batch_size=5))
+        assert len(states) == 6
 
     def test_train_in_place_updates_and_returns_its_input(self):
         spec = linear_spec()
