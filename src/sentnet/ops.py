@@ -355,11 +355,14 @@ def affine(x, w, b) -> GradPair:
     _check_finite(out, "affine")
 
     def param_pullback(g: Array, block: int | None, with_dx: bool):
+        # numpy runs a one-row product as a GEMV, whose bits differ from the GEMM's
+        if block is not None and block < 2:
+            raise ValueError(f"affine: weight-gradient blocks need at least 2 rows, got {block}")
         g = np.asarray(g, dtype=out.dtype)
         d = w.shape[0]
         starts = list(range(0, d, block or d))
         if len(starts) > 1 and starts[-1] == d - 1:
-            starts.pop()  # numpy runs a one-row product as a GEMV, whose bits differ from the GEMM's
+            starts.pop()  # so a one-row tail joins the block before it
         blocks = ((s, x[:, s:e].T @ g) for s, e in zip(starts, starts[1:] + [d]))
         return (g @ w.T if with_dx else None), g.sum(axis=0), blocks
 

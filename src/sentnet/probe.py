@@ -17,14 +17,18 @@ The descent runs in the dual. It starts from w = 0 and every step maps w to
 with one alpha entry per fitting row (the Pegasos schedule of Shalev-Shwartz
 et al. 2007). Iterating on alpha costs min(n^2, 2nd) multiply-adds per
 lambda and iteration for n rows of width d: the n x n Gram x x^T when
-n <= d, x (x^T alpha) otherwise. `fit_probes` fits several endpoints on the
-same rows at once: every endpoint, inner fold and lambda advance together
-in one loop, then every endpoint's refit at its own chosen lambda in a
-second. The fitting sets are zero-padded to a common row count and masked,
-each is standardized by its own rows only, and each gets the GEMMs it would
-get alone, so fitting together gives the bits of fitting one at a time.
-A float64 set exists only while its Gram (or narrow stack slot) is filled
-and again while its weights are formed, one set at a time.
+n <= d, x (x^T alpha) otherwise. `fit_probes` fits several endpoints and
+both kinds on the same rows at once: every endpoint, inner fold and lambda
+advance together in one loop per kind, then every endpoint's refit at its
+own chosen lambda in a second loop per kind. The kernel depends on neither
+the kind nor lambda, so both kinds' loops share it: an outer fold builds
+two kernels, one for selection and one for the refit. The fitting sets are
+zero-padded to a common row count and masked, each is standardized by its
+own rows only, and each gets the GEMMs it would get alone, so fitting
+together gives the bits of fitting one at a time. A float64 set exists only
+while its Gram (or narrow stack slot) is filled and again while its weights
+are formed (once for every kind's selection weights, once per kind for a
+refit), one set at a time.
 
 The dual gives the primal weights up to rounding, except where the iteration
 itself amplifies rounding: a softmax fit at lambda <= 1e-3 can take steps
@@ -34,6 +38,8 @@ apart.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 from itertools import pairwise
 from typing import Callable, Iterator, Sequence
@@ -46,6 +52,7 @@ from .errors import ConfigError, DataError
 from .network import NetworkSpec, forward, infer_shapes
 
 Array = np.ndarray
+log = logging.getLogger(__name__)
 
 DEFAULT_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
 PROBE_KINDS = ("svm", "softmax")
@@ -94,7 +101,8 @@ class ProbeModel:
     mean: Array | None
     scale: Array | None
 
-    def _transform(self, x: Array) -> Array:
+    def standardized(self, x: Array) -> Array:
+        """Float64 rows standardized by this probe's fitting statistics."""
         if self.mean is None:
             return np.asarray(x, dtype=np.float64)
         x = np.subtract(x, self.mean, dtype=np.float64)  # one float64 copy, scaled in place
@@ -102,11 +110,14 @@ class ProbeModel:
         return x
 
     def decision_values(self, x: Array) -> Array:
-        x = self._transform(x)
-        return x @ self.weights + self.bias
+        return self.standardized(x) @ self.weights + self.bias
 
     def predict(self, x: Array) -> Array:
-        values = self.decision_values(x)
+        return self.classify(self.standardized(x))
+
+    def classify(self, z: Array) -> Array:
+        """Predicted labels of rows already standardized by this probe's statistics."""
+        values = z @ self.weights + self.bias
         if self.kind == "svm":
             return (values > 0).astype(np.int64)
         return values.argmax(axis=1)
@@ -222,14 +233,14 @@ def _solve_dual(
     return alpha, bias
 
 
-def _dual_models(
-    sets: Sequence[tuple[Array, Array]], labels: Array, kind: str, lams: Array, standardize: bool, iters: int
-) -> Iterator[list[ProbeModel]]:
-    """Fit every (features, rows) set at each of its lams[f] in one dual loop;
-    yield set f's probes, one per lambda, in order.
+def _dual_fits(
+    sets: Sequence[tuple[Array, Array]], labels: Array, lams: dict[str, Array], standardize: bool, iters: int
+) -> dict[str, tuple[Array, Array]]:
+    """{kind: (alpha, bias)} for every (features, rows) set at each of its
+    lams[kind][f], each kind's dual loop run on one kernel.
 
-    Set f's float64 rows are built again while its weights x^T alpha are
-    formed, and dropped before the next set's.
+    The kernel does not depend on the kind or on lambda, so it is built once
+    and dropped when the last loop ends.
     """
     n = max(len(rows) for _, rows in sets)
     live = np.zeros((len(sets), n), dtype=bool)
@@ -237,25 +248,78 @@ def _dual_models(
     for f, (_, rows) in enumerate(sets):
         live[f, : len(rows)] = True
         y01[f, : len(rows)] = labels[rows]
-    alpha, bias = _solve_dual(_kernel_product(sets, n, standardize), y01, live, kind, lams, iters)
-    for f, (features, rows) in enumerate(sets):
-        yield _probes(features, rows, standardize, kind, lams[f], alpha[f], bias[f])
+    kernel = _kernel_product(sets, n, standardize)
+    return {kind: _solve_dual(kernel, y01, live, kind, kind_lams, iters) for kind, kind_lams in lams.items()}
 
 
 def _probes(
-    features: Array, rows: Array, standardize: bool, kind: str, lams: Array, alpha: Array, bias: Array
-) -> list[ProbeModel]:
-    """One set's probe per lambda: weights x^T alpha[:, l] from the set built again."""
+    features: Array, rows: Array, standardize: bool, fits: dict[str, tuple[Array, Array, Array]]
+) -> dict[str, list[ProbeModel]]:
+    """One set's probes {kind: [probe per lambda]} for fits {kind: (lams, alpha, bias)}:
+    weights x^T alpha[:, l] from the set built once again."""
     x, mean, scale = _fitting_set(features, rows, standardize)
-    weights = [x.T @ alpha[: len(x), l] for l in range(len(lams))]
+    weights = {kind: [x.T @ alpha[: len(x), l] for l in range(len(lams))] for kind, (lams, alpha, _) in fits.items()}
     del x  # before the caller scores these probes
-    return [ProbeModel(kind, float(lams[l]), w, bias[l, ...], mean, scale) for l, w in enumerate(weights)]
+    return {
+        kind: [ProbeModel(kind, float(lams[l]), w, bias[l, ...], mean, scale) for l, w in enumerate(weights[kind])]
+        for kind, (lams, _, bias) in fits.items()
+    }
+
+
+def _select(
+    matrices: list[Array], labels: Array, kinds: tuple[str, ...], grid: list[float], inner_folds: int,
+    standardize: bool, seed: int, iters: int, rows: Array,
+) -> tuple[dict[str, list[float]], dict[str, list[dict[float, float]]]]:
+    """Each kind's chosen lambda and inner scores per matrix, from one dual fit
+    of every matrix x inner fold.
+
+    Each fitting set is built once for every kind's weights at every lambda,
+    and its held-out rows are standardized once for all of them.
+    """
+    inner = stratified_kfold(labels[rows], inner_folds, seed)
+    fitting = [rows[inner != f] for f in range(inner_folds)]
+    held_out = [rows[inner == f] for f in range(inner_folds)]
+    sets = [(features, r) for features in matrices for r in fitting]
+    duals = _dual_fits(sets, labels, {kind: np.tile(grid, (len(sets), 1)) for kind in kinds}, standardize, iters)
+    accs: dict[str, list[list[float]]] = {kind: [] for kind in kinds}  # [set][lambda]
+    for s, (features, r) in enumerate(sets):
+        fits = {kind: (grid, alpha[s], bias[s]) for kind, (alpha, bias) in duals.items()}
+        models = _probes(features, r, standardize, fits)
+        va = held_out[s % inner_folds]
+        z = models[kinds[0]][0].standardized(features[va])
+        for kind in kinds:
+            accs[kind].append([float((model.classify(z) == labels[va]).mean()) for model in models[kind]])
+        del models, z  # before the next set is built
+    lams: dict[str, list[float]] = {kind: [] for kind in kinds}
+    chosen: dict[str, list[dict[float, float]]] = {kind: [] for kind in kinds}
+    for kind in kinds:
+        for m in range(len(matrices)):
+            folds = accs[kind][m * inner_folds : (m + 1) * inner_folds]
+            scores = {lam: float(np.mean([fold[l] for fold in folds])) for l, lam in enumerate(grid)}
+            best = max(scores.values())
+            chosen[kind].append(scores)
+            lams[kind].append(min(lam for lam, score in scores.items() if score == best))
+    return lams, chosen
+
+
+def _refits(
+    matrices: list[Array], labels: Array, lams: dict[str, list[float]], chosen: dict[str, list[dict[float, float]]],
+    standardize: bool, iters: int, rows: Array,
+) -> Iterator[tuple[ProbeModel, dict[float, float]]]:
+    """Every kind's refit of every matrix at its chosen lambda, from one dual
+    fit; yields kind by kind, each model formed only when it is yielded."""
+    sets = [(features, rows) for features in matrices]
+    duals = _dual_fits(sets, labels, {kind: np.array(l)[:, None] for kind, l in lams.items()}, standardize, iters)
+    for kind, (alpha, bias) in duals.items():
+        for f, features in enumerate(matrices):
+            fit = {kind: (lams[kind][f : f + 1], alpha[f], bias[f])}
+            yield _probes(features, rows, standardize, fit)[kind][0], chosen[kind][f]
 
 
 def fit_probes(
     matrices: Sequence[Array],
     labels: Array,
-    kind: str,
+    kinds: Sequence[str],
     lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
     inner_folds: int = 3,
     standardize: bool = True,
@@ -263,13 +327,15 @@ def fit_probes(
     iters: int = ITERATION_BUDGET,
     rows: Array | None = None,
 ) -> Iterator[tuple[ProbeModel, dict[float, float]]]:
-    """fit_probe on each feature matrix's `rows` (all rows by default), every
-    matrix fitted together; yields (model, inner scores) per matrix, in order.
+    """fit_probe of each kind on each feature matrix's `rows` (all rows by
+    default), every kind and matrix fitted together; yields (model, inner
+    scores) for each distinct kind in order, and within a kind per matrix.
 
-    Every matrix has one row per label and all share the inner folds, so one
-    dual loop advances every matrix, inner fold and lambda, and a second one
-    refits every matrix at its own chosen lambda. A model is built only when
-    it is yielded.
+    Every matrix has one row per label and all share the inner folds. The
+    call selects every lambda: one kernel serves every kind's dual loop over
+    every matrix, inner fold and lambda. The returned iterator refits: one
+    more kernel serves every kind's loop over every matrix at its chosen
+    lambda, and a model is formed only when it is yielded.
     """
     labels = np.asarray(labels, dtype=np.int64)
     matrices = [np.asarray(features) for features in matrices]
@@ -283,35 +349,20 @@ def fit_probes(
         raise ConfigError(f"lambda grid must be positive, got {lambda_grid}")
     if labels[rows].min() < 0 or labels[rows].max() > 1:
         raise DataError("probe labels must be binary 0/1")
-    if kind not in PROBE_KINDS:
-        raise ConfigError(f"unknown probe kind {kind!r}; expected one of {PROBE_KINDS}")
+    kinds = tuple(dict.fromkeys(kinds))
+    if not kinds:
+        raise ConfigError("no probe kind to fit")
+    for kind in kinds:
+        if kind not in PROBE_KINDS:
+            raise ConfigError(f"unknown probe kind {kind!r}; expected one of {PROBE_KINDS}")
 
     grid = sorted(set(float(l) for l in lambda_grid))
     if len(grid) == 1:
-        chosen = [{grid[0]: float("nan")} for _ in matrices]
-        lams = [grid[0]] * len(matrices)
+        lams = {kind: grid * len(matrices) for kind in kinds}
+        chosen = {kind: [{grid[0]: float("nan")} for _ in matrices] for kind in kinds}
     else:
-        inner = stratified_kfold(labels[rows], inner_folds, seed)
-        fitting = [rows[inner != f] for f in range(inner_folds)]
-        held_out = [rows[inner == f] for f in range(inner_folds)]
-        models = _dual_models(
-            [(features, r) for features in matrices for r in fitting], labels, kind,
-            np.tile(grid, (len(matrices) * inner_folds, 1)), standardize, iters,
-        )
-        chosen, lams = [], []
-        for features in matrices:
-            accs = [
-                [float((model.predict(features[va]) == labels[va]).mean()) for model in next(models)]
-                for va in held_out
-            ]
-            scores = {lam: float(np.mean([fold[l] for fold in accs])) for l, lam in enumerate(grid)}
-            best = max(scores.values())
-            chosen.append(scores)
-            lams.append(min(l for l, s in scores.items() if s == best))
-    refits = _dual_models([(features, rows) for features in matrices], labels, kind,
-                          np.array(lams)[:, None], standardize, iters)
-    for scores in chosen:
-        yield next(refits)[0], scores
+        lams, chosen = _select(matrices, labels, kinds, grid, inner_folds, standardize, seed, iters, rows)
+    return _refits(matrices, labels, lams, chosen, standardize, iters, rows)
 
 
 def fit_probe(
@@ -329,9 +380,9 @@ def fit_probe(
     Returns the refitted model and the inner-CV accuracy per lambda. Inner
     folds are stratified and deterministic in seed; ties go to the smaller
     lambda. Standardization statistics always come from the fitting rows
-    only. This is fit_probes on one matrix.
+    only. This is fit_probes on one matrix and one kind.
     """
-    ((model, chosen),) = fit_probes([features], labels, kind, lambda_grid, inner_folds, standardize, seed, iters)
+    ((model, chosen),) = fit_probes([features], labels, (kind,), lambda_grid, inner_folds, standardize, seed, iters)
     return model, chosen
 
 
@@ -428,25 +479,34 @@ def probe_all_layers(
     labels = source.labels
     if len(folds) != len(labels):
         raise DataError(f"{len(folds)} fold ids for {len(labels)} examples")
+    if not kinds:
+        raise ConfigError("no probe kind to fit")
     for kind in kinds:
         if kind not in PROBE_KINDS:
             raise ConfigError(f"unknown probe kind {kind!r}")
     names = tuple(endpoints) if endpoints is not None else spec.endpoints
     fold_ids = sorted(int(f) for f in np.unique(folds))
     by_endpoint = extract_features(spec, ckpt, source, names, pre_activation=pre_activation)
+    distinct = tuple(dict.fromkeys(kinds))
     found: dict[tuple[str, str, int], ProbeRow] = {}
-    for kind in kinds:
-        for f in fold_ids:
-            test = folds == f
-            fitted = fit_probes(
-                list(by_endpoint.values()), labels, kind, lambda_grid, inner_folds, standardize, seed, iters,
-                rows=np.flatnonzero(~test),
-            )
+    for f in fold_ids:
+        test = folds == f
+        started = time.perf_counter()
+        fitted = fit_probes(
+            list(by_endpoint.values()), labels, distinct, lambda_grid, inner_folds, standardize, seed, iters,
+            rows=np.flatnonzero(~test),
+        )
+        selected = time.perf_counter()
+        for kind in distinct:
             for endpoint, features in by_endpoint.items():
                 model, _ = next(fitted)
                 acc = float((model.predict(features[test]) == labels[test]).mean())
                 found[endpoint, kind, f] = ProbeRow(endpoint, kind, f, acc, model.lam)
-                del model  # before the next endpoint's refit set is built
+                del model  # before the next refit set is built
+        log.info(
+            "outer fold %d: %d endpoints x %d kinds, selection %.3f s, refit %.3f s",
+            f, len(by_endpoint), len(distinct), selected - started, time.perf_counter() - selected,
+        )
     return ProbeReport(
         rows=[found[endpoint, kind, f] for endpoint in names for kind in kinds for f in fold_ids],
         endpoints=names,

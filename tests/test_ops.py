@@ -500,6 +500,15 @@ class TestAffine:
         with pytest.raises(ShapeError, match="width"):
             ops.affine(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
 
+    @pytest.mark.parametrize("block", [1, 0, -3])
+    def test_param_pullback_rejects_blocks_below_two_rows(self, block):
+        """A one-row block would run as a GEMV, whose bits differ from the whole GEMM's."""
+        pair = ops.affine(np.ones((2, 3)), np.ones((3, 2)), np.zeros(2))
+        for with_dx in (True, False):
+            with pytest.raises(ValueError, match="at least 2 rows"):
+                pair.param_pullback(np.ones((2, 2)), block, with_dx)
+        assert len(list(pair.param_pullback(np.ones((2, 2)), 2, False)[2])) == 1  # 3 rows: the tail row joins
+
 
 ROW_BLOCK_PROGRAM = """
 import json

@@ -1,6 +1,9 @@
 """Tests for feature extraction and linear probes."""
 
 import hashlib
+import itertools
+import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +16,7 @@ from sentnet.errors import ConfigError, DataError
 from sentnet.network import LayerKind, LayerSpec, NetworkSpec, init_params
 from sentnet.probe import (
     DEFAULT_LAMBDA_GRID,
+    PROBE_KINDS,
     ProbeReport,
     ProbeRow,
     extract_features,
@@ -415,22 +419,61 @@ class TestPinnedProbeBytes:
                     alone.append(ProbeRow(endpoint, kind, f, acc, model.lam))
         assert report.rows == alone
 
-    @pytest.mark.parametrize("kind", ["svm", "softmax"])
+    @pytest.mark.parametrize("first", ["svm", "softmax"])
     @pytest.mark.parametrize("grid", [GRID, (0.1,)], ids=["four-lambdas", "one-lambda"])
-    def test_fitted_together_is_bitwise_fitted_alone(self, kind, grid):
+    def test_fitted_together_is_bitwise_fitted_alone(self, first, grid):
+        """Both kinds on every endpoint in one call, either kind first, with
+        and without standardization: each (kind, endpoint) gets the bits of
+        fit_probe on that endpoint and kind alone."""
         feats = extract_features(self.spec, self.ckpt, self.src, self.spec.endpoints)
         labels = self.src.labels
         rows = np.flatnonzero(self.folds != 1)
-        together = list(fit_probes(list(feats.values()), labels, kind, grid, iters=60, rows=rows))
-        assert len(together) == len(feats)
-        for (model, scores), matrix in zip(together, feats.values()):
-            want, want_scores = fit_probe(matrix[rows], labels[rows], kind, grid, iters=60)
-            assert model.lam == want.lam
-            assert scores.keys() == want_scores.keys()
-            assert np.array_equal(list(scores.values()), list(want_scores.values()), equal_nan=True)
-            for got, ref in [(model.weights, want.weights), (model.bias, want.bias),
-                             (model.mean, want.mean), (model.scale, want.scale)]:
-                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        kinds = (first, *(kind for kind in PROBE_KINDS if kind != first))
+        for standardize in (True, False):
+            together = list(fit_probes(list(feats.values()), labels, kinds, grid, standardize=standardize,
+                                       iters=60, rows=rows))
+            assert len(together) == len(kinds) * len(feats)
+            for (model, scores), (kind, matrix) in zip(together, itertools.product(kinds, feats.values())):
+                assert model.kind == kind
+                want, want_scores = fit_probe(matrix[rows], labels[rows], kind, grid, standardize=standardize,
+                                              iters=60)
+                assert model.lam == want.lam
+                assert scores.keys() == want_scores.keys()
+                assert np.array_equal(list(scores.values()), list(want_scores.values()), equal_nan=True)
+                assert (model.mean is None) == (want.mean is None) == (not standardize)
+                pairs = [(model.weights, want.weights), (model.bias, want.bias)]
+                if standardize:
+                    pairs += [(model.mean, want.mean), (model.scale, want.scale)]
+                for got, ref in pairs:
+                    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("grid", [GRID, (0.1,)], ids=["four-lambdas", "one-lambda"])
+    def test_both_kinds_share_two_kernels_per_outer_fold(self, grid, monkeypatch):
+        """probe_all_layers builds one kernel for every kind's selection and
+        one for every kind's refit per outer fold (none for selection on a
+        one-lambda grid, which selects nothing)."""
+        built = []
+        kernel_product = probe_mod._kernel_product
+
+        def counted(sets, rows, standardize):
+            built.append(len(sets))
+            return kernel_product(sets, rows, standardize)
+
+        monkeypatch.setattr(probe_mod, "_kernel_product", counted)
+        report = self.report(grid)
+        endpoints = len(self.spec.endpoints)
+        per_fold = [endpoints * 3, endpoints] if len(grid) > 1 else [endpoints]  # 3 inner folds
+        assert built == per_fold * 3  # 3 outer folds
+        assert {r.kind for r in report.rows} == set(PROBE_KINDS)
+
+    def test_one_info_line_per_outer_fold(self, caplog):
+        with caplog.at_level(logging.INFO, logger="sentnet.probe"):
+            self.report((0.1,))
+        lines = [r.getMessage() for r in caplog.records if r.name == "sentnet.probe"]
+        assert len(lines) == 3
+        for f, line in enumerate(lines):
+            assert re.fullmatch(rf"outer fold {f}: 4 endpoints x 2 kinds, selection \d+\.\d{{3}} s, "
+                                rf"refit \d+\.\d{{3}} s", line), line
 
 
 def test_fitting_memory_stays_one_set_at_a_time(monkeypatch):
