@@ -375,7 +375,7 @@ def stratified_kfold(labels: Array, k: int, seed: int) -> Array:
         raise DataError(f"need at least 2 folds, got {k}")
     rng = np.random.default_rng(seed)
     folds = np.full(len(labels), -1, dtype=np.int64)
-    for cls in np.unique(labels):
+    for cls in sorted(set(labels.tolist())):  # np.unique would import numpy.ma
         idx = np.flatnonzero(labels == cls)
         if len(idx) < k:
             raise DataError(f"class {cls} has {len(idx)} samples, fewer than k={k}")

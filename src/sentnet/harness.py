@@ -27,6 +27,7 @@ import dataclasses
 import itertools
 import json
 import logging
+import math
 import types
 import typing
 from collections import Counter
@@ -149,7 +150,8 @@ def _fits(value: Any, hint: Any) -> bool:
     """Whether a JSON value has a config field's annotated type.
 
     A bool is only a bool, never an int; a float field also takes an int
-    (kept as written); a tuple field takes an array.
+    (kept as written) but no NaN or infinity, which Python's json parses;
+    a tuple field takes an array.
     """
     args = typing.get_args(hint)
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
@@ -163,7 +165,7 @@ def _fits(value: Any, hint: Any) -> bool:
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
-        return isinstance(value, (int, float))
+        return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
     return isinstance(value, hint)
 
 
@@ -312,8 +314,8 @@ def _view_scores(
 def _result(scores: Array, labels: Array) -> EvalResult:
     preds = scores.argmax(axis=1)
     accuracy = float((preds == labels).mean())
-    per_class = {int(cls): float((preds[labels == cls] == cls).mean()) for cls in np.unique(labels)}
-    degenerate = len(np.unique(preds)) <= 1
+    per_class = {int(cls): float((preds[labels == cls] == cls).mean()) for cls in sorted(set(labels.tolist()))}
+    degenerate = len(set(preds.tolist())) <= 1
     return EvalResult(
         accuracy=accuracy,
         per_class=per_class,
@@ -353,7 +355,7 @@ def evaluate(
 def audit_folds(folds: Array, k: int | None = None) -> list[tuple[Array, Array]]:
     """Train/test index pairs per fold, checked to partition the dataset."""
     folds = np.asarray(folds)
-    ids = sorted(int(f) for f in np.unique(folds))
+    ids = sorted(int(f) for f in set(folds.tolist()))
     if k is not None and ids != list(range(k)):
         raise DataError(f"fold ids {ids} do not cover 0..{k - 1}")
     splits = []
@@ -361,7 +363,7 @@ def audit_folds(folds: Array, k: int | None = None) -> list[tuple[Array, Array]]
     for f in ids:
         test = np.flatnonzero(folds == f)
         trainv = np.flatnonzero(folds != f)
-        if np.intersect1d(test, trainv).size:
+        if not set(test.tolist()).isdisjoint(trainv.tolist()):
             raise DataError(f"fold {f}: train/test overlap")
         if len(test) + len(trainv) != n:
             raise DataError(f"fold {f}: split does not cover the dataset")

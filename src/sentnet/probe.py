@@ -25,10 +25,15 @@ the kind nor lambda, so both kinds' loops share it: an outer fold builds
 two kernels, one for selection and one for the refit. The fitting sets are
 zero-padded to a common row count and masked, each is standardized by its
 own rows only, and each gets the GEMMs it would get alone, so fitting
-together gives the bits of fitting one at a time. A float64 set exists only
-while its Gram (or narrow stack slot) is filled and again while its weights
-are formed (once for every kind's selection weights, once per kind for a
-refit), one set at a time.
+together gives the bits of fitting one at a time. Each loop runs its
+iterations in scratch allocated once.
+
+A float64 set exists only while its Gram (or narrow stack slot) is filled
+and again while every kind's weights are formed from it, one set at a time:
+per outer fold, each inner fitting set is built twice in selection, and
+each endpoint's refit set twice, once for the kernel and once for both
+kinds' refit weights. So the refits come out endpoint by endpoint, each
+endpoint's kinds in turn.
 
 The dual gives the primal weights up to rounding, except where the iteration
 itself amplifies rounding: a softmax fit at lambda <= 1e-3 can take steps
@@ -39,6 +44,7 @@ apart.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from itertools import pairwise
@@ -133,6 +139,8 @@ def _fitting_set(features: Array, rows: Array, standardize: bool) -> tuple[Array
     larger than a block. Blocks are at least 2 columns wide: numpy sums 2 or
     more columns down each column in row order, as it does the whole copy,
     but a single column pairwise, which would change its statistics' bits.
+    The std comes from the block once centered: the same squared deviations
+    from the same mean that `block.std(axis=0)` sums, so the same bits.
     """
     width = features.shape[1]
     x = np.empty((len(rows), width))
@@ -142,31 +150,36 @@ def _fitting_set(features: Array, rows: Array, standardize: bool) -> tuple[Array
         block = x[:, a:b]
         block[...] = features[rows, a:b]
         if standardize:
-            mean[a:b] = block.mean(axis=0)
-            std = block.std(axis=0)
-            scale[a:b] = np.where(std > 0, std, 1.0)  # constant columns pass through
+            np.add.reduce(block, axis=0, out=mean[a:b])  # block.mean(axis=0), without its Python wrapper
+            mean[a:b] /= len(block)
             block -= mean[a:b]
+            std = np.sqrt(np.add.reduce(np.square(block), axis=0) / len(block))
+            scale[a:b] = np.where(std > 0, std, 1.0)  # constant columns pass through
             block /= scale[a:b]
     return x, mean, scale
 
 
 def _kernel_product(
     sets: Sequence[tuple[Array, Array]], rows: int, standardize: bool
-) -> Callable[[Array], Array]:
-    """a [F, rows, m] -> K a, where K_f = x_f x_f^T for fitting set f zero-padded to `rows`.
+) -> tuple[list[int], Callable[[Array, Array], None]]:
+    """The sets' kernel order, and (a, out) -> out = K a for a, out [F, rows, m] in that
+    order, where K_f = x_f x_f^T for fitting set f zero-padded to `rows`.
 
     Set f is (features, row indices). Per column of a, the Gram costs rows^2
     and going through x^T a costs 2 rows d; forming the Gram costs rows^2 d
     once, so a set takes the Gram when rows <= d. Gram sets share one
     [G, rows, rows] stack and the others one [S, rows, d] stack per width d,
-    so every set's products are the GEMMs it would get alone. Each float64
-    set lives only while its Gram or its stack slot is filled.
+    so every set's products are the GEMMs it would get alone. The order
+    puts each stack's sets next to each other, so each product reads and
+    writes its own slice of a and out. Each float64 set lives only while its
+    Gram or its stack slot is filled.
     """
     groups: dict[int | None, list[int]] = {}  # None: the Gram sets
     for f, (features, _) in enumerate(sets):
         width = features.shape[1]
         groups.setdefault(None if rows <= width else width, []).append(f)
     products = []
+    start = 0
     for width, members in groups.items():
         stack = np.zeros((len(members), rows, rows if width is None else width))
         for slot, f in enumerate(members):
@@ -176,58 +189,92 @@ def _kernel_product(
             else:
                 stack[slot, : len(x)] = x
             del x  # before the next set is built
-        if width is None:
-            product = lambda a, gram=stack: gram @ a
-        else:
-            product = lambda a, x=stack: x @ (x.transpose(0, 2, 1) @ a)
-        products.append((np.array(members), product))
-    if len(products) == 1:
-        return products[0][1]
+        products.append((slice(start, start + len(members)), stack, width is None))
+        start += len(members)
 
-    def kernel(a: Array) -> Array:
-        out = np.empty_like(a)
-        for members, product in products:
-            out[members] = product(a[members])
-        return out
+    def kernel(a: Array, out: Array) -> None:
+        for span, stack, gram in products:
+            if gram:
+                np.matmul(stack, a[span], out=out[span])
+            else:
+                np.matmul(stack, stack.transpose(0, 2, 1) @ a[span], out=out[span])
 
-    return kernel
+    return [f for members in groups.values() for f in members], kernel
 
 
 def _solve_dual(
-    kernel: Callable[[Array], Array], y01: Array, live: Array, kind: str, lams: Array, iters: int
+    kernel: Callable[[Array, Array], None], y01: Array, live: Array, kind: str, lams: Array, iters: int
 ) -> tuple[Array, Array]:
     """Full-batch descent on alpha for F padded fitting sets, each at its own L lambdas.
 
     y01 and live are [F, n] and lams [F, L]; a padded row (live False) adds
     nothing to scores, gradients or row counts. Returns alpha [F, n, L] and
     bias [F, L] for svm, alpha [F, n, L, 2] and bias [F, L, 2] for softmax;
-    set f's weights at lams[f, l] are x_f^T alpha[f, :, l].
+    set f's weights at lams[f, l] are x_f^T alpha[f, :, l]. Every iteration
+    runs in the same preallocated scratch, with the same operations in the
+    same order as the formulas in the comments.
     """
     sets, n = live.shape
-    lam = np.asarray(lams, dtype=np.float64)[:, None, :, None]  # [F, 1, L, 1], against [F, n, L, classes]
-    count = live.sum(axis=1)[:, None, None, None]  # every set divides by its own row count
-    live = live[:, :, None, None]
+    classes = 1 if kind == "svm" else 2
+    alpha = np.zeros((sets, n, np.shape(lams)[1], classes))
+    bias = np.zeros((sets, *alpha.shape[2:]))
+
+    def full(a: Array) -> Array:  # float64 at alpha's shape: broadcasting makes numpy's inner loops 1 or 2 long
+        return np.broadcast_to(a, alpha.shape).astype(np.float64)
+
+    lam = full(np.asarray(lams)[:, None, :, None])
+    count = full(live.sum(axis=1)[:, None, None, None])  # every set divides by its own row count
+    scores, grad, step, total = np.empty_like(alpha), np.empty_like(alpha), np.empty_like(alpha), np.empty_like(bias)
+    # grad.sum(axis=1) adds a set's rows pairwise when a row has one column, else in row order;
+    # summed from a rows-first copy, the rows' order holds and the inner loop is F L classes long
+    rows_first = np.empty((n, *bias.shape)) if bias[0].size > 1 else None
+    grad_rows_first = np.moveaxis(grad, 1, 0)
     if kind == "svm":
-        y = np.where(y01 > 0, 1.0, -1.0)[:, :, None, None]
-        classes = 1
+        y = full(np.where(y01 > 0, 1.0, -1.0)[:, :, None, None])
+        violated = np.where(live[:, :, None, None], -y, 0.0) / count  # a row's gradient while 1 - y s > 0
     else:
-        onehot = (y01[:, :, None, None] == np.arange(2)).astype(np.float64)
-        classes = 2
-    alpha = np.zeros((sets, n, lam.shape[2], classes))
-    bias = np.zeros((sets, lam.shape[2], classes))
+        onehot = full(y01[:, :, None, None] == np.arange(2))
+        padded = np.flatnonzero(~live)  # rows of grad.reshape(sets * n, -1)
+        pair = np.empty(alpha.shape[:3])
+        s0, s1, g0, g1 = scores[..., 0], scores[..., 1], grad[..., 0], grad[..., 1]
     for t in range(1, iters + 1):
-        step = 1.0 / (lam * t)
-        scores = kernel(alpha.reshape(sets, n, -1)).reshape(alpha.shape) + bias[:, None]
+        np.multiply(lam, t, out=step)
+        np.divide(1.0, step, out=step)  # step = 1 / (lam t)
+        kernel(alpha.reshape(sets, n, -1), scores.reshape(sets, n, -1))
+        scores += bias[:, None]
         if kind == "svm":
-            active = live & ((1.0 - y * scores) > 0)
-            grad = np.where(active, -y, 0.0) / count  # mean hinge loss, by score
+            # mean hinge loss, by score: grad = where(live & (1 - y s > 0), -y, 0) / count. With y = +-1,
+            # y s is exact, and 1 - y s > 0 exactly when y s < 1, NaN and +-inf included.
+            scores *= y
+            np.less(scores, 1.0, out=grad)  # 1.0 where violated, else 0.0
+            grad *= violated  # 0 * violated is -0 where violated < 0 ...
+            grad += 0.0  # ... and -0 + 0 is +0, as where() gives
         else:
-            # ops.softmax's max-shifted formula, bit for bit, without its slow 2-wide row reductions
-            e = np.exp(scores - np.maximum(scores[..., :1], scores[..., 1:]))
-            probs = e / (e[..., :1] + e[..., 1:])
-            grad = np.where(live, probs - onehot, 0.0) / count  # mean cross-entropy, by score
-        alpha -= step * (lam * alpha + grad)
-        bias -= step[:, 0] * grad.sum(axis=1)
+            # mean cross-entropy, by score: grad = where(live, probs - onehot, 0) / count, with
+            # ops.softmax's max-shifted formula, bit for bit, without its slow 2-wide row reductions:
+            # e = exp(s - max(s0, s1)), probs = e / (e0 + e1)
+            np.maximum(s0, s1, out=pair)
+            np.subtract(s0, pair, out=g0)
+            np.subtract(s1, pair, out=g1)
+            np.exp(grad, out=grad)
+            np.add(g0, g1, out=pair)
+            g0 /= pair
+            g1 /= pair
+            grad -= onehot
+            grad.reshape(sets * n, -1)[padded] = 0.0
+            grad /= count
+        # alpha -= step (lam alpha + grad); bias -= step grad summed over rows
+        np.multiply(lam, alpha, out=scores)
+        scores += grad
+        scores *= step
+        alpha -= scores
+        if rows_first is None:
+            np.add.reduce(grad, axis=1, out=total)
+        else:
+            np.copyto(rows_first, grad_rows_first)
+            np.add.reduce(rows_first, axis=0, out=total)
+        total *= step[:, 0]
+        bias -= total
     if kind == "svm":
         return alpha[..., 0], bias[..., 0]
     return alpha, bias
@@ -240,23 +287,30 @@ def _dual_fits(
     lams[kind][f], each kind's dual loop run on one kernel.
 
     The kernel does not depend on the kind or on lambda, so it is built once
-    and dropped when the last loop ends.
+    and dropped when the last loop ends. The loops run on the sets in the
+    kernel's order; the results come back in the order of `sets`.
     """
     n = max(len(rows) for _, rows in sets)
+    order, kernel = _kernel_product(sets, n, standardize)
     live = np.zeros((len(sets), n), dtype=bool)
     y01 = np.zeros((len(sets), n), dtype=np.int64)
-    for f, (_, rows) in enumerate(sets):
-        live[f, : len(rows)] = True
-        y01[f, : len(rows)] = labels[rows]
-    kernel = _kernel_product(sets, n, standardize)
-    return {kind: _solve_dual(kernel, y01, live, kind, kind_lams, iters) for kind, kind_lams in lams.items()}
+    for slot, f in enumerate(order):
+        rows = sets[f][1]
+        live[slot, : len(rows)] = True
+        y01[slot, : len(rows)] = labels[rows]
+    back = np.argsort(order)
+    fits = {}
+    for kind, kind_lams in lams.items():
+        alpha, bias = _solve_dual(kernel, y01, live, kind, np.asarray(kind_lams)[order], iters)
+        fits[kind] = alpha[back], bias[back]
+    return fits
 
 
 def _probes(
     features: Array, rows: Array, standardize: bool, fits: dict[str, tuple[Array, Array, Array]]
 ) -> dict[str, list[ProbeModel]]:
     """One set's probes {kind: [probe per lambda]} for fits {kind: (lams, alpha, bias)}:
-    weights x^T alpha[:, l] from the set built once again."""
+    every kind's weights x^T alpha[:, l] from the set built once again."""
     x, mean, scale = _fitting_set(features, rows, standardize)
     weights = {kind: [x.T @ alpha[: len(x), l] for l in range(len(lams))] for kind, (lams, alpha, _) in fits.items()}
     del x  # before the caller scores these probes
@@ -307,13 +361,16 @@ def _refits(
     standardize: bool, iters: int, rows: Array,
 ) -> Iterator[tuple[ProbeModel, dict[float, float]]]:
     """Every kind's refit of every matrix at its chosen lambda, from one dual
-    fit; yields kind by kind, each model formed only when it is yielded."""
+    fit; yields matrix by matrix, each kind's model in turn, every kind's
+    weights formed from one build of the matrix's refit set."""
     sets = [(features, rows) for features in matrices]
     duals = _dual_fits(sets, labels, {kind: np.array(l)[:, None] for kind, l in lams.items()}, standardize, iters)
-    for kind, (alpha, bias) in duals.items():
-        for f, features in enumerate(matrices):
-            fit = {kind: (lams[kind][f : f + 1], alpha[f], bias[f])}
-            yield _probes(features, rows, standardize, fit)[kind][0], chosen[kind][f]
+    for f, features in enumerate(matrices):
+        fits = {kind: (lams[kind][f : f + 1], alpha[f], bias[f]) for kind, (alpha, bias) in duals.items()}
+        models = _probes(features, rows, standardize, fits)
+        for kind in duals:
+            yield models[kind][0], chosen[kind][f]
+        del models  # before the next matrix's set is built
 
 
 def fit_probes(
@@ -329,13 +386,14 @@ def fit_probes(
 ) -> Iterator[tuple[ProbeModel, dict[float, float]]]:
     """fit_probe of each kind on each feature matrix's `rows` (all rows by
     default), every kind and matrix fitted together; yields (model, inner
-    scores) for each distinct kind in order, and within a kind per matrix.
+    scores) per matrix in order, and within a matrix for each distinct kind
+    in order.
 
     Every matrix has one row per label and all share the inner folds. The
     call selects every lambda: one kernel serves every kind's dual loop over
     every matrix, inner fold and lambda. The returned iterator refits: one
     more kernel serves every kind's loop over every matrix at its chosen
-    lambda, and a model is formed only when it is yielded.
+    lambda, and a matrix's models are formed only when the first is yielded.
     """
     labels = np.asarray(labels, dtype=np.int64)
     matrices = [np.asarray(features) for features in matrices]
@@ -345,8 +403,8 @@ def fit_probes(
     rows = np.arange(len(labels)) if rows is None else np.asarray(rows)
     if len(rows) == 0:
         raise DataError("no rows to fit a probe on")
-    if not lambda_grid or any(l <= 0 for l in lambda_grid):
-        raise ConfigError(f"lambda grid must be positive, got {lambda_grid}")
+    if not lambda_grid or not all(0 < l < math.inf for l in lambda_grid):
+        raise ConfigError(f"lambda grid must be positive and finite, got {lambda_grid}")
     if labels[rows].min() < 0 or labels[rows].max() > 1:
         raise DataError("probe labels must be binary 0/1")
     kinds = tuple(dict.fromkeys(kinds))
@@ -485,7 +543,7 @@ def probe_all_layers(
         if kind not in PROBE_KINDS:
             raise ConfigError(f"unknown probe kind {kind!r}")
     names = tuple(endpoints) if endpoints is not None else spec.endpoints
-    fold_ids = sorted(int(f) for f in np.unique(folds))
+    fold_ids = sorted(int(f) for f in set(folds.tolist()))
     by_endpoint = extract_features(spec, ckpt, source, names, pre_activation=pre_activation)
     distinct = tuple(dict.fromkeys(kinds))
     found: dict[tuple[str, str, int], ProbeRow] = {}
@@ -497,8 +555,8 @@ def probe_all_layers(
             rows=np.flatnonzero(~test),
         )
         selected = time.perf_counter()
-        for kind in distinct:
-            for endpoint, features in by_endpoint.items():
+        for endpoint, features in by_endpoint.items():
+            for kind in distinct:
                 model, _ = next(fitted)
                 acc = float((model.predict(features[test]) == labels[test]).mean())
                 found[endpoint, kind, f] = ProbeRow(endpoint, kind, f, acc, model.lam)

@@ -471,6 +471,44 @@ def probe_select_primal(x: Array, y01: Array, kind: str, grid, inner: Array, ite
     return scores, min(l for l, s in scores.items() if s == best)
 
 
+def probe_solve_dual_allocating(kernel, y01: Array, live: Array, kind: str, lams: Array, iters: int):
+    """probe._solve_dual as it was before its loop ran in preallocated scratch.
+
+    kernel maps a [F, n, m] to K a; y01 and live are [F, n] and lams [F, L].
+    Every iteration builds its temporaries anew, straight from the formulas:
+    svm gradients where(live & (1 - y s > 0), -y, 0) / count, softmax ones
+    where(live, probs - onehot, 0) / count. Returns (alpha, bias) as
+    _solve_dual does.
+    """
+    sets, n = live.shape
+    lam = np.asarray(lams, dtype=np.float64)[:, None, :, None]
+    count = live.sum(axis=1)[:, None, None, None]
+    live = live[:, :, None, None]
+    if kind == "svm":
+        y = np.where(y01 > 0, 1.0, -1.0)[:, :, None, None]
+        classes = 1
+    else:
+        onehot = (y01[:, :, None, None] == np.arange(2)).astype(np.float64)
+        classes = 2
+    alpha = np.zeros((sets, n, lam.shape[2], classes))
+    bias = np.zeros((sets, lam.shape[2], classes))
+    for t in range(1, iters + 1):
+        step = 1.0 / (lam * t)
+        scores = kernel(alpha.reshape(sets, n, -1)).reshape(alpha.shape) + bias[:, None]
+        if kind == "svm":
+            active = live & ((1.0 - y * scores) > 0)
+            grad = np.where(active, -y, 0.0) / count
+        else:
+            e = np.exp(scores - np.maximum(scores[..., :1], scores[..., 1:]))
+            probs = e / (e[..., :1] + e[..., 1:])
+            grad = np.where(live, probs - onehot, 0.0) / count
+        alpha -= step * (lam * alpha + grad)
+        bias -= step[:, 0] * grad.sum(axis=1)
+    if kind == "svm":
+        return alpha[..., 0], bias[..., 0]
+    return alpha, bias
+
+
 def _minus_means(view: Array, means: Array | None) -> Array:
     out = np.ascontiguousarray(view, dtype=np.float32)
     if means is not None:

@@ -446,6 +446,26 @@ class TestConfig:
         assert saved["train"]["gamma"] == 1 and saved["preprocess"]["channel_means"] == (1, 2, 3)
         assert '"gamma": 1,' in json.dumps(saved["train"], sort_keys=True)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_float_exits_one_at_load(self, value, tmp_path, capsys):
+        """Python's json parses NaN and Infinity. No float field takes them: a
+        NaN lambda would win selection, and NaN training floats pass every
+        range check."""
+        floats = [(key, annotation) for key, annotation in CONFIG_KEYS if "float" in annotation]
+        assert {"train.base_lr", "train.weight_decay", "experiment.probe.lambda_grid"} <= dict(floats).keys()
+        for key, annotation in floats:
+            items = {"tuple[float, float, float] | None": 3, "tuple[float, ...]": 2}.get(annotation)
+            text = f"[{value}{', 0.5' * (items - 1)}]" if items else value
+            *sections, name = key.split(".")
+            path = tmp_path / f"{key}.json"
+            path.write_text("".join(f'{{"{s}": ' for s in sections) + f'{{"{name}": {text}}}' + "}" * len(sections))
+            with pytest.raises(ConfigError, match=f"'{key}'"):
+                load_config(path)
+            code = cli.main(["probe", "--config", str(path), "--out", str(tmp_path / "never")])
+            assert code == 1
+            assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_cli_exits_one_naming_any_mistyped_key(self, data, tmp_path_factory):
@@ -1191,6 +1211,25 @@ class TestCli:
         payload["experiment"] = {"kind": "probe", "probe": {"lambda_grid": [0.01, 0.1, 1.0], "iters": 40}}
         files = dict(self.artifact_digests_by_thread_count("probe", config_from_dict(payload), tmp_path))
         assert {"summary.json", "probe_report.csv", "probe_report.md"} <= set(files)
+
+    def test_finetune_and_probe_never_import_numpy_ma(self, tiny_corpus, tmp_path):
+        """np.unique and np.intersect1d import numpy.ma (about 4 ms), inside the timed run."""
+        finetune = config_to_dict(tiny_config(tiny_corpus))
+        finetune["train"]["epochs"] = 1
+        probe = config_to_dict(tiny_config(tiny_corpus))
+        probe["experiment"] = {"kind": "probe", "probe": {"lambda_grid": [0.1, 1.0], "iters": 5}}
+        commands = []
+        for name, payload in (("finetune", finetune), ("probe", probe)):
+            save_config(config_from_dict(payload), tmp_path / f"{name}.json")
+            commands.append([name, "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)])
+        script = ("import json, sys\nfrom sentnet import cli\n"
+                  "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+                  "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], env=env, check=True,
+                              capture_output=True, text=True, timeout=600)
+        assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0], False]
 
     def test_probe_with_an_empty_training_fold_exits_two(self, tiny_corpus, tmp_path, capsys):
         # a manifest whose rows all sit in fold 0 leaves that fold no training rows

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import probe_fit_primal, probe_predict_primal, probe_select_primal
+from oracles import probe_fit_primal, probe_predict_primal, probe_select_primal, probe_solve_dual_allocating
 from sentnet import probe as probe_mod
 from sentnet.data import ViewSource, stratified_kfold
 from sentnet.errors import ConfigError, DataError
@@ -195,6 +195,15 @@ class TestFitProbe:
         with pytest.raises(ConfigError, match="positive"):
             fit_probe(x, y, "svm", lambda_grid=())
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("nan")])
+    def test_non_finite_lambda_rejected(self, bad):
+        """A NaN lambda's NaN weights predict one class, which could win selection."""
+        x, y = blobs(n=10)
+        with pytest.raises(ConfigError, match="finite"):
+            fit_probe(x, y, "svm", lambda_grid=(bad, 0.1))
+        with pytest.raises(ConfigError, match="finite"):
+            list(fit_probes([x], y, PROBE_KINDS, lambda_grid=(0.1, bad)))
+
     def test_unknown_kind_rejected(self):
         x, y = blobs(n=10)
         with pytest.raises(ConfigError, match="kind"):
@@ -252,6 +261,114 @@ class TestDualMatchesPrimalOracle:
         np.testing.assert_allclose(model.weights, w, rtol=1e-9, atol=1e-12 * np.abs(w).max())
         np.testing.assert_allclose(model.bias, b, rtol=1e-9, atol=1e-12)
         np.testing.assert_array_equal(model.predict(x), probe_predict_primal(x, kind, w, b, mean, scale))
+
+
+def padded_sets(sizes, width, seed=0):
+    """Float64 fitting sets of the given row counts, zero-padded into one
+    [F, n, width] stack, with their labels and live masks."""
+    rng = np.random.default_rng(seed)
+    n = max(sizes)
+    x = np.zeros((len(sizes), n, width))
+    y01 = np.zeros((len(sizes), n), dtype=np.int64)
+    live = np.zeros((len(sizes), n), dtype=bool)
+    for f, size in enumerate(sizes):
+        x[f, :size] = rng.normal(0, 1, size=(size, width)) + 0.3
+        y01[f, :size] = (x[f, :size, 0] + rng.normal(0, 1, size=size) > 0.3)
+        live[f, :size] = True
+    return x, y01, live
+
+
+def fixed_scores(values):
+    """Kernels, in _solve_dual's (a, out) form and the oracle's a -> K a form,
+    that give the same [F, n, m] values whatever alpha is."""
+    return (lambda a, out: np.copyto(out, values[:, :, : a.shape[2]]),
+            lambda a: values[:, :, : a.shape[2]].copy())
+
+
+class TestDualLoopMatchesAllocatingOracle:
+    """_solve_dual against the loop that allocated every temporary, bit for bit."""
+
+    SIZES = (7, 9, 8, 5)  # unequal row counts: every set but one is padded
+    LAMS = np.array([[1e-3, 0.1, 1.0], [0.01, 0.01, 10.0], [1e-4, 1.0, 0.5], [0.2, 3.0, 1e-2]])
+
+    @staticmethod
+    def same_bits(got, want):
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("kind", PROBE_KINDS)
+    @pytest.mark.parametrize("gram", [True, False], ids=["gram", "narrow"])
+    @pytest.mark.parametrize("lams", [LAMS, LAMS[:, 1:2]], ids=["three-lambdas", "one-lambda"])
+    def test_padded_sets(self, kind, gram, lams):
+        """A refit has one lambda per set: an svm row is then one number, whose
+        sum over a set's 9 rows numpy takes pairwise, not in row order."""
+        x, y01, live = padded_sets(self.SIZES, 12 if gram else 3)
+        if gram:
+            k = x @ x.transpose(0, 2, 1)
+            new, old = (lambda a, out: np.matmul(k, a, out=out)), (lambda a: k @ a)
+        else:
+            new = lambda a, out: np.matmul(x, x.transpose(0, 2, 1) @ a, out=out)
+            old = lambda a: x @ (x.transpose(0, 2, 1) @ a)
+        got = probe_mod._solve_dual(new, y01, live, kind, lams, 80)
+        self.same_bits(got, probe_solve_dual_allocating(old, y01, live, kind, lams, 80))
+
+    def test_svm_margin_at_exactly_one_and_beyond_the_reals(self):
+        """y s = 1 exactly is no violation; +-0, +-inf and NaN scores too keep
+        1 - y s > 0 and y s < 1 in step."""
+        _, y01, live = padded_sets(self.SIZES, 2)
+        y = np.where(y01 > 0, 1.0, -1.0)
+        pool = np.array([1.0, -1.0, 0.0, -0.0, np.inf, -np.inf, np.nan, 1.0 - 2**-53, 1.0 + 2**-52])
+        values = np.resize(pool, (*y01.shape, 3)) * np.where(live, 1.0, 7.0)[:, :, None]
+        values[..., 0] = y  # y s = 1 exactly at the first step, where the bias is 0
+        assert (y[:, :, None] * values == 1.0).any()
+        new, old = fixed_scores(values)
+        self.same_bits(probe_mod._solve_dual(new, y01, live, "svm", self.LAMS, 3),
+                       probe_solve_dual_allocating(old, y01, live, "svm", self.LAMS, 3))
+
+    def test_softmax_gradients_of_exactly_zero(self):
+        """Saturated rows give probs - onehot of exactly 0 (and -1), and
+        padded rows get gradients of +0 whatever their scores, +-0 among them."""
+        _, y01, live = padded_sets(self.SIZES, 2)
+        pool = np.array([1e300, -1e300, 0.0, -0.0, 800.0, -800.0, 3.0, -2.5])
+        values = np.resize(pool, (*y01.shape, 6))
+        new, old = fixed_scores(values)
+        got = probe_mod._solve_dual(new, y01, live, "softmax", self.LAMS, 4)
+        self.same_bits(got, probe_solve_dual_allocating(old, y01, live, "softmax", self.LAMS, 4))
+        assert (got[0][live] == 0).any() and (got[0][live] != 0).any()  # some live rows never moved
+
+
+class TestFittingSetStatistics:
+    """_fitting_set's mean, scale and rows against block.mean / block.std over the same blocks."""
+
+    @staticmethod
+    def by_std(features, rows):
+        width = features.shape[1]
+        x = np.empty((len(rows), width))
+        mean, scale = np.empty(width), np.empty(width)
+        count = max(1, min(-(-x.size // probe_mod.COLUMN_BLOCK), width // 2))
+        for a, b in itertools.pairwise(width * i // count for i in range(count + 1)):
+            block = x[:, a:b]
+            block[...] = features[rows, a:b]
+            mean[a:b] = block.mean(axis=0)
+            std = block.std(axis=0)
+            scale[a:b] = np.where(std > 0, std, 1.0)
+            block -= mean[a:b]
+            block /= scale[a:b]
+        return x, mean, scale
+
+    @pytest.mark.parametrize("width", [40, 3 * 2**13 + 5], ids=["one-block", "uneven-blocks"])
+    def test_same_bits_as_block_std(self, width):
+        rng = np.random.default_rng(width)
+        features = (rng.normal(0, 3, size=(30, width)) * rng.uniform(0.01, 100, size=width) + 5).astype(np.float32)
+        features[:, 1] = 2.5  # a constant column: scale 1
+        rows = np.flatnonzero(np.arange(30) % 4 != 1)
+        if width > 40:  # several COLUMN_BLOCK blocks whose widths differ
+            blocks = -(-len(rows) * width // probe_mod.COLUMN_BLOCK)
+            assert blocks > 2 and width % blocks
+        got = probe_mod._fitting_set(features, rows, True)
+        assert got[2][1] == 1.0
+        for g, w in zip(got, self.by_std(features, rows)):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestProbeAllLayers:
@@ -433,7 +550,7 @@ class TestPinnedProbeBytes:
             together = list(fit_probes(list(feats.values()), labels, kinds, grid, standardize=standardize,
                                        iters=60, rows=rows))
             assert len(together) == len(kinds) * len(feats)
-            for (model, scores), (kind, matrix) in zip(together, itertools.product(kinds, feats.values())):
+            for (model, scores), (matrix, kind) in zip(together, itertools.product(feats.values(), kinds)):
                 assert model.kind == kind
                 want, want_scores = fit_probe(matrix[rows], labels[rows], kind, grid, standardize=standardize,
                                               iters=60)
