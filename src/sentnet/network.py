@@ -5,10 +5,13 @@ flag on CONV/FC layers, mirroring in-place rectification: the layer's named
 endpoint is its post-activation output, and probes can still request the
 pre-activation values. Parameters live in a checkpoint keyed by layer name.
 
-forward keeps every endpoint, and with retain=True each layer's pullbacks,
-for training and feature extraction; infer is the forward-only pass that
-keeps only the endpoints it is asked for. Both run each layer through one
-dispatch, _run_layer.
+forward keeps every endpoint. With retain=True, the training pass, it
+also keeps each layer's pullbacks and nothing they do not read: a fused
+ReLU rectifies its layer's output in place and its pullback takes the mask
+from that output, so only a pass without retain (feature extraction) keeps
+pre-activations. infer is the forward-only pass that keeps only the
+endpoints it is asked for. Both run each layer through one dispatch,
+_run_layer.
 """
 
 from __future__ import annotations
@@ -228,10 +231,12 @@ def init_params(spec: NetworkSpec, seed: int) -> Checkpoint:
 class ForwardState:
     """Everything retained by a forward pass.
 
-    pre holds pre-activation outputs, post the named endpoint values (equal
-    when the layer has no fused ReLU), each in the dtype the pass ran in.
-    aux carries each layer's GradPair, fused-ReLU pullback and pre-flatten
-    shape when the pass was run with retain=True, and is empty otherwise.
+    post holds the named endpoint values, pre the values before a fused
+    ReLU (the post value itself when the layer has none), each in the dtype
+    the pass ran in. A pass run with retain=True rectifies each fused ReLU
+    in place and so keeps no pre-activation for those layers; its aux
+    carries each layer's GradPair, fused-ReLU pullback and pre-flatten
+    shape. aux is empty otherwise.
     """
 
     pre: dict[str, Array]
@@ -240,9 +245,11 @@ class ForwardState:
 
     def endpoint(self, name: str, pre_activation: bool = False) -> Array:
         table = self.pre if pre_activation else self.post
-        if name not in table:
-            raise ShapeError(f"no endpoint named {name!r}")
-        return table[name]
+        if name in table:
+            return table[name]
+        if name in self.post:
+            raise ShapeError(f"{name!r}: a retained pass keeps no pre-activation of a fused ReLU")
+        raise ShapeError(f"no endpoint named {name!r}")
 
 
 def _input(spec: NetworkSpec, ckpt: Checkpoint, batch: Array) -> Array:
@@ -288,6 +295,18 @@ def _run_layer(layer: LayerSpec, ckpt: Checkpoint, x: Array) -> tuple[Array, ops
     return pair.value, pair, flat_shape
 
 
+def _relu_pullback(post: Array):
+    """A fused ReLU's pullback from its rectified output: post > 0 exactly
+    where the pre-activation was > 0 (every finite value, ±0 included),
+    so it gives ops.relu's pullback bit for bit."""
+
+    def pullback(g: Array) -> tuple[Array]:
+        g = np.asarray(g, dtype=post.dtype)
+        return (g * (post > 0),)
+
+    return pullback
+
+
 def forward(
     spec: NetworkSpec,
     ckpt: Checkpoint,
@@ -298,8 +317,11 @@ def forward(
 
     float32 batches run in float32; a float64 batch promotes the whole pass
     (the gradient-check path), since every op preserves the input dtype.
-    Every layer's pre- and post-activation values are kept; a pass that
-    needs only some of them is infer's.
+    Every layer's post-activation value is kept. A pass without retain also
+    keeps each fused ReLU's pre-activation, for the probes; a retained pass,
+    which training runs, rectifies in place as Caffe does, and each ReLU's
+    pullback reads its mask from the rectified output. A pass that needs
+    only some endpoints is infer's.
     """
     x = _input(spec, ckpt, batch)
     pre: dict[str, Array] = {}
@@ -307,11 +329,14 @@ def forward(
     aux: dict[str, object] = {}
     for layer in spec.layers:
         out, pair, flat_shape = _run_layer(layer, ckpt, x)
-        pre[layer.name] = out
         relu_pullback = None
-        if layer.relu and layer.kind in (LayerKind.CONV, LayerKind.FC):
-            act = ops.relu(out)
-            out, relu_pullback = act.value, act.pullback
+        if not (layer.relu and layer.kind in (LayerKind.CONV, LayerKind.FC)):
+            pre[layer.name] = out
+        elif retain:
+            np.maximum(out, 0, out=out)
+            relu_pullback = _relu_pullback(out)
+        else:
+            pre[layer.name], out = out, ops.relu(out).value
         post[layer.name] = x = out
         if retain and pair is not None:
             aux[layer.name] = (pair, relu_pullback, flat_shape)
@@ -391,7 +416,7 @@ def backward_walk(
             (g,), blocks = pair.pullback(g), ()
         for start, dw in blocks:
             yield layer.name, start, dw, db
-            db = None
+            dw = db = None  # freed before the next block is computed
         if flat_shape is not None and i > lowest:
             g = g.reshape(flat_shape)
 

@@ -12,25 +12,30 @@ builds its argmax map on the first pullback (or argmax) call, and ReLU
 builds its mask there, so a forward-only pass (evaluation, feature
 extraction) never pays for them. Pooling's one exception is an input
 holding a -0, where the argmax also fixes the sign of zero maxima and is
-built in the forward (see max_pool2d).
+built in the forward (see max_pool2d). A pullback also rebuilds what it can
+from the inputs rather than keep it: local response normalization its
+denominator's base, convolution its padded input and patch matrix.
 
 Convolution multiplies each example's patch matrix by the flattened
 kernels, one GEMM per example. As in Caffe's convolution layer, no patch
-matrix outlives the forward: a convolution keeps its padded input, and its
-pullbacks rebuild the matrix from it. When one example's matrix reaches
-IM2COL_EXAMPLE bytes, or the whole batch's would exceed IM2COL_BUDGET, the
-convolution streams: the forward fills one example's matrix at a time into
-a single buffer, and the pullbacks rebuild each example's matrix into one
-buffer, add that example's dw GEMM into one dw in example order, and add
-its dx GEMM back onto its slice of the input gradient. Otherwise the
-forward builds the whole batch's matrix as its GEMM's temporary, the
-pullback builds it again for dw, and dx's patch gradients are added back in
-a batch-inner [H, W, N, C] layout, where each window offset's add runs over
-contiguous rows. Each GEMM sees the same operands and every sum runs in the
-same order on either path, so the bytes match. Every full-size layer
-streams (each example's matrix is 1.5 MB or more), where the batch-inner
-add is slower on its large maps; every `small` one takes the whole-batch
-path (235 KB per example at most), where the per-example loop is slower.
+matrix outlives the forward: a convolution keeps only its unpadded input
+(the previous layer's output, which is alive anyway) and its kernels, and
+its pullbacks pad the input again and rebuild the matrix. When one
+example's matrix reaches IM2COL_EXAMPLE bytes, or the whole batch's would
+exceed IM2COL_BUDGET, the convolution streams: the forward pads one example
+at a time into one buffer and fills its matrix into another, and the
+pullbacks rebuild each example's matrix the same way, add that example's
+dw GEMM into one dw in example order, and add its dx GEMM back onto one
+padded example buffer, whose interior is that example's input gradient.
+Otherwise the forward pads the whole batch and builds its matrix as the
+GEMM's temporary, the pullback does both again for dw, and dx's patch
+gradients are added back in a batch-inner [H, W, N, C] layout, where each
+window offset's add runs over contiguous rows. Each GEMM sees the same
+operands and every sum runs in the same order on either path, so the bytes
+match. Every full-size layer streams (each example's matrix is 1.5 MB or
+more), where the batch-inner add is slower on its large maps; every
+`small` one takes the whole-batch path (235 KB per example at most), where
+the per-example loop is slower.
 """
 
 from __future__ import annotations
@@ -98,12 +103,28 @@ def _patches(xp: Array, kh: int, kw: int, stride: int) -> Array:
     return windows.transpose(0, 1, 4, 5, 2, 3)
 
 
-def _example_cols(patches: Array) -> Iterator[tuple[int, Array]]:
-    """(i, example i's patch matrix [C*kh*kw, out_h*out_w]), each filled in turn into one buffer."""
-    n, c, kh, kw, out_h, out_w = patches.shape
-    col = np.empty((c * kh * kw, out_h * out_w), dtype=patches.dtype)
+def _padded(x: Array, pad: int) -> Array:
+    """x [N, C, H, W] with pad zeros on each side of H and W (x itself at pad 0)."""
+    if not pad:
+        return x
+    n, c, h, wd = x.shape
+    xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + wd] = x
+    return xp
+
+
+def _example_cols(x: Array, kh: int, kw: int, stride: int, pad: int) -> Iterator[tuple[int, Array]]:
+    """(i, example i's patch matrix [C*kh*kw, out_h*out_w]) of the unpadded
+    x: each example is padded into one buffer and its matrix filled in turn
+    into another, so neither grows with the batch."""
+    n, c, h, wd = x.shape
+    xp = np.zeros((1, c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
+    patches = _patches(xp, kh, kw, stride)
+    out_h, out_w = patches.shape[4:]
+    col = np.empty((c * kh * kw, out_h * out_w), dtype=x.dtype)
     for i in range(n):
-        col.reshape(patches.shape[1:])[...] = patches[i]
+        xp[0, :, pad : pad + h, pad : pad + wd] = x[i]
+        col.reshape(patches.shape[1:])[...] = patches[0]
         yield i, col
 
 
@@ -124,7 +145,10 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
 
     Output spatial size is (H + 2*pad - kh) // stride + 1 and the stride must
     divide (H + 2*pad - kh) exactly; positions are never dropped silently.
-    Pullback returns (dx, dw, db).
+    Pullback returns (dx, dw, db). The pullbacks read x and w, which must
+    not change before they run, but not the output, so a caller may
+    rectify it in place. They pad x and rebuild the patch matrix
+    themselves: no padded copy or patch matrix outlives a call.
     """
     x = _as_float(x)
     w = _as_float(w)
@@ -147,54 +171,56 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
             f"conv2d: stride {stride} does not tile input {h}x{wd} with kernel {kh}x{kw} pad {pad}"
         )
 
-    if pad:
-        xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
-        xp[:, :, pad : pad + h, pad : pad + wd] = x
-    else:
-        xp = x
-    patches = _patches(xp, kh, kw, stride)
-    out_h, out_w = patches.shape[4:]
+    out_h, out_w = span_h // stride + 1, span_w // stride + 1
+    hp, wp = h + 2 * pad, wd + 2 * pad
     rows, positions = c * kh * kw, out_h * out_w
     w_flat = w.reshape(k, rows)
-    example_bytes = rows * positions * xp.itemsize
+    dtype = np.result_type(w_flat, x)
+    example_bytes = rows * positions * x.itemsize
     streamed = example_bytes >= IM2COL_EXAMPLE or n * example_bytes > IM2COL_BUDGET
+
+    def batch_cols() -> Array:
+        return _patches(_padded(x, pad), kh, kw, stride).reshape(n, rows, positions)
+
     if streamed:
-        out = np.empty((n, k, positions), dtype=np.result_type(w_flat, xp))
-        for i, col in _example_cols(patches):
+        out = np.empty((n, k, positions), dtype=dtype)
+        for i, col in _example_cols(x, kh, kw, stride, pad):
             np.matmul(w_flat, col, out=out[i])
     else:
         # the batch's patch matrix is the GEMM's temporary; the pullback rebuilds it
-        out = np.matmul(w_flat[None], patches.reshape(n, rows, positions))
+        out = np.matmul(w_flat[None], batch_cols())
     out += b[None, :, None]
     out = out.reshape(n, k, out_h, out_w)
     _check_finite(out, "conv2d")
 
     def param_pullback(g: Array, _block: int | None, with_dx: bool):
-        g = np.ascontiguousarray(g, dtype=out.dtype).reshape(n, k, positions)
-        dxp = None
+        g = np.ascontiguousarray(g, dtype=dtype).reshape(n, k, positions)
+        dx = None
         if not streamed:
-            dw = np.matmul(g, patches.reshape(n, rows, positions).transpose(0, 2, 1)).sum(axis=0)
+            dw = np.matmul(g, batch_cols().transpose(0, 2, 1)).sum(axis=0)
             if with_dx:
                 # col2im in the batch-inner layout [H, W, n, c], through transposed views
                 dcols = np.matmul(w_flat.T[None], g).reshape(n, c, kh, kw, out_h, out_w)
                 dcols = np.ascontiguousarray(dcols.transpose(2, 3, 4, 5, 0, 1))
-                inner = np.zeros((*xp.shape[2:], n, c), dtype=xp.dtype)
+                inner = np.zeros((hp, wp, n, c), dtype=x.dtype)
                 _col2im_add(inner.transpose(2, 3, 0, 1), dcols.transpose(4, 5, 0, 1, 2, 3), stride)
-                dxp = np.ascontiguousarray(inner.transpose(2, 3, 0, 1))
+                dx = np.ascontiguousarray(inner[pad : pad + h, pad : pad + wd].transpose(2, 3, 0, 1))
         else:
             # One example at a time, with the GEMMs above and dw's terms added
             # in example order, as numpy sums the [n, k, rows] stack over axis 0.
-            dw, term = np.empty((k, rows), dtype=out.dtype), np.empty((k, rows), dtype=out.dtype)
+            dw, term = np.empty((k, rows), dtype=dtype), np.empty((k, rows), dtype=dtype)
             if with_dx:
-                dxp, dcol = np.zeros_like(xp), np.empty((rows, positions), dtype=out.dtype)
-            for i, col in _example_cols(patches):
+                dx, dxp = np.empty_like(x), np.empty((c, hp, wp), dtype=x.dtype)
+                dcol = np.empty((rows, positions), dtype=dtype)
+            for i, col in _example_cols(x, kh, kw, stride, pad):
                 np.matmul(g[i], col.T, out=term if i else dw)
                 if i:
                     dw += term
                 if with_dx:
                     np.matmul(w_flat.T, g[i], out=dcol)
-                    _col2im_add(dxp[i], dcol.reshape(c, kh, kw, out_h, out_w), stride)
-        dx = dxp[:, :, pad : pad + h, pad : pad + wd] if pad and with_dx else dxp
+                    dxp.fill(0)
+                    _col2im_add(dxp, dcol.reshape(c, kh, kw, out_h, out_w), stride)
+                    dx[i] = dxp[:, pad : pad + h, pad : pad + wd]
         return dx, g.sum(axis=(0, 2)), ((0, dw.reshape(w.shape)),)
 
     return GradPair(out, _full_pullback(param_pullback), param_pullback)
@@ -306,17 +332,23 @@ def local_response_norm(x, size: int = 5, k: float = 2.0, alpha: float = 1e-4, b
         raise ShapeError(f"local_response_norm: window size {size} must be >= 1")
     lo = (size - 1) // 2
     hi = size // 2
-    denom_base = _channel_window_sum(x * x, lo, hi)
-    denom_base *= alpha / size
-    denom_base += k
-    scale = denom_base ** (-beta)
+
+    def denom_base() -> Array:
+        # k + alpha/size * the window's sum of squares; the pullback rebuilds
+        # it from x rather than keep it
+        base = _channel_window_sum(x * x, lo, hi)
+        base *= alpha / size
+        base += k
+        return base
+
+    scale = denom_base() ** (-beta)
     out = x * scale
     _check_finite(out, "local_response_norm")
 
     def pullback(g: Array) -> tuple[Array]:
         g = np.asarray(g, dtype=out.dtype)
         # d out[c]/d x[i] couples channel i to every window containing it.
-        t = g * x * denom_base ** (-beta - 1.0)
+        t = g * x * denom_base() ** (-beta - 1.0)
         coupled = _channel_window_sum(t, hi, lo)
         dx = g * scale - (2.0 * alpha * beta / size) * x * coupled
         return (dx,)
@@ -353,12 +385,13 @@ def affine(x, w, b) -> GradPair:
         raise ShapeError(f"affine: bias shape {b.shape} does not match {w.shape[1]} units")
     out = x @ w + b
     _check_finite(out, "affine")
+    dtype = out.dtype
 
     def param_pullback(g: Array, block: int | None, with_dx: bool):
         # numpy runs a one-row product as a GEMV, whose bits differ from the GEMM's
         if block is not None and block < 2:
             raise ValueError(f"affine: weight-gradient blocks need at least 2 rows, got {block}")
-        g = np.asarray(g, dtype=out.dtype)
+        g = np.asarray(g, dtype=dtype)
         d = w.shape[0]
         starts = list(range(0, d, block or d))
         if len(starts) > 1 and starts[-1] == d - 1:

@@ -34,6 +34,7 @@ allocator, so no pass writes it before the first update does.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterable, Protocol
@@ -69,8 +70,8 @@ class TrainConfig:
     stop_at_train_acc: float | None = None
 
     def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ConfigError(f"base_lr must be > 0, got {self.base_lr}")
+        if not (0 < self.base_lr < math.inf):
+            raise ConfigError(f"base_lr must be finite and > 0, got {self.base_lr}")
         if self.step_epochs < 1:
             raise ConfigError(f"step_epochs must be >= 1, got {self.step_epochs}")
         if not (0 < self.gamma <= 1):
@@ -79,10 +80,12 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if not (0 <= self.momentum < 1):
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not (0 <= self.weight_decay < math.inf):
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.stop_at_train_acc is not None and not (0 <= self.stop_at_train_acc <= 1):
+            raise ConfigError(f"stop_at_train_acc must be in [0, 1], got {self.stop_at_train_acc}")
 
 
 def lr_at(config: TrainConfig, epoch: int) -> float:
@@ -123,20 +126,21 @@ def sgd_step(
     updates the weight rows from start on, and the bias unless db is None
     (only a layer's first block carries it). Items are applied in order as
     they arrive, so a walk's layer is updated before the walk computes the
-    next gradient. state holds the velocities alone.
+    next gradient, and each is dropped before the next is drawn, so no two
+    FC blocks are alive at once. state holds the velocities alone.
     """
     mom = np.float32(momentum)
     decay = np.float32(weight_decay)
     for name, start, dw, db in grads:
         mult = lr_mults.get(name, 1.0)
-        if mult == 0.0:
-            continue
-        step = np.float32(lr * mult)
-        (w, b), (vw, vb) = ckpt.entries[name], state.velocities[name]
-        rows = slice(start, start + len(dw))
-        _update(w[rows], dw, vw[rows], step, mom, decay)
-        if db is not None:
-            _update(b, db, vb, step, mom, decay)
+        if mult != 0.0:
+            step = np.float32(lr * mult)
+            (w, b), (vw, vb) = ckpt.entries[name], state.velocities[name]
+            rows = slice(start, start + len(dw))
+            _update(w[rows], dw, vw[rows], step, mom, decay)
+            if db is not None:
+                _update(b, db, vb, step, mom, decay)
+        del dw, db  # so the walk computes the next gradient with this one freed
 
 
 def _update(param: Array, grad: Array, vel: Array, step, mom, decay) -> None:

@@ -3,13 +3,15 @@
 Everything here is written the slow, obvious way (explicit Python loops,
 float64 accumulation, direct formulas) and deliberately shares no code with
 the package. When a package result and an oracle result agree, the agreement
-is between two routes that were derived separately.
+is between two routes that were derived separately. traced_peak and
+traced_current, at the end, are the memory measure the tests share.
 """
 
 from __future__ import annotations
 
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 
@@ -587,3 +589,23 @@ def eval_scores_oversampled(spec, ckpt, source, pre_softmax: bool) -> Array:
             fused = e / e.sum(axis=1, keepdims=True)
         rows.append(fused)
     return np.vstack(rows)
+
+
+def traced_peak(fn):
+    """(tracemalloc peak while fn runs, fn's result)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def traced_current(fn):
+    """(tracemalloc size still allocated when fn returns, fn's result)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[0], result
+    finally:
+        tracemalloc.stop()

@@ -394,7 +394,7 @@ class TestAcceptance:
         neg = [int(((folds == f) & (labels == 0)).sum()) for f in range(5)]
         counts_ok = pos == [116] * 5 and sorted(neg) == [60, 60, 60, 60, 61]
 
-        splits = audit_folds(folds, k=5)  # raises on leakage or bad cover
+        splits = audit_folds(folds, k=5)  # raises unless the ids are 0..4
         ratio_ok = True
         global_ratio = labels.mean()
         for _, test in splits:

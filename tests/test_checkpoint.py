@@ -1,7 +1,6 @@
 """Tests for the binary checkpoint format."""
 
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from sentnet import cli
 from sentnet.harness import config_from_dict, save_config
 from sentnet.network import init_params, parameter_shapes, reference_spec_small
 
-from oracles import checkpoint_bytes, checkpoint_entries
+from oracles import checkpoint_bytes, checkpoint_entries, traced_peak
 
 
 def sample_checkpoint(seed=0):
@@ -295,12 +294,7 @@ class TestHeaderRead:
                                    "fc7": (np.ones((2, 3), np.float32), np.ones(2, np.float32))})
         path = tmp_path / "a.nsrg"
         save_checkpoint(ckpt, path)
-        tracemalloc.start()
-        try:
-            header = read_checkpoint_header(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, header = traced_peak(lambda: read_checkpoint_header(path))
         assert header.shapes["fc6"] == ((4, 500_000), (500_000,))
         assert peak < 100_000, f"{peak} bytes traced for a {4 * ckpt.num_parameters()}-byte payload"
 

@@ -1,7 +1,6 @@
 """Tests for manifests, image codecs, preprocessing, views, and folds."""
 
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from sentnet.data import (
 )
 from sentnet.errors import CheckpointError, ConfigError, DataError
 
-from oracles import center_batches, raw_tensor_bytes, ten_crop_views, train_batch_stacked
+from oracles import center_batches, raw_tensor_bytes, ten_crop_views, traced_peak, train_batch_stacked
 
 
 def write_text(path, text):
@@ -418,12 +417,7 @@ class TestTenCrop:
     def test_chunk_holds_one_batch(self):
         squares = np.random.default_rng(12).normal(100, 50, size=(6, 3, 256, 256)).astype(np.float32)
         src = ViewSource(squares, np.zeros(6), 227, np.array([1.0, 2.0, 3.0]))
-        tracemalloc.start()
-        try:
-            x = ten_crop(src, range(6))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, x = traced_peak(lambda: ten_crop(src, range(6)))
         assert x.shape == (60, 3, 227, 227)
         assert peak <= 1.1 * x.nbytes, f"peak {peak / 1e6:.1f} MB for a {x.nbytes / 1e6:.1f} MB batch"
 
@@ -621,15 +615,8 @@ class TestViewSource:
         labels = np.arange(8) % 2
         train_idx, test_idx = np.array([0, 2, 3, 5, 6, 7]), np.array([1, 4])
         image = squares[0].nbytes
-        tracemalloc.start()
-        try:
-            sources = [ViewSource(squares, labels, 227, rows=rows) for rows in (train_idx, test_idx)]
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            copied = ViewSource(squares[train_idx], labels[train_idx], 227)
-            _, copy_peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, sources = traced_peak(lambda: [ViewSource(squares, labels, 227, rows=rows) for rows in (train_idx, test_idx)])
+        copy_peak, copied = traced_peak(lambda: ViewSource(squares[train_idx], labels[train_idx], 227))
         assert peak < image / 100
         assert copy_peak >= 6 * image  # the measure sees a copy
         assert all(src.squares is squares for src in sources) and copied.n == 6

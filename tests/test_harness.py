@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 import typing
 import weakref
 from pathlib import Path
@@ -60,7 +59,7 @@ from sentnet.probe import ProbeReport, ProbeRow, fold_stats
 from sentnet.surgery import preset_plan
 from sentnet.synth import write_synthetic_dataset
 
-from oracles import eval_scores_oversampled, eval_scores_plain
+from oracles import eval_scores_oversampled, eval_scores_plain, traced_peak
 
 
 class TestFuseScores:
@@ -251,12 +250,7 @@ class TestOnePassEvaluate:
 
         def peak(n):
             src = random_source(n, 72, 64)
-            tracemalloc.start()
-            try:
-                evaluate(spec, ckpt, src, oversample=True)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: evaluate(spec, ckpt, src, oversample=True))[0]
 
         one_chunk = peak(6)
         assert peak(12) <= 1.15 * one_chunk
@@ -1356,12 +1350,7 @@ class TestLoadTask:
     def test_allocates_no_tensor_payload(self, tiny_corpus, base, monkeypatch):
         monkeypatch.setattr(harness, "decode_squares", lambda manifest, preprocess: None)  # images are not checked
         payload = 4 * load_checkpoint(base).num_parameters()
-        tracemalloc.start()
-        try:
-            task = harness.load_task(self.config(tiny_corpus, base), "fc7-2", surgery=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, task = traced_peak(lambda: harness.load_task(self.config(tiny_corpus, base), "fc7-2", surgery=True))
         assert peak < payload // 4, f"load_task traced {peak} bytes for a {payload}-byte checkpoint"
         assert task.base_spec.layers[-2].units == 2  # the width read from the header's fc8
         task.network().validate_against(parameter_shapes(task.base_spec))

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,8 @@ from oracles import (
     max_pool_add_at,
     max_pool_eager,
     max_pool_loops,
+    traced_current,
+    traced_peak,
 )
 
 
@@ -156,26 +157,6 @@ def check_against_whole_batch_oracle(pad, stride, kernel, dtype):
         for got_grad, want_grad in zip(pair.pullback(g), want_pullback(g), strict=True):
             assert got_grad.tobytes() == want_grad.tobytes()
         assert check_param_pullback(pair, g, want_pullback(g)[0], *want_param_pullback(g)) == [1] * 4
-
-
-def traced_peak(fn):
-    """(tracemalloc peak while fn runs, fn's result)."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
-
-
-def traced_current(fn):
-    """(tracemalloc size still allocated when fn returns, fn's result)."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        return tracemalloc.get_traced_memory()[0], result
-    finally:
-        tracemalloc.stop()
 
 
 class TestStreamedIm2col:

@@ -33,7 +33,7 @@ from sentnet.optim import (
     train_in_place,
 )
 
-from oracles import momentum_updates, sgd_step_whole_array
+from oracles import momentum_updates, sgd_step_whole_array, traced_peak
 
 
 def linear_spec(num_classes=2, relu=False):
@@ -121,6 +121,21 @@ class TestConfigValidation:
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["base_lr", "weight_decay", "stop_at_train_acc"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [-0.01, 1.01, -1.0, 2.0])
+    def test_stop_accuracy_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ConfigError, match="stop_at_train_acc"):
+            TrainConfig(stop_at_train_acc=value)
+
+    @pytest.mark.parametrize("value", [None, 0.0, 0.5, 1.0])
+    def test_stop_accuracy_in_unit_interval_accepted(self, value):
+        assert TrainConfig(stop_at_train_acc=value).stop_at_train_acc == value
 
 
 class TestSgdStep:
@@ -465,6 +480,24 @@ class TestUpdateDuringBackward:
         for name in want.entries:
             for a, b in zip(got.entries[name], want.entries[name]):
                 assert a.tobytes() == b.tobytes(), name
+
+    def test_no_two_fc_blocks_are_alive_at_once(self):
+        """backward_walk and sgd_step each drop an FC weight-gradient block
+        once it is applied, so the next block is computed with it freed."""
+        spec = NetworkSpec(input_shape=(16, 32, 32),
+                           layers=(LayerSpec("f", LayerKind.FC, units=512), LayerSpec("prob", LayerKind.SOFTMAX)))
+        ckpt = init_params(spec, seed=0)
+        opt = OptState.for_checkpoint(ckpt)
+        x = np.random.default_rng(0).normal(size=(4, *spec.input_shape)).astype(np.float32)
+        state = forward(spec, ckpt, x, retain=True)
+        (g,) = ops.cross_entropy_loss(state.post["f"], np.array([0, 1, 0, 1])).pullback(np.float32(1.0))
+        block_bytes = FC_BLOCK * 512 * 4  # 2 MiB of the weights' 16384 rows
+
+        def update():
+            sgd_step(ckpt, backward_walk(spec, state, g, FC_BLOCK), opt, 0.001, {"f": 1.0}, 0.9, 0.0005)
+
+        peak, _ = traced_peak(update)
+        assert block_bytes <= peak < 1.5 * block_bytes, f"peak {peak} B for {block_bytes} B blocks"
 
     def test_each_step_state_is_dead_before_the_next_forward(self, monkeypatch):
         """A step's ForwardState (its activations and the pullbacks' inputs)

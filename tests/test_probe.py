@@ -4,12 +4,17 @@ import hashlib
 import itertools
 import logging
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import probe_fit_primal, probe_predict_primal, probe_select_primal, probe_solve_dual_allocating
+from oracles import (
+    probe_fit_primal,
+    probe_predict_primal,
+    probe_select_primal,
+    probe_solve_dual_allocating,
+    traced_peak,
+)
 from sentnet import probe as probe_mod
 from sentnet.data import ViewSource, stratified_kfold
 from sentnet.errors import ConfigError, DataError
@@ -621,12 +626,7 @@ def test_fitting_memory_stays_one_set_at_a_time(monkeypatch):
     fitting_set = (n_fit + 2) * width * 8  # rows, mean and scale
     grams = len(endpoints) * (3 * inner_fit**2 + n_fit**2) * 8
     scratch = 12 * probe_mod.COLUMN_BLOCK  # one block: float32 rows and numpy's float64 std temporary
-    tracemalloc.start()
-    try:
-        run()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(run)
     assert peak < fitting_set + grams + scratch, (
         f"peak {peak} B: one fitting set {fitting_set} B, Grams {grams} B, block scratch {scratch} B"
     )
