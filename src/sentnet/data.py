@@ -356,9 +356,14 @@ def read_means(path: str | Path) -> Array:
     if len(lines) != 3:
         raise DataError(f"{path}: means file must hold three values, found {len(lines)}")
     try:
-        return np.array([float(l) for l in lines], dtype=np.float32)
+        values = [float(l) for l in lines]
     except ValueError:
         raise DataError(f"{path}: malformed means file") from None
+    with np.errstate(over="ignore"):  # beyond float32's range casts to inf, rejected below
+        means = np.array(values, dtype=np.float32)
+    if not np.isfinite(means).all():
+        raise DataError(f"{path}: means file holds a non-finite value")
+    return means
 
 
 # -- folds ------------------------------------------------------------------

@@ -17,25 +17,22 @@ from the inputs rather than keep it: local response normalization its
 denominator's base, convolution its padded input and patch matrix.
 
 Convolution multiplies each example's patch matrix by the flattened
-kernels, one GEMM per example. As in Caffe's convolution layer, no patch
-matrix outlives the forward: a convolution keeps only its unpadded input
-(the previous layer's output, which is alive anyway) and its kernels, and
-its pullbacks pad the input again and rebuild the matrix. When one
-example's matrix reaches IM2COL_EXAMPLE bytes, or the whole batch's would
-exceed IM2COL_BUDGET, the convolution streams: the forward pads one example
-at a time into one buffer and fills its matrix into another, and the
-pullbacks rebuild each example's matrix the same way, add that example's
-dw GEMM into one dw in example order, and add its dx GEMM back onto one
-padded example buffer, whose interior is that example's input gradient.
-Otherwise the forward pads the whole batch and builds its matrix as the
-GEMM's temporary, the pullback does both again for dw, and dx's patch
-gradients are added back in a batch-inner [H, W, N, C] layout, where each
-window offset's add runs over contiguous rows. Each GEMM sees the same
-operands and every sum runs in the same order on either path, so the bytes
-match. Every full-size layer streams (each example's matrix is 1.5 MB or
-more), where the batch-inner add is slower on its large maps; every
-`small` one takes the whole-batch path (235 KB per example at most), where
-the per-example loop is slower.
+kernels, one GEMM per example, and walks the batch in runs of m
+consecutive examples. As in Caffe's convolution layer, no patch matrix
+outlives the forward: a convolution keeps only its unpadded input (the
+previous layer's output, which is alive anyway) and its kernels. The
+forward pads each run into one buffer (at pad 0 it reads the input in
+place), fills the run's matrices into another and runs their GEMMs into
+the run's slice of the output. The pullbacks rebuild each run the same
+way, add its dw GEMMs into one dw in example order, and add its patch
+gradients back in a batch-inner [H, W, m, C] layout, where each window
+offset's add runs over contiguous rows, before slicing them into the
+run's dx. A run is one example when an example's matrix reaches
+IM2COL_EXAMPLE bytes, else as many examples as fit IM2COL_BUDGET. Every
+GEMM sees the same operands and every sum runs in the same order at any
+run length, so the bytes do not depend on it. Every full-size layer runs
+one example at a time (each example's matrix is 1.5 MB or more); every
+`small` one runs its whole batch (235 KB per example at most).
 """
 
 from __future__ import annotations
@@ -93,39 +90,14 @@ def _as_float(x) -> Array:
     return arr
 
 
-IM2COL_BUDGET = 64 << 20  # bytes of whole-batch patch matrix above which conv2d streams
-IM2COL_EXAMPLE = 1 << 20  # bytes of one example's patch matrix from which conv2d streams
+IM2COL_BUDGET = 64 << 20  # bytes of patch matrices one run of examples may fill
+IM2COL_EXAMPLE = 1 << 20  # bytes of one example's patch matrix from which a run is one example
 
 
 def _patches(xp: Array, kh: int, kw: int, stride: int) -> Array:
     """Patch view [N, C, kh, kw, out_h, out_w] of a padded input; copies nothing."""
     windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     return windows.transpose(0, 1, 4, 5, 2, 3)
-
-
-def _padded(x: Array, pad: int) -> Array:
-    """x [N, C, H, W] with pad zeros on each side of H and W (x itself at pad 0)."""
-    if not pad:
-        return x
-    n, c, h, wd = x.shape
-    xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
-    xp[:, :, pad : pad + h, pad : pad + wd] = x
-    return xp
-
-
-def _example_cols(x: Array, kh: int, kw: int, stride: int, pad: int) -> Iterator[tuple[int, Array]]:
-    """(i, example i's patch matrix [C*kh*kw, out_h*out_w]) of the unpadded
-    x: each example is padded into one buffer and its matrix filled in turn
-    into another, so neither grows with the batch."""
-    n, c, h, wd = x.shape
-    xp = np.zeros((1, c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
-    patches = _patches(xp, kh, kw, stride)
-    out_h, out_w = patches.shape[4:]
-    col = np.empty((c * kh * kw, out_h * out_w), dtype=x.dtype)
-    for i in range(n):
-        xp[0, :, pad : pad + h, pad : pad + wd] = x[i]
-        col.reshape(patches.shape[1:])[...] = patches[0]
-        yield i, col
 
 
 def _col2im_add(dxp: Array, dcols: Array, stride: int) -> None:
@@ -147,8 +119,11 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
     divide (H + 2*pad - kh) exactly; positions are never dropped silently.
     Pullback returns (dx, dw, db). The pullbacks read x and w, which must
     not change before they run, but not the output, so a caller may
-    rectify it in place. They pad x and rebuild the patch matrix
-    themselves: no padded copy or patch matrix outlives a call.
+    rectify it in place. Forward and pullbacks walk the batch in runs of m
+    consecutive examples: one when an example's patch matrix reaches
+    IM2COL_EXAMPLE bytes, else as many as fit IM2COL_BUDGET. Each run is
+    padded and its patch matrices built afresh, so no padded copy or patch
+    matrix outlives a call.
     """
     x = _as_float(x)
     w = _as_float(w)
@@ -176,52 +151,59 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
     rows, positions = c * kh * kw, out_h * out_w
     w_flat = w.reshape(k, rows)
     dtype = np.result_type(w_flat, x)
-    example_bytes = rows * positions * x.itemsize
-    streamed = example_bytes >= IM2COL_EXAMPLE or n * example_bytes > IM2COL_BUDGET
+    example_bytes = rows * positions * x.itemsize  # 0 with no input channels
+    m = 1 if example_bytes >= IM2COL_EXAMPLE else max(1, min(n, IM2COL_BUDGET // max(example_bytes, 1)))
 
-    def batch_cols() -> Array:
-        return _patches(_padded(x, pad), kh, kw, stride).reshape(n, rows, positions)
+    def runs() -> Iterator[tuple[slice, Array]]:
+        """(run, its patch matrices [len, rows, positions]) for each run of m
+        examples in order. A run is padded into one buffer (x is read in
+        place at pad 0) and its matrices filled into another, which the
+        caller may overwrite before it draws the next run."""
+        xp = np.zeros((min(m, n), c, hp, wp), dtype=x.dtype) if pad else x
+        patches = _patches(xp, kh, kw, stride)
+        cols = np.empty((min(m, n), rows, positions), dtype=x.dtype)
+        for start in range(0, n, m):
+            run = slice(start, min(start + m, n))
+            count = run.stop - start
+            if pad:
+                xp[:count, :, pad : pad + h, pad : pad + wd] = x[run]
+            view = patches[:count] if pad else patches[run]
+            cols[:count].reshape(view.shape)[...] = view
+            yield run, cols[:count]
 
-    if streamed:
-        out = np.empty((n, k, positions), dtype=dtype)
-        for i, col in _example_cols(x, kh, kw, stride, pad):
-            np.matmul(w_flat, col, out=out[i])
-    else:
-        # the batch's patch matrix is the GEMM's temporary; the pullback rebuilds it
-        out = np.matmul(w_flat[None], batch_cols())
+    out = np.empty((n, k, positions), dtype=dtype)
+    for run, cols in runs():
+        np.matmul(w_flat[None], cols, out=out[run])
+        del cols  # so the last run's matrices die with runs(), before the finite check
     out += b[None, :, None]
     out = out.reshape(n, k, out_h, out_w)
     _check_finite(out, "conv2d")
 
     def param_pullback(g: Array, _block: int | None, with_dx: bool):
         g = np.ascontiguousarray(g, dtype=dtype).reshape(n, k, positions)
-        dx = None
-        if not streamed:
-            dw = np.matmul(g, batch_cols().transpose(0, 2, 1)).sum(axis=0)
+        db, dw = g.sum(axis=(0, 2)), np.zeros((k, rows), dtype=dtype)
+        dx = np.empty_like(x) if with_dx else None
+        for run, cols in runs():
+            # dw's terms in example order, as numpy sums the [n, k, rows] stack over axis 0
+            terms = np.matmul(g[run], cols.transpose(0, 2, 1))
+            for i in range(len(terms)):
+                dw += terms[i]
+            del terms
             if with_dx:
-                # col2im in the batch-inner layout [H, W, n, c], through transposed views
-                dcols = np.matmul(w_flat.T[None], g).reshape(n, c, kh, kw, out_h, out_w)
-                dcols = np.ascontiguousarray(dcols.transpose(2, 3, 4, 5, 0, 1))
-                inner = np.zeros((hp, wp, n, c), dtype=x.dtype)
-                _col2im_add(inner.transpose(2, 3, 0, 1), dcols.transpose(4, 5, 0, 1, 2, 3), stride)
-                dx = np.ascontiguousarray(inner[pad : pad + h, pad : pad + wd].transpose(2, 3, 0, 1))
-        else:
-            # One example at a time, with the GEMMs above and dw's terms added
-            # in example order, as numpy sums the [n, k, rows] stack over axis 0.
-            dw, term = np.empty((k, rows), dtype=dtype), np.empty((k, rows), dtype=dtype)
-            if with_dx:
-                dx, dxp = np.empty_like(x), np.empty((c, hp, wp), dtype=x.dtype)
-                dcol = np.empty((rows, positions), dtype=dtype)
-            for i, col in _example_cols(x, kh, kw, stride, pad):
-                np.matmul(g[i], col.T, out=term if i else dw)
-                if i:
-                    dw += term
-                if with_dx:
-                    np.matmul(w_flat.T, g[i], out=dcol)
-                    dxp.fill(0)
-                    _col2im_add(dxp, dcol.reshape(c, kh, kw, out_h, out_w), stride)
-                    dx[i] = dxp[:, pad : pad + h, pad : pad + wd]
-        return dx, g.sum(axis=(0, 2)), ((0, dw.reshape(w.shape)),)
+                # col2im in the batch-inner layout [H, W, m, c], where each window
+                # offset's add runs over contiguous rows; the patch gradients'
+                # contiguous copy goes into the run's matrices, which dw has read
+                count = len(cols)
+                dcols = np.matmul(w_flat.T[None], g[run]).reshape(count, c, kh, kw, out_h, out_w)
+                if cols.dtype != dtype:  # float32 input, float64 kernels
+                    cols = np.empty(cols.shape, dtype=dtype)
+                inner_cols = cols.reshape(kh, kw, out_h, out_w, count, c)
+                inner_cols[...] = dcols.transpose(2, 3, 4, 5, 0, 1)
+                del dcols
+                inner = np.zeros((hp, wp, count, c), dtype=x.dtype)
+                _col2im_add(inner.transpose(2, 3, 0, 1), inner_cols.transpose(4, 5, 0, 1, 2, 3), stride)
+                dx[run] = inner[pad : pad + h, pad : pad + wd].transpose(2, 3, 0, 1)
+        return dx, db, ((0, dw.reshape(w.shape)),)
 
     return GradPair(out, _full_pullback(param_pullback), param_pullback)
 

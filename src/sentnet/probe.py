@@ -115,9 +115,6 @@ class ProbeModel:
         x /= self.scale
         return x
 
-    def decision_values(self, x: Array) -> Array:
-        return self.standardized(x) @ self.weights + self.bias
-
     def predict(self, x: Array) -> Array:
         return self.classify(self.standardized(x))
 

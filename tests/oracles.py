@@ -71,8 +71,8 @@ def conv2d_whole_batch(x: Array, w: Array, b: Array, stride: int = 1, pad: int =
 
     Returns (out, pullback, param_pullback); pullback gives (dx, dw, db) and
     param_pullback (dw, db). This was the package's own formulation before
-    large patch matrices were built one example at a time, kept so the
-    streamed one can be held to the same bits: one GEMM per example over
+    patch matrices were built one run of examples at a time, kept so the
+    runs can be held to the same bits: one GEMM per example over
     [C*kh*kw, out_h*out_w] columns, dw summed over the batch of per-example
     products, dx added back window offset by window offset.
     """

@@ -459,6 +459,13 @@ class TestChannelMeans:
         with pytest.raises(DataError, match="unreadable means file"):
             read_means(tmp_path / "m3.txt")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
+    def test_non_finite_means_rejected(self, tmp_path, value):
+        """1e39 is finite as written but overflows the float32 means to inf."""
+        (tmp_path / "m.txt").write_text(f"1.0\n{value}\n3.0\n")
+        with pytest.raises(DataError, match="non-finite"):
+            read_means(tmp_path / "m.txt")
+
 
 class TestStratifiedKfold:
     def test_balanced_small_case(self):

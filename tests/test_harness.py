@@ -1260,6 +1260,17 @@ class TestCli:
         assert code == 1
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_evaluate_with_non_finite_means_exits_two(self, tiny_corpus, tmp_path, capsys):
+        """A means file holding nan is bad input (exit 2), not a divergence or a crash."""
+        save_checkpoint(init_params(reference_spec_small(2), seed=0), tmp_path / "c.nsrg")
+        (tmp_path / "means.txt").write_text("1.0\nnan\n3.0\n")
+        payload = {"dataset": {"manifest": str(tiny_corpus), "k": 2, "means": str(tmp_path / "means.txt")}}
+        (tmp_path / "c.json").write_text(json.dumps(payload))
+        code = cli.main(["evaluate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "e"),
+                         "--checkpoint", str(tmp_path / "c.nsrg")])
+        err = capsys.readouterr().err
+        assert code == 2 and "non-finite" in err and "Traceback" not in err, err
+
 
 @pytest.fixture(scope="module")
 def preset_runs(tiny_corpus, tmp_path_factory):

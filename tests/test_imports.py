@@ -1,5 +1,6 @@
-"""Every module in src/sentnet uses each name it imports, and every
-function reads each parameter it takes.
+"""Every module in src/sentnet uses each name it imports, every function
+reads each parameter it takes, and every private module-level name is read
+somewhere in the package.
 
 No linter ships with the test environment, so this stands in for the
 unused-import check (pyflakes F401) and an unused-argument check. The
@@ -71,3 +72,44 @@ def test_finds_an_unused_parameter():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_module_reads_every_parameter(module):
     assert unused_parameters((PACKAGE / module).read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (one leading underscore) that no module
+    reads, as "module:name (line N)". A name counts as read where it is
+    loaded, imported by another module, or reached as an attribute."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[f"{module}:{name}"] = (name, node.lineno)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{key} (line {line})" for key, (name, line) in defined.items() if name not in read]
+
+
+def test_finds_an_unread_private_name():
+    sources = {
+        "a.py": "_KEPT = 1\n_LOST = 2\ndef _helper():\n    return _KEPT\ndef _orphan():\n    pass\n",
+        "b.py": "from .a import _helper\nclass _Used: ...\n_Used()\n__all__ = []\n",
+    }
+    assert unread_private_names(sources) == ["a.py:_LOST (line 2)", "a.py:_orphan (line 5)"]
+
+
+def test_every_private_module_name_is_read():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []

@@ -139,31 +139,43 @@ def check_param_pullback(pair, g, want_dx, want_dw, want_db):
     return counts
 
 
-def check_against_whole_batch_oracle(pad, stride, kernel, dtype):
+def check_conv_against_whole_batch_oracle(x, w, b, stride, pad, seed=0):
     """conv2d's value, pullback and param_pullback equal conv2d_whole_batch's
-    bytes on a few batch and channel sizes; its dw is one block at any block size."""
+    bytes; its dw is one block at any block size."""
+    pair = ops.conv2d(x, w, b, stride=stride, pad=pad)
+    want, want_pullback, want_param_pullback = conv2d_whole_batch(x, w, b, stride=stride, pad=pad)
+    assert pair.value.dtype == want.dtype
+    assert pair.value.tobytes() == want.tobytes()
+    g = upstream(want.shape, want.dtype, seed)
+    for got_grad, want_grad in zip(pair.pullback(g), want_pullback(g), strict=True):
+        assert got_grad.shape == want_grad.shape and got_grad.tobytes() == want_grad.tobytes()
+    assert check_param_pullback(pair, g, want_pullback(g)[0], *want_param_pullback(g)) == [1] * 4
+
+
+def conv_inputs(n, c, k, pad, stride, kernel, dtype, seed):
+    """x, w, b for a conv whose output is 5 positions high and 4 wide."""
+    h = kernel + 4 * stride - 2 * pad
+    wd = kernel + 3 * stride - 2 * pad
+    x = bit_test_input("normal", (n, c, h, wd), dtype, seed)
+    w = bit_test_input("normal", (k, c, kernel, kernel), dtype, seed + 1)
+    b = bit_test_input("normal", (k,), dtype, seed + 2)
+    return x, w, b
+
+
+def check_against_whole_batch_oracle(pad, stride, kernel, dtype):
+    """check_conv_against_whole_batch_oracle on a few batch and channel sizes."""
     for n, (c, k) in [(1, (3, 5)), (2, (4, 2)), (7, (2, 3))]:
-        h = kernel + 4 * stride - 2 * pad
-        wd = kernel + 3 * stride - 2 * pad
         seed = 10 * n + c
-        x = bit_test_input("normal", (n, c, h, wd), dtype, seed)
-        w = bit_test_input("normal", (k, c, kernel, kernel), dtype, seed + 1)
-        b = bit_test_input("normal", (k,), dtype, seed + 2)
-        pair = ops.conv2d(x, w, b, stride=stride, pad=pad)
-        want, want_pullback, want_param_pullback = conv2d_whole_batch(x, w, b, stride=stride, pad=pad)
-        assert pair.value.dtype == want.dtype
-        assert pair.value.tobytes() == want.tobytes()
-        g = upstream(want.shape, dtype, seed + 3)
-        for got_grad, want_grad in zip(pair.pullback(g), want_pullback(g), strict=True):
-            assert got_grad.tobytes() == want_grad.tobytes()
-        assert check_param_pullback(pair, g, want_pullback(g)[0], *want_param_pullback(g)) == [1] * 4
+        x, w, b = conv_inputs(n, c, k, pad, stride, kernel, dtype, seed)
+        check_conv_against_whole_batch_oracle(x, w, b, stride, pad, seed + 3)
 
 
 class TestStreamedIm2col:
-    """conv2d with the patch matrix built one example at a time and for the
-    whole batch against the whole-batch formulation it grew from, byte for
-    byte: value, pullback and param_pullback. It streams when one example's
-    matrix reaches IM2COL_EXAMPLE bytes or the batch's exceeds IM2COL_BUDGET."""
+    """conv2d walks the batch in runs of consecutive examples, each run's
+    patch matrices built afresh, and must give the bytes of the whole-batch
+    formulation it grew from: value, pullback and param_pullback. A run is
+    one example (the batch streams) when one example's matrix reaches
+    IM2COL_EXAMPLE bytes, else as many examples as fit IM2COL_BUDGET."""
 
     @pytest.mark.parametrize("budget", [0, 1 << 62])
     @pytest.mark.parametrize("pad", [0, 1, 2])
@@ -197,9 +209,10 @@ class TestStreamedIm2col:
 
     @pytest.mark.parametrize("budget", [0, None], ids=["streamed", "whole-batch"])
     def test_pair_holds_no_patch_matrix(self, monkeypatch, budget):
-        """conv1 of the small network at training batch 32, on both paths:
-        past the forward its pair keeps its input and its output, not the
-        7.18 MiB patch matrix, which the pullback rebuilds."""
+        """conv1 of the small network at training batch 32, in runs of one
+        example and in one run of the whole batch: past the forward its pair
+        keeps its input and its output, not the 7.18 MiB of patch matrices,
+        which the pullback rebuilds."""
         if budget is not None:
             monkeypatch.setattr(ops, "IM2COL_BUDGET", budget)
         spec = reference_spec_small(2)
@@ -222,7 +235,78 @@ class TestStreamedIm2col:
         peak, _ = traced_peak(lambda: ops.conv2d(x, w, b, stride=1, pad=2))
         assert (peak < 2 * example_bytes) if streams else (peak >= 8 * example_bytes)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 7])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("stride,kernel", [(1, 3), (3, 3), (4, 5)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_runs_of_m_examples_match_the_whole_batch_oracle(self, monkeypatch, m, pad, stride, kernel, dtype):
+        """A batch of 7 in runs of m, IM2COL_BUDGET fitting exactly m
+        examples' matrices: runs of 2 and 3 end in a shorter tail run."""
+        n, c, k = 7, 2, 3
+        x, w, b = conv_inputs(n, c, k, pad, stride, kernel, dtype, seed=m)
+        example_bytes = c * kernel**2 * 5 * 4 * x.itemsize
+        monkeypatch.setattr(ops, "IM2COL_BUDGET", m * example_bytes)
+        lengths, col2im_add = [], ops._col2im_add
+
+        def run_col2im_add(dxp, *args):
+            lengths.append(len(dxp))
+            return col2im_add(dxp, *args)
+
+        monkeypatch.setattr(ops, "_col2im_add", run_col2im_add)
+        check_conv_against_whole_batch_oracle(x, w, b, stride, pad, seed=m + 3)
+        runs = [m] * (n // m) + [n % m] * (n % m > 0)
+        assert lengths == runs * 3  # the pullback and the two param_pullbacks with dx
+
+    @pytest.mark.parametrize("m", [1, 3, 7])
+    @pytest.mark.parametrize("x_dtype,w_dtype", [(np.float32, np.float64), (np.float64, np.float32)])
+    def test_mixed_dtypes_match_the_whole_batch_oracle(self, monkeypatch, m, x_dtype, w_dtype):
+        """Input and kernels of different float dtypes: the GEMMs run in the
+        wider one, on patch matrices kept in the input's."""
+        x, w, b = conv_inputs(7, 2, 3, 1, 1, 3, x_dtype, seed=m)
+        monkeypatch.setattr(ops, "IM2COL_BUDGET", m * 2 * 9 * 20 * x.itemsize)
+        check_conv_against_whole_batch_oracle(x, w.astype(w_dtype), b.astype(w_dtype), 1, 1, seed=m + 3)
+
+    @pytest.mark.parametrize("budget,example", [(0, 1 << 62), (1 << 62, 1 << 62), (1 << 62, 0)],
+                             ids=["runs-of-one", "one-run", "example-size"])
+    def test_empty_batch_gives_zero_parameter_gradients(self, monkeypatch, budget, example):
+        monkeypatch.setattr(ops, "IM2COL_BUDGET", budget)
+        monkeypatch.setattr(ops, "IM2COL_EXAMPLE", example)
+        for pad in (0, 1):
+            x, w, b = conv_inputs(0, 4, 3, pad, 1, 3, np.float32, seed=5)
+            check_conv_against_whole_batch_oracle(x, w, b, 1, pad)
+            dx, dw, db = ops.conv2d(x, w, b, stride=1, pad=pad).pullback(np.zeros((0, 3, 5, 4), np.float32))
+            assert dx.shape == x.shape and not dw.any() and not db.any()
+
+    @pytest.mark.parametrize("budget,example", [(0, 1 << 62), (1 << 62, 1 << 62), (1 << 62, 0)],
+                             ids=["runs-of-one", "one-run", "example-size"])
+    def test_zero_input_channels(self, monkeypatch, budget, example):
+        """No ZeroDivisionError from an example whose patch matrix has no rows:
+        the output is the bias and dw is empty."""
+        monkeypatch.setattr(ops, "IM2COL_BUDGET", budget)
+        monkeypatch.setattr(ops, "IM2COL_EXAMPLE", example)
+        for pad in (0, 1):
+            x, w, b = conv_inputs(3, 0, 2, pad, 1, 3, np.float32, seed=6)
+            check_conv_against_whole_batch_oracle(x, w, b, 1, pad)
+            pair = ops.conv2d(x, w, b, stride=1, pad=pad)
+            assert (pair.value == b[None, :, None, None]).all() and pair.pullback(pair.value)[1].shape == w.shape
+
+    def test_pad_zero_reads_its_input_in_place(self):
+        """conv1 of the small network (pad 0) at training batch 32: the
+        forward peaks at its patch matrices and its output, with no padded
+        copy of its input (1.5 MiB) beside them."""
+        spec = reference_spec_small(2)
+        conv1 = spec.layer("conv1")
+        assert conv1.pad == 0
+        n, c = 32, spec.input_shape[0]
+        _, oh, ow = infer_shapes(spec)["conv1"]
+        x = rand((n, *spec.input_shape), seed=1)
+        w, b = rand((conv1.out_channels, c, conv1.kernel, conv1.kernel), seed=2), rand((conv1.out_channels,), seed=3)
+        peak, pair = traced_peak(lambda: ops.conv2d(x, w, b, stride=conv1.stride, pad=conv1.pad))
+        matrices_and_output = (n * c * conv1.kernel**2 * oh * ow + pair.value.size) * 4
+        assert peak < matrices_and_output + x.nbytes / 2
+
     def test_every_reference_layer_streams_and_no_small_one_does(self):
+        """Every full-size conv runs one example at a time; no small one does."""
         for spec, streams in ((reference_spec(2), True), (reference_spec_small(2), False)):
             shapes = infer_shapes(spec)
             below = spec.input_shape
@@ -245,7 +329,7 @@ class TestStreamedIm2col:
         peak, (dx, dw, db) = traced_peak(lambda: pair.pullback(g))
         assert dx.shape == x.shape and dw.shape == w.shape and db.shape == b.shape
         stack_bytes = n * k * c * 25 * 4  # the smallest of the three
-        assert peak < stack_bytes / 2  # 31 MB: dx, two examples' matrices, dw and one term
+        assert peak < stack_bytes / 2  # 26 MB: dx, one example's matrices and patch gradients, dw, one term
 
 
 class TestMaxPool2d:
@@ -570,8 +654,8 @@ print(json.dumps(mismatches))
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_streamed_conv_gradients_equal_the_whole_batch_gemms(threads):
-    """A reference-sized conv streams: its dw adds one GEMM per example and
-    its dx is built per example. Their bytes rest on the BLAS giving each
+    """A reference-sized conv runs one example at a time: its dw adds one
+    GEMM per example and its dx is built per example. Their bytes rest on the BLAS giving each
     per-example GEMM the bits of the batched call, a property of the BLAS
     build, so it is pinned here at both thread counts on the reference conv1
     and conv2 (value, pullback and param_pullback)."""

@@ -172,7 +172,8 @@ class TestFitProbe:
         m1, _ = fit_probe(x, y, "svm", lambda_grid=(1e-2,), iters=200)
         m2, _ = fit_probe(scaled, y, "svm", lambda_grid=(1e-2,), iters=200)
         np.testing.assert_array_equal(m1.predict(x), m2.predict(scaled))
-        np.testing.assert_allclose(m1.decision_values(x), m2.decision_values(scaled), rtol=1e-3)
+        np.testing.assert_allclose(m1.standardized(x) @ m1.weights + m1.bias,
+                                   m2.standardized(scaled) @ m2.weights + m2.bias, rtol=1e-3)
 
     def test_constant_column_passes_through_standardizer(self):
         x, y = blobs(n=24)
