@@ -33,17 +33,9 @@ from .network import (
     reference_spec,
     reference_spec_small,
 )
-from .ops import GradPair, grad_check
+from .ops import GradPair
 from .optim import OptState, TrainConfig, lr_at, sgd_step, train
 from .probe import ProbeReport, extract_features, fit_probe, probe_all_layers
-from .surgery import (
-    SurgeryPlan,
-    SurgeryReport,
-    ablation_plan,
-    addition_plan,
-    apply,
-    finetune_plan,
-    preset_plan,
-)
+from .surgery import SurgeryPlan, SurgeryReport, apply, preset_plan
 
 __version__ = "0.1.0"

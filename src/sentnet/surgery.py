@@ -5,11 +5,14 @@ network: remove the top layer, replace it with a fresh head, or append a
 new head. Apply is pure: it returns a new (spec, checkpoint, report) and
 never touches the inputs. Retained layers keep their exact tensors, so
 everything the plan does not name survives byte-identical.
+
+The paper's seven architectures are one table of frozen plans, PRESETS,
+each labelled with its key; preset_plan looks a name up there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -78,50 +81,25 @@ class SurgeryReport:
     retained_bit_exact: bool
 
 
-def finetune_plan(num_classes: int = 2) -> SurgeryPlan:
-    """Replace the classifier head with a fresh num_classes-way FC."""
-    return SurgeryPlan(actions=(ReplaceTop(num_classes),), label="finetune", family="finetune")
-
-
-def ablation_plan(depth: int, mode: str) -> SurgeryPlan:
-    """Remove depth FC layers from the top; mode 'raw' keeps the exposed FC
-    as the new head, mode 'replace2' swaps it for a fresh 2-unit head."""
-    if depth not in (1, 2):
-        raise SurgeryError(f"ablation depth must be 1 or 2, got {depth}")
-    if mode not in ("raw", "replace2"):
-        raise SurgeryError(f"ablation mode must be 'raw' or 'replace2', got {mode!r}")
-    actions = (RemoveTop(),) * depth + ((ReplaceTop(2),) if mode == "replace2" else ())
-    # The 2-unit head directly off the first FC needs a gentler rate to stay stable.
-    base_lr = 0.0001 if (depth, mode) == (2, "replace2") else None
-    return SurgeryPlan(actions, label=f"ablation-{depth}-{mode}", default_base_lr=base_lr, family="ablation")
-
-
-def addition_plan(mode: str) -> SurgeryPlan:
-    """mode 'keep_top': retain the original head and train through it;
-    mode 'append2': stack a fresh 2-unit head named fc9 on top."""
-    if mode == "keep_top":
-        return SurgeryPlan(actions=(), label="addition-keep_top", family="addition", swap_binary_labels=True)
-    if mode == "append2":
-        return SurgeryPlan(actions=(Append("fc9", 2),), label="addition-append2", family="addition")
-    raise SurgeryError(f"addition mode must be 'keep_top' or 'append2', got {mode!r}")
-
-
+# In report row order: harness.PRESET_ORDER is this table's key order.
 PRESETS: dict[str, SurgeryPlan] = {
-    "finetune": finetune_plan(),
-    "fc7-4096": ablation_plan(1, "raw"),
-    "fc6-4096": ablation_plan(2, "raw"),
-    "fc7-2": ablation_plan(1, "replace2"),
-    "fc6-2": ablation_plan(2, "replace2"),
-    "fc8-1000": addition_plan("keep_top"),
-    "fc9-2": addition_plan("append2"),
+    "finetune": SurgeryPlan((ReplaceTop(2),), label="finetune", family="finetune"),
+    "fc7-4096": SurgeryPlan((RemoveTop(),), label="fc7-4096", family="ablation"),
+    "fc6-4096": SurgeryPlan((RemoveTop(), RemoveTop()), label="fc6-4096", family="ablation"),
+    "fc7-2": SurgeryPlan((RemoveTop(), ReplaceTop(2)), label="fc7-2", family="ablation"),
+    # The 2-unit head directly off the first FC needs a gentler rate to stay stable.
+    "fc6-2": SurgeryPlan(
+        (RemoveTop(), RemoveTop(), ReplaceTop(2)), label="fc6-2", default_base_lr=0.0001, family="ablation"
+    ),
+    "fc8-1000": SurgeryPlan((), label="fc8-1000", family="addition", swap_binary_labels=True),
+    "fc9-2": SurgeryPlan((Append("fc9", 2),), label="fc9-2", family="addition"),
 }
 
 
 def preset_plan(name: str) -> SurgeryPlan:
     if name not in PRESETS:
         raise SurgeryError(f"unknown surgery preset {name!r}; known: {sorted(PRESETS)}")
-    plan = PRESETS[name]
-    return dc_replace(plan, label=name)
+    return PRESETS[name]
 
 
 def _transform(plan: SurgeryPlan, spec: NetworkSpec) -> tuple[NetworkSpec, list[str], list[str]]:
@@ -180,11 +158,6 @@ def plan_spec(plan: SurgeryPlan, spec: NetworkSpec) -> NetworkSpec:
     return new_spec
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Bit-level equality of two float32 tensors (NaN-safe), without copies."""
-    return np.array_equal(a.view(np.uint32), b.view(np.uint32))
-
-
 def apply(
     plan: SurgeryPlan,
     spec: NetworkSpec,
@@ -214,11 +187,6 @@ def apply(
     )
     new_ckpt.validate_against(new_shapes)
 
-    bit_exact = all(
-        _same_bits(new, old)
-        for name in retained
-        for new, old in zip(entries[name], ckpt.entries[name])
-    )
     report = SurgeryReport(
         label=plan.label or "custom",
         removed=tuple(removed),
@@ -226,6 +194,6 @@ def apply(
         new=tuple(fresh),
         params_before=count_parameters(spec),
         params_after=count_parameters(new_spec),
-        retained_bit_exact=bit_exact,
+        retained_bit_exact=all(entries[name] is ckpt.entries[name] for name in retained),
     )
     return new_spec, new_ckpt, report

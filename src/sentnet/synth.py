@@ -127,6 +127,9 @@ def write_synthetic_dataset(
     palette: str = "base",
 ) -> Path:
     """Write PPM images plus a manifest (with stratified folds); returns its path."""
+    for name, value in (("count", count), ("size", size)):
+        if value < 1:
+            raise ConfigError(f"synthetic image {name} must be >= 1, got {value}")
     out_dir = Path(out_dir)
     images_dir = out_dir / "images"
     images_dir.mkdir(parents=True, exist_ok=True)

@@ -3,8 +3,10 @@
 Everything here is written the slow, obvious way (explicit Python loops,
 float64 accumulation, direct formulas) and deliberately shares no code with
 the package. When a package result and an oracle result agree, the agreement
-is between two routes that were derived separately. traced_peak and
-traced_current, at the end, are the memory measure the tests share.
+is between two routes that were derived separately. grad_check, built on
+numeric_grad, is the finite-difference checker every pullback test runs.
+traced_peak and traced_current, at the end, are the memory measure the
+tests share.
 """
 
 from __future__ import annotations
@@ -391,6 +393,32 @@ def numeric_grad(objective, array: Array, eps: float = 1e-3) -> Array:
         flat[j] = orig
         grad[j] = (plus - minus) / (2 * eps)
     return grad.reshape(array.shape)
+
+
+def grad_check(fn, inputs, eps: float = 1e-3, seed: int = 0) -> float:
+    """Max relative error between fn's analytic pullback and central differences.
+
+    fn maps the inputs to a GradPair. Inputs are promoted to float64 (a
+    float64 input is perturbed in place and restored); the forward value is
+    projected to a scalar against a fixed random direction so a single
+    pullback covers all outputs. Relative error is |a - n| / max(1, |a|, |n|)
+    per element.
+    """
+    inputs64 = [np.asarray(a, dtype=np.float64) for a in inputs]
+    pair = fn(*inputs64)
+    direction = np.random.default_rng(seed).standard_normal(pair.value.shape)
+    analytic = pair.pullback(direction)
+    if len(analytic) != len(inputs64):
+        raise ValueError(f"grad_check: pullback returned {len(analytic)} gradients for {len(inputs64)} inputs")
+    worst = 0.0
+    for idx, base in enumerate(inputs64):
+        a = np.asarray(analytic[idx], dtype=np.float64)
+        if a.shape != base.shape:
+            raise ValueError(f"grad_check: gradient {idx} has shape {a.shape}, input has {base.shape}")
+        n = numeric_grad(lambda: np.sum(fn(*inputs64).value * direction), base, eps)
+        err = np.abs(a - n) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
+        worst = max(worst, float(err.max(initial=0.0)))
+    return worst
 
 
 def probe_fit_primal(x: Array, y01: Array, kind: str, lam: float, iters: int, standardize: bool = True):

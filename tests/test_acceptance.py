@@ -37,7 +37,6 @@ from sentnet.ops import (
     affine,
     conv2d,
     cross_entropy_loss,
-    grad_check,
     hinge_loss,
     local_response_norm,
     max_pool2d,
@@ -48,7 +47,7 @@ from sentnet.probe import extract_features, fit_probe
 from sentnet.surgery import ReplaceTop, SurgeryPlan, apply as apply_surgery, preset_plan
 from sentnet.synth import generate_arrays, write_synthetic_dataset
 
-from oracles import conv2d_loops, conv2d_patches
+from oracles import conv2d_loops, conv2d_patches, grad_check
 
 CROP = 64
 GRAD_TOL = 1e-4

@@ -1012,6 +1012,13 @@ class TestCli:
         assert printed.endswith("manifest.csv")
         assert (tmp_path / "data" / "manifest.csv").exists()
 
+    @pytest.mark.parametrize("flag,value", [("--count", "0"), ("--count", "-1"), ("--size", "0"), ("--size", "-3")])
+    def test_prepare_data_rejects_empty_synthetic_sizes(self, flag, value, tmp_path, capsys):
+        code = cli.main(["prepare-data", "--out", str(tmp_path / "data"), "--synthetic", "binary", flag, value])
+        err = capsys.readouterr().err
+        assert code == 1 and f"{flag[2:]} must be >= 1, got {value}" in err and "Traceback" not in err, err
+        assert not (tmp_path / "data").exists()
+
     def test_prepare_data_needs_a_source(self, tmp_path, capsys):
         code = cli.main(["prepare-data", "--out", str(tmp_path)])
         assert code == 1

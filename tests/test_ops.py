@@ -19,6 +19,7 @@ from oracles import (
     conv2d_loops,
     conv2d_patches,
     conv2d_whole_batch,
+    grad_check,
     lrn_channel_loops,
     lrn_direct,
     matmul_loops,
@@ -802,7 +803,7 @@ class TestGradCheck:
             x = rng.standard_normal(xs)
             w = rng.standard_normal(ws)
             b = rng.standard_normal(ws[0])
-            err = ops.grad_check(lambda a, b_, c: ops.conv2d(a, b_, c, stride=stride, pad=pad), [x, w, b])
+            err = grad_check(lambda a, b_, c: ops.conv2d(a, b_, c, stride=stride, pad=pad), [x, w, b])
             assert err < self.THRESHOLD, f"conv2d {xs} stride={stride} pad={pad}: {err}"
 
     def test_max_pool2d(self):
@@ -812,14 +813,14 @@ class TestGradCheck:
         for xs, size, stride in [((1, 2, 4, 4), 2, 2), ((2, 1, 5, 5), 3, 1), ((1, 1, 6, 6), 2, 1)]:
             count = int(np.prod(xs))
             x = rng.permutation(count).astype(np.float64).reshape(xs) * 0.1
-            err = ops.grad_check(lambda a: ops.max_pool2d(a, size, stride)[0], [x])
+            err = grad_check(lambda a: ops.max_pool2d(a, size, stride)[0], [x])
             assert err < self.THRESHOLD, f"max_pool2d {xs}: {err}"
 
     def test_local_response_norm(self):
         rng = np.random.default_rng(22)
         for c in (1, 3, 7):
             x = rng.standard_normal((2, c, 3, 3))
-            err = ops.grad_check(ops.local_response_norm, [x])
+            err = grad_check(ops.local_response_norm, [x])
             assert err < self.THRESHOLD, f"lrn c={c}: {err}"
 
     def test_affine(self):
@@ -827,19 +828,19 @@ class TestGradCheck:
         x = rng.standard_normal((3, 4))
         w = rng.standard_normal((4, 2))
         b = rng.standard_normal(2)
-        assert ops.grad_check(ops.affine, [x, w, b]) < self.THRESHOLD
+        assert grad_check(ops.affine, [x, w, b]) < self.THRESHOLD
 
     def test_relu_away_from_kink(self):
         rng = np.random.default_rng(24)
         x = rng.standard_normal((4, 4))
         x[np.abs(x) < 0.05] = 0.5  # keep the finite difference off the kink
-        assert ops.grad_check(ops.relu, [x]) < 1e-6
+        assert grad_check(ops.relu, [x]) < 1e-6
 
     def test_cross_entropy(self):
         rng = np.random.default_rng(25)
         logits = rng.standard_normal((4, 3))
         labels = np.array([0, 2, 1, 1])
-        err = ops.grad_check(lambda lg: ops.cross_entropy_loss(lg, labels), [logits])
+        err = grad_check(lambda lg: ops.cross_entropy_loss(lg, labels), [logits])
         assert err < self.THRESHOLD
 
     def test_hinge(self):
@@ -847,7 +848,7 @@ class TestGradCheck:
         scores = rng.standard_normal(6) * 2
         scores[np.abs(np.abs(scores) - 1) < 0.05] = 0.0  # step off the hinge point
         labels = np.where(rng.standard_normal(6) > 0, 1, -1)
-        err = ops.grad_check(
+        err = grad_check(
             lambda s, wn: ops.hinge_loss(s, labels, weights_norm_sq=wn, reg=0.3),
             [scores, np.asarray(2.0)],
         )
@@ -860,4 +861,4 @@ class TestGradCheck:
             return ops.GradPair(pair.value, lambda g: (2.0 * pair.pullback(g)[0],))
 
         x = np.full((3,), 1.5)
-        assert ops.grad_check(broken, [x]) > 1e-2
+        assert grad_check(broken, [x]) > 1e-2

@@ -23,11 +23,12 @@ from sentnet.surgery import (
     RemoveTop,
     ReplaceTop,
     SurgeryPlan,
-    _same_bits,
     apply,
     plan_spec,
     preset_plan,
 )
+
+from oracles import traced_peak
 
 HEAD_1000 = 4096 * 1000 + 1000
 FC7_PARAMS = 4096 * 4096 + 4096
@@ -62,6 +63,24 @@ class TestPresetCatalog:
     def test_keep_top_preset_is_empty(self):
         plan = preset_plan("fc8-1000")
         assert plan.actions == ()
+
+    def test_table_pins_every_preset(self):
+        assert tuple(PRESETS) == ("finetune", "fc7-4096", "fc6-4096", "fc7-2", "fc6-2", "fc8-1000", "fc9-2")
+        # name: (actions, family, default_base_lr, swap_binary_labels)
+        want = {
+            "finetune": ((ReplaceTop(2),), "finetune", None, False),
+            "fc7-4096": ((RemoveTop(),), "ablation", None, False),
+            "fc6-4096": ((RemoveTop(), RemoveTop()), "ablation", None, False),
+            "fc7-2": ((RemoveTop(), ReplaceTop(2)), "ablation", None, False),
+            "fc6-2": ((RemoveTop(), RemoveTop(), ReplaceTop(2)), "ablation", 0.0001, False),
+            "fc8-1000": ((), "addition", None, True),
+            "fc9-2": ((Append("fc9", 2),), "addition", None, False),
+        }
+        for name, (actions, family, base_lr, swap) in want.items():
+            plan = PRESETS[name]
+            got = (plan.actions, plan.family, plan.default_base_lr, plan.swap_binary_labels)
+            assert got == (actions, family, base_lr, swap), name
+            assert (plan.new_layer_lr_mult, plan.label) == (10.0, name)
 
     def test_presets_carry_their_report_family_and_label_swap(self):
         assert {name: plan.family for name, plan in PRESETS.items()} == {
@@ -177,11 +196,15 @@ class TestApply:
             assert new_ckpt.entries[layer][1].tobytes() == ckpt.entries[layer][1].tobytes()
         assert count_parameters(new_spec) == new_ckpt.num_parameters()
 
-    def test_bit_check_compares_bits_not_values(self):
-        nan = np.array([np.nan, 1.0], dtype=np.float32)
-        assert _same_bits(nan, nan.copy())
-        assert not _same_bits(np.array([0.0], dtype=np.float32), np.array([-0.0], dtype=np.float32))
-        assert not _same_bits(np.zeros(3, dtype=np.float32), np.zeros(4, dtype=np.float32))
+    def test_retained_entries_are_shared_not_scanned(self, ref):
+        # a full-size finetune keeps 58M weights; apply shares them, it neither copies nor scans them
+        spec, _ = ref
+        ckpt = init_params(spec, seed=11)
+        peak, (_, new_ckpt, report) = traced_peak(lambda: apply(preset_plan("finetune"), spec, ckpt, seed=3))
+        assert peak < 1 << 20, f"apply peaked at {peak / 1e6:.1f} MB"
+        assert report.retained_bit_exact and len(report.retained) == 7
+        for name in report.retained:
+            assert new_ckpt.entries[name] is ckpt.entries[name]
 
     def test_retained_nan_weights_still_bit_exact(self, small_setup):
         spec, ckpt = small_setup
