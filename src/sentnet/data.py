@@ -1,10 +1,12 @@
 """Dataset manifest, image codecs, preprocessing, views, and fold splits.
 
-Images flow through the pipeline as float32 [3,H,W] tensors on the raw
-0..255 scale and are squared once at decode time. ViewSource.views cuts
-every training, center and ten-crop view from those squares, as float32
-batches with the per-channel means subtracted; ten_crop returns an image
-set's ten crops as one batch.
+Images are decoded to float32 [3,H,W] tensors on the raw 0..255 scale and
+squared once at decode time. A set whose squares are all whole bytes (any
+8-bit image already at the working size) is held as uint8, a quarter of
+the float32 bytes; any other set as float32. ViewSource.views cuts every
+training, center and ten-crop view from those squares, as float32 batches
+with the per-channel means subtracted; ten_crop returns an image set's ten
+crops as one batch.
 The only required codec is binary PPM (P6, 8-bit); a raw-tensor sidecar
 holds pre-decoded images, and PNG/JPEG decode is available when Pillow is
 installed.
@@ -329,7 +331,9 @@ def to_square(image: Array, config: PreprocessConfig) -> Array:
 
 
 def compute_channel_means(squares: Iterable[Array]) -> Array:
-    """Per-channel scalar means over a collection of [3,S,S] images."""
+    """Per-channel scalar means over a collection of [3,S,S] images, summed
+    in float64. Whole numbers sum exactly there, so uint8 images give the
+    bits of the same images as float32."""
     total = np.zeros(3, dtype=np.float64)
     count = 0
     for img in squares:
@@ -395,7 +399,8 @@ EVAL_BATCH = 64  # center views per plain forward pass; it sets the FC rows' bit
 
 
 class ViewSource:
-    """BatchSource over pre-decoded square images.
+    """BatchSource over pre-decoded square images, kept as given when uint8
+    and as float32 otherwise.
 
     views() cuts every view the network sees: seeded random crops and flips
     for training batches, center crops for eval batches, and the ten crops
@@ -408,7 +413,9 @@ class ViewSource:
         self, squares: Array, labels: Array, crop: int, means: Array | None = None,
         rows: Sequence[int] | None = None,
     ):
-        squares = np.asarray(squares, dtype=np.float32)
+        squares = np.asarray(squares)
+        if squares.dtype != np.uint8:
+            squares = squares.astype(np.float32, copy=False)
         labels = np.asarray(labels, dtype=np.int64)
         if squares.ndim != 4 or squares.shape[1] != 3:
             raise DataError(f"squares must be [n,3,S,S], got {squares.shape}")
@@ -473,10 +480,22 @@ def ten_crop(source: ViewSource, indices: Sequence[int]) -> Array:
     return source.views(np.repeat(indices, 10), np.tile(tops, n), np.tile(lefts, n), np.tile(flips, n))
 
 
+def _whole_bytes(square: Array) -> bool:
+    """Whether every value is in [0, 255] and keeps its float32 bits through
+    uint8: no fraction, -0.0, NaN or value above 255."""
+    if not ((square >= 0) & (square <= 255)).all():
+        return False
+    return np.array_equal(square.astype(np.uint8).astype(np.float32).view(np.uint32), square.view(np.uint32))
+
+
 def decode_squares(manifest: DatasetManifest, config: PreprocessConfig) -> Array:
-    """Decode and square every manifest image: float32 [n,3,S,S]."""
-    out = np.empty((len(manifest.records), 3, config.resize_to, config.resize_to), dtype=np.float32)
+    """Decode and square every manifest image: [n,3,S,S], uint8 when every
+    square is whole bytes, else float32. The first square that is not turns
+    the set into float32, the squares before it cast exactly."""
+    out = np.empty((len(manifest.records), 3, config.resize_to, config.resize_to), dtype=np.uint8)
     for i, rec in enumerate(manifest.records):
-        img = load_image(manifest.resolve(rec))
-        out[i] = to_square(img, config)
+        square = to_square(load_image(manifest.resolve(rec)), config)
+        if out.dtype == np.uint8 and not _whole_bytes(square):
+            out = out.astype(np.float32)
+        out[i] = square
     return out

@@ -402,7 +402,7 @@ class Task:
     preset: str | None
     manifest: DatasetManifest  # folds stratify on its labels, whatever the preset
     labels: Array  # the labels the preset trains and is scored on
-    squares: Array  # every image, decoded and squared once: float32 [n, 3, S, S]
+    squares: Array  # every image, decoded and squared once: [n, 3, S, S], uint8 if all are whole bytes, else float32
     fixed_means: Array | None  # the config's means (or a trained checkpoint's)
 
     def network(self) -> Checkpoint:

@@ -28,12 +28,12 @@ the run's slice of the output. The pullbacks rebuild each run the same
 way, add its dw GEMMs into one dw in example order, and add its patch
 gradients back in a batch-inner [H, W, m, C] layout, where each window
 offset's add runs over contiguous rows, before slicing them into the
-run's dx. A run is one example when an example's matrix reaches
-IM2COL_EXAMPLE bytes, else as many examples as fit IM2COL_BUDGET. Every
-GEMM sees the same operands and every sum runs in the same order at any
-run length, so the bytes do not depend on it. Every full-size layer runs
-one example at a time (each example's matrix is 1.5 MB or more); every
-`small` one runs its whole batch (235 KB per example at most).
+run's dx. A run is as many examples as fit IM2COL_BUDGET (1 MiB, about
+a core's cache), and at least one. Every GEMM sees the same operands and
+every sum runs in the same order at any run length, so the bytes do not
+depend on it. Every full-size layer runs one example at a time (each
+example's matrix is 1.5 MB or more); `small` conv1 runs 4 examples at a
+time (235 KB each), conv2 8, conv3 32 and conv4 and conv5 24.
 """
 
 from __future__ import annotations
@@ -91,8 +91,7 @@ def _as_float(x) -> Array:
     return arr
 
 
-IM2COL_BUDGET = 64 << 20  # bytes of patch matrices one run of examples may fill
-IM2COL_EXAMPLE = 1 << 20  # bytes of one example's patch matrix from which a run is one example
+IM2COL_BUDGET = 1 << 20  # bytes of patch matrices one run of examples may fill
 
 
 def _patches(xp: Array, kh: int, kw: int, stride: int) -> Array:
@@ -121,10 +120,9 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
     Pullback returns (dx, dw, db). The pullbacks read x and w, which must
     not change before they run, but not the output, so a caller may
     rectify it in place. Forward and pullbacks walk the batch in runs of m
-    consecutive examples: one when an example's patch matrix reaches
-    IM2COL_EXAMPLE bytes, else as many as fit IM2COL_BUDGET. Each run is
-    padded and its patch matrices built afresh, so no padded copy or patch
-    matrix outlives a call.
+    consecutive examples, as many as fit IM2COL_BUDGET and at least one.
+    Each run is padded and its patch matrices built afresh, so no padded
+    copy or patch matrix outlives a call.
     """
     x = _as_float(x)
     w = _as_float(w)
@@ -153,7 +151,7 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
     w_flat = w.reshape(k, rows)
     dtype = np.result_type(w_flat, x)
     example_bytes = rows * positions * x.itemsize  # 0 with no input channels
-    m = 1 if example_bytes >= IM2COL_EXAMPLE else max(1, min(n, IM2COL_BUDGET // max(example_bytes, 1)))
+    m = max(1, min(n, IM2COL_BUDGET // max(example_bytes, 1)))
 
     def runs() -> Iterator[tuple[slice, Array]]:
         """(run, its patch matrices [len, rows, positions]) for each run of m

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DatasetManifest, ManifestRecord, save_manifest, stratified_kfold, write_ppm
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 Array = np.ndarray
 
@@ -86,15 +86,21 @@ def generate_image(kind: str, size: int, seed: int, index: int, palette: str = "
     return np.clip(np.round(img), 0, 255).astype(np.uint8)
 
 
+def _task_kinds(task: str) -> tuple[str, ...]:
+    """The kinds a task cycles through; index i has label i % len(kinds)."""
+    kinds = {"binary": BINARY_KINDS, "multiclass": MULTICLASS_KINDS}.get(task)
+    if kinds is None:
+        raise ConfigError(f"unknown synthetic task {task!r}")
+    return kinds
+
+
 def _task_images(task: str, count: int, size: int, seed: int, palette: str):
     """(uint8 [H,W,3] image, label) for each index below count, in order.
 
     task 'binary' alternates aligned (0) / crossed (1); task 'multiclass'
     cycles the four attribute combinations.
     """
-    kinds = {"binary": BINARY_KINDS, "multiclass": MULTICLASS_KINDS}.get(task)
-    if kinds is None:
-        raise ConfigError(f"unknown synthetic task {task!r}")
+    kinds = _task_kinds(task)
     for i in range(count):
         label = i % len(kinds)
         yield generate_image(kinds[label], size, seed, i, palette=palette), label
@@ -126,10 +132,19 @@ def write_synthetic_dataset(
     k_folds: int | None = 5,
     palette: str = "base",
 ) -> Path:
-    """Write PPM images plus a manifest (with stratified folds); returns its path."""
+    """Write PPM images plus a manifest (with stratified folds); returns its path.
+
+    The task, count, size and folds are checked before any directory is made."""
     for name, value in (("count", count), ("size", size)):
         if value < 1:
             raise ConfigError(f"synthetic image {name} must be >= 1, got {value}")
+    labels = np.arange(count) % len(_task_kinds(task))  # known before any image is drawn
+    folds = None
+    if k_folds is not None:
+        try:
+            folds = stratified_kfold(labels, k_folds, seed)
+        except DataError as e:
+            raise ConfigError(str(e)) from None
     out_dir = Path(out_dir)
     images_dir = out_dir / "images"
     images_dir.mkdir(parents=True, exist_ok=True)
@@ -139,8 +154,7 @@ def write_synthetic_dataset(
         write_ppm(out_dir / name, hwc)
         records.append(ManifestRecord(name, label))
     manifest = DatasetManifest(records=tuple(records), root=out_dir)
-    if k_folds is not None:
-        folds = stratified_kfold(manifest.labels, k_folds, seed)
+    if folds is not None:
         manifest = manifest.with_folds(folds)
     manifest_path = out_dir / "manifest.csv"
     save_manifest(manifest, manifest_path)

@@ -628,6 +628,46 @@ class TestViewSource:
         assert copy_peak >= 6 * image  # the measure sees a copy
         assert all(src.squares is squares for src in sources) and copied.n == 6
 
+    @pytest.mark.parametrize("side,crop", [(72, 64), (256, 227)])
+    @pytest.mark.parametrize("with_means", [False, True])
+    def test_byte_squares_cut_the_bits_of_float32_squares(self, side, crop, with_means):
+        """uint8 squares are kept as given, and every view, and the channel
+        means, have the bits of the same squares as float32. Each 256 px
+        channel is longer than numpy's 8,192-element reduction buffer."""
+        n = 5
+        squares = np.random.default_rng(side).integers(0, 256, size=(n, 3, side, side), dtype=np.uint8)
+        as_float = squares.astype(np.float32)
+        assert compute_channel_means(squares).tobytes() == compute_channel_means(as_float).tobytes()
+        rows = [3, 0, 4]
+        got_means = compute_channel_means(squares[i] for i in rows)
+        assert got_means.tobytes() == compute_channel_means(as_float[i] for i in rows).tobytes()
+        means = got_means if with_means else None
+        labels = np.arange(n) % 2
+        got, want = ViewSource(squares, labels, crop, means), ViewSource(as_float, labels, crop, means)
+        assert got.squares is squares and want.squares is as_float
+        idx = np.array([4, 1, 1, 0, 3])
+        for a, b in zip(got.train_batch(idx, np.random.default_rng(2)), want.train_batch(idx, np.random.default_rng(2))):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for (x, y), (wx, wy) in zip(got.eval_batches(2), want.eval_batches(2), strict=True):
+            assert x.dtype == np.float32 and x.tobytes() == wx.tobytes() and y.tobytes() == wy.tobytes()
+        assert ten_crop(got, range(n)).tobytes() == ten_crop(want, range(n)).tobytes()
+
+    def test_other_dtypes_become_float32(self):
+        squares = np.random.default_rng(0).integers(0, 256, size=(2, 3, 8, 8))
+        for dtype in (np.int64, np.uint16, np.float64):
+            assert ViewSource(squares.astype(dtype), [0, 1], crop=5).squares.dtype == np.float32
+
+
+def write_byte_images(root, count, side, seed=12):
+    """count random 8-bit PPMs of side x side; their manifest records."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(count):
+        write_ppm(root / f"i{i}.ppm", rng.integers(0, 256, size=(side, side, 3), dtype=np.uint8))
+        records.append(ManifestRecord(f"i{i}.ppm", i % 2))
+    return records
+
+
 class TestDecodeSquares:
     def test_matches_manual_pipeline(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -645,3 +685,40 @@ class TestDecodeSquares:
         assert out.shape == (3, 3, 16, 16)
         want0 = to_square(load_image(tmp_path / names[0]), cfg)
         np.testing.assert_array_equal(out[0], want0)
+
+    def test_8bit_images_at_the_working_size_are_held_as_bytes(self, tmp_path):
+        m = DatasetManifest(records=tuple(write_byte_images(tmp_path, 4, 16)), root=tmp_path)
+        out = decode_squares(m, PreprocessConfig(resize_to=16, crop=12))
+        assert out.dtype == np.uint8 and out.shape == (4, 3, 16, 16)
+        for i, rec in enumerate(m.records):
+            assert out[i].tobytes() == read_ppm(tmp_path / rec.path).transpose(2, 0, 1).tobytes()
+
+    @pytest.mark.parametrize("odd", ["resampled", "fraction", "negative-zero", "nan", "above-255", "negative"])
+    @pytest.mark.parametrize("at", ["first", "last"])
+    def test_a_square_that_is_not_bytes_makes_the_set_float32(self, tmp_path, odd, at):
+        """One image that does not round-trip through uint8, first or last
+        among 8-bit ones: the set is float32 with the pipeline's values."""
+        records = write_byte_images(tmp_path, 3, 16)
+        if odd == "resampled":
+            write_ppm(tmp_path / "odd.ppm", np.random.default_rng(1).integers(0, 256, size=(20, 30, 3), dtype=np.uint8))
+            name = "odd.ppm"
+        else:
+            chw = np.random.default_rng(1).integers(0, 256, size=(3, 16, 16)).astype(np.float32)
+            chw[1, 5, 7] = {"fraction": 17.5, "negative-zero": -0.0, "nan": np.nan, "above-255": 256.0,
+                            "negative": -1.0}[odd]
+            write_raw_tensor(tmp_path / "odd.rawt", chw)
+            name = "odd.rawt"
+        records.insert(0 if at == "first" else len(records), ManifestRecord(name, 1))
+        m = DatasetManifest(records=tuple(records), root=tmp_path)
+        cfg = PreprocessConfig(resize_to=16, crop=12)
+        out = decode_squares(m, cfg)
+        assert out.dtype == np.float32
+        for i, rec in enumerate(m.records):
+            assert out[i].tobytes() == to_square(load_image(tmp_path / rec.path), cfg).tobytes(), rec.path
+
+    def test_byte_squares_hold_a_quarter_of_float32(self, tmp_path):
+        """40 PPMs of 72 px: decoding peaks under 2 bytes per pixel value
+        (1.24 MB), where float32 squares alone take 4 (2.49 MB)."""
+        m = DatasetManifest(records=tuple(write_byte_images(tmp_path, 40, 72)), root=tmp_path)
+        peak, out = traced_peak(lambda: decode_squares(m, PreprocessConfig(resize_to=72, crop=64)))
+        assert out.dtype == np.uint8 and peak < 2 * out.size, f"peak {peak} B for {out.size} values"

@@ -573,6 +573,20 @@ class TestCrossValidate:
         write_report(tmp_path / "b")
         assert (tmp_path / "a" / "report.csv").read_bytes() == (tmp_path / "b" / "report.csv").read_bytes()
 
+    def test_byte_squares_write_the_artifacts_of_float32_squares(self, cv_run, tiny_corpus, tmp_path, monkeypatch):
+        """The tiny corpus decodes to uint8 squares; the same run on those
+        squares cast to float32 writes every artifact byte for byte."""
+        _, out = cv_run
+        config = tiny_config(tiny_corpus)
+        assert decode_squares(load_manifest(str(tiny_corpus)), config.preprocess).dtype == np.uint8
+        monkeypatch.setattr(harness, "decode_squares", lambda *args: decode_squares(*args).astype(np.float32))
+        copy = tmp_path / "finetune"
+        cross_validate(config, copy)
+        files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        assert files and files == sorted(p.relative_to(copy) for p in copy.rglob("*") if p.is_file())
+        for name in files:
+            assert (out / name).read_bytes() == (copy / name).read_bytes(), name
+
     def test_fold_checkpoint_released_before_the_next_fold_trains(self, tiny_corpus, tmp_path, monkeypatch):
         inner = harness.train_in_place
         trained_refs, alive_on_entry = [], []
@@ -1017,6 +1031,18 @@ class TestCli:
         code = cli.main(["prepare-data", "--out", str(tmp_path / "data"), "--synthetic", "binary", flag, value])
         err = capsys.readouterr().err
         assert code == 1 and f"{flag[2:]} must be >= 1, got {value}" in err and "Traceback" not in err, err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("args,words", [
+        (["--folds", "0"], "need at least 2 folds, got 0"),
+        (["--folds", "1"], "need at least 2 folds, got 1"),
+        (["--count", "3", "--folds", "5"], "fewer than k=5"),
+    ], ids=["folds-0", "folds-1", "count-3-folds-5"])
+    def test_prepare_data_checks_folds_before_any_image(self, args, words, tmp_path, capsys):
+        code = cli.main(["prepare-data", "--out", str(tmp_path / "data"), "--synthetic", "binary", "--size", "8",
+                         *args])
+        err = capsys.readouterr().err
+        assert code == 1 and words in err and "Traceback" not in err, err
         assert not (tmp_path / "data").exists()
 
     def test_prepare_data_needs_a_source(self, tmp_path, capsys):

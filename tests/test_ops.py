@@ -175,8 +175,14 @@ class TestStreamedIm2col:
     """conv2d walks the batch in runs of consecutive examples, each run's
     patch matrices built afresh, and must give the bytes of the whole-batch
     formulation it grew from: value, pullback and param_pullback. A run is
-    one example (the batch streams) when one example's matrix reaches
-    IM2COL_EXAMPLE bytes, else as many examples as fit IM2COL_BUDGET."""
+    as many examples as fit IM2COL_BUDGET, and at least one (the batch
+    streams when one example's matrix exceeds half the budget)."""
+
+    @staticmethod
+    def budget(kind: str, example_bytes: int) -> int:
+        """The budget of a named case: runs of one, one run, or a byte short
+        of one example's matrix (an example with no rows counts as 1 byte)."""
+        return {"runs-of-one": 0, "one-run": 1 << 62, "example-size": max(example_bytes, 1) - 1}[kind]
 
     @pytest.mark.parametrize("budget", [0, 1 << 62])
     @pytest.mark.parametrize("pad", [0, 1, 2])
@@ -190,9 +196,12 @@ class TestStreamedIm2col:
     @pytest.mark.parametrize("stride,kernel", [(1, 3), (4, 5)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_example_size_alone_streams_to_the_same_bytes(self, monkeypatch, pad, stride, kernel, dtype):
-        monkeypatch.setattr(ops, "IM2COL_BUDGET", 1 << 62)
-        monkeypatch.setattr(ops, "IM2COL_EXAMPLE", 0)
-        check_against_whole_batch_oracle(pad, stride, kernel, dtype)
+        """A budget a byte short of each batch's one-example matrix."""
+        for n, (c, k) in [(1, (3, 5)), (2, (4, 2)), (7, (2, 3))]:
+            seed = 10 * n + c
+            x, w, b = conv_inputs(n, c, k, pad, stride, kernel, dtype, seed)
+            monkeypatch.setattr(ops, "IM2COL_BUDGET", self.budget("example-size", c * kernel**2 * 5 * 4 * x.itemsize))
+            check_conv_against_whole_batch_oracle(x, w, b, stride, pad, seed + 3)
 
     @pytest.mark.parametrize("budget,streams", [(0, True), (1 << 62, False)])
     def test_streamed_forward_never_holds_the_batch_patch_matrix(self, monkeypatch, budget, streams):
@@ -208,14 +217,13 @@ class TestStreamedIm2col:
         else:
             assert peak >= batch_cols_bytes
 
-    @pytest.mark.parametrize("budget", [0, None], ids=["streamed", "whole-batch"])
+    @pytest.mark.parametrize("budget", [0, 1 << 62], ids=["streamed", "whole-batch"])
     def test_pair_holds_no_patch_matrix(self, monkeypatch, budget):
         """conv1 of the small network at training batch 32, in runs of one
         example and in one run of the whole batch: past the forward its pair
         keeps its input and its output, not the 7.18 MiB of patch matrices,
         which the pullback rebuilds."""
-        if budget is not None:
-            monkeypatch.setattr(ops, "IM2COL_BUDGET", budget)
+        monkeypatch.setattr(ops, "IM2COL_BUDGET", budget)
         spec = reference_spec_small(2)
         conv1 = spec.layer("conv1")
         n, c = 32, spec.input_shape[0]
@@ -226,12 +234,12 @@ class TestStreamedIm2col:
         batch_cols_bytes = n * c * conv1.kernel**2 * oh * ow * 4
         assert held < batch_cols_bytes / 4
 
-    @pytest.mark.parametrize("extra,streams", [(0, True), (1, False)])
-    def test_one_example_matrix_of_the_threshold_streams(self, monkeypatch, extra, streams):
-        """The per-example rule at its edge, under a budget never reached."""
-        monkeypatch.setattr(ops, "IM2COL_BUDGET", 1 << 62)
+    @pytest.mark.parametrize("examples,extra,streams", [(2, -1, True), (8, 0, False)], ids=["streams", "whole-batch"])
+    def test_one_example_matrix_of_the_threshold_streams(self, monkeypatch, examples, extra, streams):
+        """The budget at its edges: a byte short of two examples' matrices
+        runs one example at a time, and exactly the batch's 8 runs it whole."""
         example_bytes = (16 * 5 * 5) * (20 * 20) * 4
-        monkeypatch.setattr(ops, "IM2COL_EXAMPLE", example_bytes + extra)
+        monkeypatch.setattr(ops, "IM2COL_BUDGET", examples * example_bytes + extra)
         x, w, b = rand((8, 16, 20, 20), seed=1), rand((4, 16, 5, 5), seed=2), rand((4,), seed=3)
         peak, _ = traced_peak(lambda: ops.conv2d(x, w, b, stride=1, pad=2))
         assert (peak < 2 * example_bytes) if streams else (peak >= 8 * example_bytes)
@@ -267,24 +275,20 @@ class TestStreamedIm2col:
         monkeypatch.setattr(ops, "IM2COL_BUDGET", m * 2 * 9 * 20 * x.itemsize)
         check_conv_against_whole_batch_oracle(x, w.astype(w_dtype), b.astype(w_dtype), 1, 1, seed=m + 3)
 
-    @pytest.mark.parametrize("budget,example", [(0, 1 << 62), (1 << 62, 1 << 62), (1 << 62, 0)],
-                             ids=["runs-of-one", "one-run", "example-size"])
-    def test_empty_batch_gives_zero_parameter_gradients(self, monkeypatch, budget, example):
-        monkeypatch.setattr(ops, "IM2COL_BUDGET", budget)
-        monkeypatch.setattr(ops, "IM2COL_EXAMPLE", example)
+    @pytest.mark.parametrize("budget", ["runs-of-one", "one-run", "example-size"])
+    def test_empty_batch_gives_zero_parameter_gradients(self, monkeypatch, budget):
+        monkeypatch.setattr(ops, "IM2COL_BUDGET", self.budget(budget, 4 * 3**2 * 5 * 4 * 4))
         for pad in (0, 1):
             x, w, b = conv_inputs(0, 4, 3, pad, 1, 3, np.float32, seed=5)
             check_conv_against_whole_batch_oracle(x, w, b, 1, pad)
             dx, dw, db = ops.conv2d(x, w, b, stride=1, pad=pad).pullback(np.zeros((0, 3, 5, 4), np.float32))
             assert dx.shape == x.shape and not dw.any() and not db.any()
 
-    @pytest.mark.parametrize("budget,example", [(0, 1 << 62), (1 << 62, 1 << 62), (1 << 62, 0)],
-                             ids=["runs-of-one", "one-run", "example-size"])
-    def test_zero_input_channels(self, monkeypatch, budget, example):
+    @pytest.mark.parametrize("budget", ["runs-of-one", "one-run", "example-size"])
+    def test_zero_input_channels(self, monkeypatch, budget):
         """No ZeroDivisionError from an example whose patch matrix has no rows:
         the output is the bias and dw is empty."""
-        monkeypatch.setattr(ops, "IM2COL_BUDGET", budget)
-        monkeypatch.setattr(ops, "IM2COL_EXAMPLE", example)
+        monkeypatch.setattr(ops, "IM2COL_BUDGET", self.budget(budget, 0))
         for pad in (0, 1):
             x, w, b = conv_inputs(3, 0, 2, pad, 1, 3, np.float32, seed=6)
             check_conv_against_whole_batch_oracle(x, w, b, 1, pad)
@@ -307,16 +311,22 @@ class TestStreamedIm2col:
         assert peak < matrices_and_output + x.nbytes / 2
 
     def test_every_reference_layer_streams_and_no_small_one_does(self):
-        """Every full-size conv runs one example at a time; no small one does."""
+        """At training batch 32 every full-size conv runs one example at a
+        time, and every small one runs more than one and at most the budget's
+        bytes of matrices: the run lengths the README states."""
         for spec, streams in ((reference_spec(2), True), (reference_spec_small(2), False)):
             shapes = infer_shapes(spec)
             below = spec.input_shape
+            lengths = []
             for layer in spec.layers:
                 if layer.kind == LayerKind.CONV:
                     _, oh, ow = shapes[layer.name]
                     example_bytes = below[0] * layer.kernel**2 * oh * ow * 4
-                    assert (example_bytes >= ops.IM2COL_EXAMPLE) == streams, layer.name
+                    m = max(1, min(32, ops.IM2COL_BUDGET // example_bytes))
+                    assert (m == 1) if streams else (1 < m and m * example_bytes <= ops.IM2COL_BUDGET), layer.name
+                    lengths.append(m)
                 below = shapes[layer.name]
+            assert lengths == ([1] * 5 if streams else [4, 8, 32, 24, 24])
 
     def test_reference_conv2_pullback_holds_one_example_at_a_time(self):
         """conv2 of the full-size network at training batch 32: the pullback

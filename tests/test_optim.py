@@ -499,6 +499,25 @@ class TestUpdateDuringBackward:
         peak, _ = traced_peak(update)
         assert block_bytes <= peak < 1.5 * block_bytes, f"peak {peak} B for {block_bytes} B blocks"
 
+    def test_small_step_holds_one_run_of_patch_matrices(self):
+        """A small train step at batch 32 (every layer trained) holds its
+        activations, its gradients and one run's patch matrices: conv1 runs
+        4 examples in its 1 MiB budget. It held 10.4 MiB with conv1's whole
+        batch of matrices (7.18 MiB) in one run."""
+        spec = reference_spec_small(num_classes=2)
+        ckpt = init_params(spec, seed=0)
+        opt = OptState.for_checkpoint(ckpt)
+        x = np.random.default_rng(0).normal(0, 50, size=(32, *spec.input_shape)).astype(np.float32)
+        lr_mults = {layer.name: layer.lr_mult for layer in spec.parameterized}
+
+        def step():
+            state = forward(spec, ckpt, x, retain=True)
+            (g,) = ops.cross_entropy_loss(state.post[spec.top_name], np.arange(32) % 2).pullback(np.float32(1.0))
+            sgd_step(ckpt, backward_walk(spec, state, g, FC_BLOCK), opt, 0.001, lr_mults, 0.9, 0.0005)
+
+        peak, _ = traced_peak(step)
+        assert peak < 6 << 20, f"peak {peak / 2**20:.2f} MiB"
+
     def test_each_step_state_is_dead_before_the_next_forward(self, monkeypatch):
         """A step's ForwardState (its activations and the pullbacks' inputs)
         is freed once its update is applied, so two steps' states are never

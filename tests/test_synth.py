@@ -112,6 +112,12 @@ class TestWriteDataset:
         img = read_ppm(m.resolve(m.records[2]))
         np.testing.assert_array_equal(img, generate_image("aligned", 16, seed=4, index=2))
 
+    @pytest.mark.parametrize("task,k_folds", [("regression", None), ("regression", 2), ("binary", 1), ("binary", 6)])
+    def test_rejected_before_any_directory(self, tmp_path, task, k_folds):
+        with pytest.raises(ConfigError):
+            write_synthetic_dataset(tmp_path / "out", task, 10, 16, seed=0, k_folds=k_folds)
+        assert not (tmp_path / "out").exists()
+
     def test_multiclass_dataset(self, tmp_path):
         path = write_synthetic_dataset(tmp_path, "multiclass", 8, 16, seed=0, k_folds=2)
         m = load_manifest(path, allow_multiclass=True)
