@@ -94,6 +94,8 @@ def _cmd_prepare_data(args) -> int:
         print(path)
         return EXIT_OK
     if args.manifest:
+        if args.folds < 2:  # a usage error, as on the synthetic path: exit 1 before the manifest is read
+            raise ConfigError(f"need at least 2 folds, got {args.folds}")
         manifest = load_manifest(args.manifest, allow_multiclass=True)
         folds = stratified_kfold(manifest.labels, args.folds, args.seed)
         out.mkdir(parents=True, exist_ok=True)

@@ -695,33 +695,16 @@ def cross_validate(config: ExperimentConfig, out_dir: str | Path, label: str | N
     return summary
 
 
-def _check_probe_section(config: ExperimentConfig) -> None:
-    """Raise ConfigError for a probe section no run could use, before any work:
-    kinds and endpoints (of the network the preset makes of the arch) must be
-    known and non-empty, the lambda grid non-empty and positive, inner_folds
-    at least 2 and iters at least 1."""
-    exp, probe = config.experiment, config.experiment.probe
-    if not probe.kinds or any(kind not in probe_mod.PROBE_KINDS for kind in probe.kinds):
-        raise ConfigError(f"experiment.probe.kinds must name some of {probe_mod.PROBE_KINDS}, got {probe.kinds}")
-    if probe.endpoints is not None:
-        spec = _arch_spec(exp.arch, 2)  # the width of fc8 does not change a layer's name
-        if exp.preset is not None:
-            spec = plan_spec(preset_plan(exp.preset), spec)
-        if not probe.endpoints or any(name not in spec.endpoints for name in probe.endpoints):
-            raise ConfigError(
-                f"experiment.probe.endpoints must name some of {spec.endpoints}, got {probe.endpoints}"
-            )
-    if not probe.lambda_grid or min(probe.lambda_grid) <= 0:
-        raise ConfigError(f"experiment.probe.lambda_grid must be non-empty and positive, got {probe.lambda_grid}")
-    if probe.inner_folds < 2:
-        raise ConfigError(f"experiment.probe.inner_folds must be >= 2, got {probe.inner_folds}")
-    if probe.iters < 1:
-        raise ConfigError(f"experiment.probe.iters must be >= 1, got {probe.iters}")
-
-
 def run_probe_experiment(config: ExperimentConfig, out_dir: str | Path, label: str | None = None) -> probe_mod.ProbeReport:
     """Probe every endpoint of the configured network across the outer folds."""
-    _check_probe_section(config)  # before --out is made or any image decoded
+    exp, probe = config.experiment, config.experiment.probe
+    spec = _arch_spec(exp.arch, 2)  # the width of fc8 does not change a layer's name
+    if exp.preset is not None:
+        spec = plan_spec(preset_plan(exp.preset), spec)
+    probe_mod.check_probe_args(  # before --out is made or any image decoded
+        probe.kinds, probe.lambda_grid, probe.inner_folds, probe.iters, probe.endpoints, spec.endpoints,
+        prefix="experiment.probe.",
+    )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     task = load_task(config, config.experiment.preset)

@@ -370,10 +370,7 @@ def infer(spec: NetworkSpec, ckpt: Checkpoint, batch: Array, keep: Iterable[str]
 
 
 def backward_walk(
-    spec: NetworkSpec,
-    state: ForwardState,
-    top_grad: Array,
-    block: int | None = None,
+    spec: NetworkSpec, state: ForwardState, top_grad: Array
 ) -> Iterator[tuple[str, int, Array, Array | None]]:
     """The backward pass, one parameter gradient at a time, top layer first.
 
@@ -384,9 +381,9 @@ def backward_walk(
     consumer may update each layer as its gradient arrives (optim.sgd_step
     does) with the bits of an update after the whole pass. Gradients come
     from GradPair.param_pullback: an FC layer's weight gradient in blocks
-    of `block` rows, or whole when block is None, a conv layer's whole. A
-    pair with parameters but no param_pullback gives its gradients whole
-    through its full pullback.
+    of ops.FC_BLOCK rows, a conv layer's whole. A pair with parameters but
+    no param_pullback gives its gradients whole through its full pullback,
+    which fills them from the same blocks.
 
     The walk ends at the lowest trained layer (parameters and lr_mult > 0):
     no gradient below it is ever read, so layers under it get no pullback
@@ -408,7 +405,7 @@ def backward_walk(
         if relu_pullback is not None:
             (g,) = relu_pullback(g)
         if pair.param_pullback is not None:
-            g, db, blocks = pair.param_pullback(g, block, i > lowest)
+            g, db, blocks = pair.param_pullback(g, i > lowest)
         elif layer.has_params:  # rebuilt from value and pullback, as bench/tracing.py does
             g, dw, db = pair.pullback(g)
             blocks = ((0, dw),)
@@ -426,11 +423,17 @@ def backward(spec: NetworkSpec, state: ForwardState, top_grad: Array) -> dict[st
 
     top_grad is the loss gradient with respect to the post-activation output
     of the layer feeding the softmax (the loss owns the softmax pullback).
-    The dict is collected from backward_walk, each gradient whole, so it
-    holds every parameterized layer from the top down to the lowest trained
-    one. Training builds none: it applies each gradient as the walk yields it.
+    The dict holds every parameterized layer from the top down to the
+    lowest trained one, each weight gradient filled from backward_walk's
+    blocks, one alive beside it: the bits training applies block by block.
     """
-    return {name: (dw, db) for name, _, dw, db in backward_walk(spec, state, top_grad)}
+    shapes, grads = parameter_shapes(spec), {}
+    for name, start, rows, db in backward_walk(spec, state, top_grad):
+        if db is not None:  # a layer's first block
+            grads[name] = (np.empty(shapes[name][0], dtype=rows.dtype), db)
+        grads[name][0][start : start + len(rows)] = rows
+        del rows, db  # freed before the walk computes the next block
+    return grads
 
 
 def _conv(name, out_channels, kernel, stride=1, pad=0, lr_mult=1.0):

@@ -54,12 +54,12 @@ Array = np.ndarray
 class GradPair:
     """Forward value plus a pullback from upstream gradient to input gradients.
 
-    conv2d and affine also set param_pullback(g, block, with_dx) -> (dx, db,
+    conv2d and affine also set param_pullback(g, with_dx) -> (dx, db,
     blocks), which their pullback is built on: dx (None without with_dx)
     from the weights as they are at the call, the bias gradient, then the
-    weight gradient as (first row, rows) blocks of `block` rows, each
-    computed when the iterator reaches it, so a caller may update each block
-    before drawing the next. conv2d, and a block of None, give one block.
+    weight gradient as (first row, rows) blocks, each computed when the
+    iterator reaches it, so a caller may update each block before drawing
+    the next. affine gives blocks of FC_BLOCK rows, conv2d one block.
     """
 
     value: Array
@@ -67,11 +67,15 @@ class GradPair:
     param_pullback: Callable[..., tuple[Array | None, Array, Iterable[tuple[int, Array]]]] | None = None
 
 
-def _full_pullback(param_pullback) -> Callable[[Array], tuple[Array, Array, Array]]:
-    """(dx, dw, db) from a param_pullback, its weight gradient in one block."""
+def _full_pullback(param_pullback, w_shape: tuple[int, ...]) -> Callable[[Array], tuple[Array, Array, Array]]:
+    """(dx, dw, db) from a param_pullback, dw filled from its blocks, one alive beside it."""
 
     def pullback(g: Array) -> tuple[Array, Array, Array]:
-        dx, db, ((_, dw),) = param_pullback(g, None, True)
+        dx, db, blocks = param_pullback(g, True)
+        dw = np.empty(w_shape, dtype=db.dtype)
+        for start, rows in blocks:
+            dw[start : start + len(rows)] = rows
+            del rows  # freed before the next block is computed
         return dx, dw, db
 
     return pullback
@@ -178,7 +182,7 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
     out = out.reshape(n, k, out_h, out_w)
     _check_finite(out, "conv2d")
 
-    def param_pullback(g: Array, _block: int | None, with_dx: bool):
+    def param_pullback(g: Array, with_dx: bool):
         g = np.ascontiguousarray(g, dtype=dtype).reshape(n, k, positions)
         db, dw = g.sum(axis=(0, 2)), np.zeros((k, rows), dtype=dtype)
         dx = np.empty_like(x) if with_dx else None
@@ -203,7 +207,7 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> GradPair:
                 dx[run] = inner[pad : pad + h, pad : pad + wd].transpose(2, 3, 0, 1)
         return dx, db, ((0, dw.reshape(w.shape)),)
 
-    return GradPair(out, _full_pullback(param_pullback), param_pullback)
+    return GradPair(out, _full_pullback(param_pullback, w.shape), param_pullback)
 
 
 def _pool_window(a: Array, idx: int, size: int, stride: int, out_shape: tuple[int, ...]) -> Array:
@@ -352,8 +356,15 @@ def _channel_window_sum(a: Array, below: int, above: int) -> Array:
     return out
 
 
+FC_BLOCK = 1024  # weight rows per FC weight-gradient block
+
+
 def affine(x, w, b) -> GradPair:
-    """Fully connected map [N,D] @ [D,M] + [M]; pullback returns (dx, dw, db)."""
+    """Fully connected map [N,D] @ [D,M] + [M]; pullback returns (dx, dw, db).
+
+    dw is defined by its blocks of FC_BLOCK rows s:e, each the product
+    x[:, s:e].T @ g issued alone; every caller takes these same products.
+    """
     x = _as_float(x)
     w = _as_float(w)
     b = _as_float(b)
@@ -367,19 +378,15 @@ def affine(x, w, b) -> GradPair:
     _check_finite(out, "affine")
     dtype = out.dtype
 
-    def param_pullback(g: Array, block: int | None, with_dx: bool):
-        # numpy runs a one-row product as a GEMV, whose bits differ from the GEMM's
-        if block is not None and block < 2:
-            raise ValueError(f"affine: weight-gradient blocks need at least 2 rows, got {block}")
+    def param_pullback(g: Array, with_dx: bool):
         g = np.asarray(g, dtype=dtype)
         d = w.shape[0]
-        starts = list(range(0, d, block or d))
-        if len(starts) > 1 and starts[-1] == d - 1:
-            starts.pop()  # so a one-row tail joins the block before it
+        # a one-row tail joins the block before it: numpy runs one row as a GEMV, with other bits
+        starts = list(range(0, max(d - 1, 1), FC_BLOCK))
         blocks = ((s, x[:, s:e].T @ g) for s, e in zip(starts, starts[1:] + [d]))
         return (g @ w.T if with_dx else None), g.sum(axis=0), blocks
 
-    return GradPair(out, _full_pullback(param_pullback), param_pullback)
+    return GradPair(out, _full_pullback(param_pullback, w.shape), param_pullback)
 
 
 def relu(x) -> GradPair:

@@ -12,8 +12,8 @@ bit-identical to their initial values.
 Training updates each layer during the backward pass: sgd_step consumes
 network.backward_walk, which has computed a layer's input gradient from
 the old weights before it yields the layer's gradient, and an FC weight
-gradient comes in blocks of FC_BLOCK rows, each applied before the next
-is computed. The update is elementwise, so the bits are those of an
+gradient comes in blocks of ops.FC_BLOCK rows, each applied before the
+next is computed. The update is elementwise, so the bits are those of an
 update after the whole pass, while no gradient dict is built: one conv
 layer's gradient or one FC block (16 MB of the reference fc6's 151 MB)
 is alive at a time. train_in_place then drops the step's forward state,
@@ -52,7 +52,6 @@ log = logging.getLogger(__name__)
 Array = np.ndarray
 
 BLOCK = 1 << 16  # elements per sgd_step block: 1 MB of param, grad, velocity and scratch
-FC_BLOCK = 1024  # weight rows per FC gradient block in training
 
 
 @dataclass(frozen=True)
@@ -262,7 +261,7 @@ def train_in_place(
             if not np.isfinite(loss):
                 raise DivergenceError(epoch, batch=batch, layer=loss_layer)
             (dlogits,) = pair.pullback(np.float32(1.0))
-            walk = backward_walk(spec, fwd, dlogits, FC_BLOCK)
+            walk = backward_walk(spec, fwd, dlogits)
             sgd_step(ckpt, walk, state, lr, lr_mults, config.momentum, config.weight_decay)
             loss_sum += loss * len(y)
             correct += int((logits.argmax(axis=1) == y).sum())

@@ -65,6 +65,25 @@ PROBE_KINDS = ("svm", "softmax")
 ITERATION_BUDGET = 2000
 
 
+def check_probe_args(
+    kinds: Sequence[str], lambda_grid: Sequence[float], inner_folds: int, iters: int,
+    endpoints: Sequence[str] | None = None, known: Sequence[str] = (), prefix: str = "",
+) -> None:
+    """Raise ConfigError, naming the argument after prefix, unless kinds name
+    some of PROBE_KINDS and endpoints (when given) some of known, none
+    twice, the lambda grid is non-empty, positive and finite, inner_folds
+    >= 2 and iters >= 1."""
+    for key, names, allowed in (("kinds", kinds, PROBE_KINDS), ("endpoints", endpoints, known)):
+        if names is not None and not (names and len(set(names)) == len(names) and set(names) <= set(allowed)):
+            raise ConfigError(f"{prefix}{key} must name one or more of {tuple(allowed)}, each once, got {tuple(names)}")
+    if not lambda_grid or not all(0 < l < math.inf for l in lambda_grid):
+        raise ConfigError(f"{prefix}lambda_grid must be non-empty, positive and finite, got {tuple(lambda_grid)}")
+    if inner_folds < 2:
+        raise ConfigError(f"{prefix}inner_folds must be >= 2, got {inner_folds}")
+    if iters < 1:
+        raise ConfigError(f"{prefix}iters must be >= 1, got {iters}")
+
+
 def extract_features(
     spec: NetworkSpec,
     ckpt: Checkpoint,
@@ -318,7 +337,7 @@ def _probes(
 
 
 def _select(
-    matrices: list[Array], labels: Array, kinds: tuple[str, ...], grid: list[float], inner_folds: int,
+    matrices: list[Array], labels: Array, kinds: Sequence[str], grid: list[float], inner_folds: int,
     standardize: bool, seed: int, iters: int, rows: Array,
 ) -> tuple[dict[str, list[float]], dict[str, list[dict[float, float]]]]:
     """Each kind's chosen lambda and inner scores per matrix, from one dual fit
@@ -383,8 +402,7 @@ def fit_probes(
 ) -> Iterator[tuple[ProbeModel, dict[float, float]]]:
     """fit_probe of each kind on each feature matrix's `rows` (all rows by
     default), every kind and matrix fitted together; yields (model, inner
-    scores) per matrix in order, and within a matrix for each distinct kind
-    in order.
+    scores) per matrix in order, and within a matrix for each kind in order.
 
     Every matrix has one row per label and all share the inner folds. The
     call selects every lambda: one kernel serves every kind's dual loop over
@@ -400,16 +418,9 @@ def fit_probes(
     rows = np.arange(len(labels)) if rows is None else np.asarray(rows)
     if len(rows) == 0:
         raise DataError("no rows to fit a probe on")
-    if not lambda_grid or not all(0 < l < math.inf for l in lambda_grid):
-        raise ConfigError(f"lambda grid must be positive and finite, got {lambda_grid}")
+    check_probe_args(kinds, lambda_grid, inner_folds, iters)
     if labels[rows].min() < 0 or labels[rows].max() > 1:
         raise DataError("probe labels must be binary 0/1")
-    kinds = tuple(dict.fromkeys(kinds))
-    if not kinds:
-        raise ConfigError("no probe kind to fit")
-    for kind in kinds:
-        if kind not in PROBE_KINDS:
-            raise ConfigError(f"unknown probe kind {kind!r}; expected one of {PROBE_KINDS}")
 
     grid = sorted(set(float(l) for l in lambda_grid))
     if len(grid) == 1:
@@ -534,33 +545,28 @@ def probe_all_layers(
     labels = source.labels
     if len(folds) != len(labels):
         raise DataError(f"{len(folds)} fold ids for {len(labels)} examples")
-    if not kinds:
-        raise ConfigError("no probe kind to fit")
-    for kind in kinds:
-        if kind not in PROBE_KINDS:
-            raise ConfigError(f"unknown probe kind {kind!r}")
     names = tuple(endpoints) if endpoints is not None else spec.endpoints
+    check_probe_args(kinds, lambda_grid, inner_folds, iters, names, spec.endpoints)
     fold_ids = sorted(int(f) for f in set(folds.tolist()))
     by_endpoint = extract_features(spec, ckpt, source, names, pre_activation=pre_activation)
-    distinct = tuple(dict.fromkeys(kinds))
     found: dict[tuple[str, str, int], ProbeRow] = {}
     for f in fold_ids:
         test = folds == f
         started = time.perf_counter()
         fitted = fit_probes(
-            list(by_endpoint.values()), labels, distinct, lambda_grid, inner_folds, standardize, seed, iters,
+            list(by_endpoint.values()), labels, kinds, lambda_grid, inner_folds, standardize, seed, iters,
             rows=np.flatnonzero(~test),
         )
         selected = time.perf_counter()
         for endpoint, features in by_endpoint.items():
-            for kind in distinct:
+            for kind in kinds:
                 model, _ = next(fitted)
                 acc = float((model.predict(features[test]) == labels[test]).mean())
                 found[endpoint, kind, f] = ProbeRow(endpoint, kind, f, acc, model.lam)
                 del model  # before the next refit set is built
         log.info(
             "outer fold %d: %d endpoints x %d kinds, selection %.3f s, refit %.3f s",
-            f, len(by_endpoint), len(distinct), selected - started, time.perf_counter() - selected,
+            f, len(by_endpoint), len(kinds), selected - started, time.perf_counter() - selected,
         )
     return ProbeReport(
         rows=[found[endpoint, kind, f] for endpoint in names for kind in kinds for f in fold_ids],

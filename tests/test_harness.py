@@ -1000,7 +1000,9 @@ class TestCli:
 
     @pytest.mark.parametrize("key,value", [
         ("kinds", ["lda"]),
+        ("kinds", ["svm", "svm"]),
         ("endpoints", ["nope"]),
+        ("endpoints", ["fc7", "fc7"]),
         ("lambda_grid", []),
         ("lambda_grid", [0.1, 0]),
         ("inner_folds", 1),
@@ -1044,6 +1046,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1 and words in err and "Traceback" not in err, err
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("folds", ["0", "1"])
+    def test_prepare_data_manifest_checks_folds_before_reading_it(self, folds, tiny_corpus, tmp_path, monkeypatch,
+                                                                  capsys):
+        """Too few folds is a usage error on the manifest path too: exit 1, as
+        the synthetic path does, with the manifest unread and nothing written."""
+        read = []
+        monkeypatch.setattr(cli, "load_manifest", lambda *args, **kwargs: read.append(args))
+        code = cli.main(["prepare-data", "--out", str(tmp_path / "data"), "--manifest", str(tiny_corpus),
+                         "--folds", folds])
+        err = capsys.readouterr().err
+        assert code == 1 and f"need at least 2 folds, got {folds}" in err and "Traceback" not in err, err
+        assert read == [] and not (tmp_path / "data").exists()
 
     def test_prepare_data_needs_a_source(self, tmp_path, capsys):
         code = cli.main(["prepare-data", "--out", str(tmp_path)])

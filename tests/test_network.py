@@ -540,7 +540,7 @@ def record_pullbacks(state):
 
     def logged(name, fn):
         def run(g, *form):
-            calls.append((name, "full" if not form else "params+dx" if form[1] else "params"))
+            calls.append((name, "full" if not form else "params+dx" if form[0] else "params"))
             return fn(g, *form)
 
         return None if fn is None else run

@@ -121,20 +121,22 @@ class TestConv2d:
 
 
 def check_param_pullback(pair, g, want_dx, want_dw, want_db):
-    """pair.param_pullback(g, block, with_dx) gives the bytes of want's dx
-    (None without with_dx), db, and dw's rows block by block from row 0, with
-    and without dx, at block=None and at an odd block size. Returns the
-    number of blocks each call gave."""
+    """pair.param_pullback(g, with_dx) gives the bytes of want's dx (None
+    without with_dx), db, and dw's rows block by block from row 0, with and
+    without dx, with ops.FC_BLOCK above every row count and at an odd 3
+    rows. Returns the number of blocks each call gave."""
     counts = []
     for with_dx in (True, False):
-        for block in (None, 3):
-            dx, db, blocks = pair.param_pullback(g, block, with_dx)
-            assert dx.tobytes() == want_dx.tobytes() if with_dx else dx is None
-            assert db.tobytes() == want_db.tobytes()
-            rows = count = 0
-            for start, dw in blocks:
-                assert start == rows and dw.tobytes() == want_dw[start : start + len(dw)].tobytes()
-                rows, count = rows + len(dw), count + 1
+        for block in (1 << 62, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ops, "FC_BLOCK", block)
+                dx, db, blocks = pair.param_pullback(g, with_dx)
+                assert dx.tobytes() == want_dx.tobytes() if with_dx else dx is None
+                assert db.tobytes() == want_db.tobytes()
+                rows = count = 0
+                for start, dw in blocks:
+                    assert start == rows and dw.tobytes() == want_dw[start : start + len(dw)].tobytes()
+                    rows, count = rows + len(dw), count + 1
             assert rows == len(want_dw)
             counts.append(count)
     return counts
@@ -142,7 +144,7 @@ def check_param_pullback(pair, g, want_dx, want_dw, want_db):
 
 def check_conv_against_whole_batch_oracle(x, w, b, stride, pad, seed=0):
     """conv2d's value, pullback and param_pullback equal conv2d_whole_batch's
-    bytes; its dw is one block at any block size."""
+    bytes; its dw is one block at any ops.FC_BLOCK."""
     pair = ops.conv2d(x, w, b, stride=stride, pad=pad)
     want, want_pullback, want_param_pullback = conv2d_whole_batch(x, w, b, stride=stride, pad=pad)
     assert pair.value.dtype == want.dtype
@@ -576,59 +578,112 @@ class TestAffine:
         with pytest.raises(ShapeError, match="width"):
             ops.affine(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
 
-    @pytest.mark.parametrize("block", [1, 0, -3])
-    def test_param_pullback_rejects_blocks_below_two_rows(self, block):
-        """A one-row block would run as a GEMV, whose bits differ from the whole GEMM's."""
+    def test_one_row_tail_joins_the_block_before_it(self, monkeypatch):
+        """A one-row block would run as a GEMV, whose bits differ from a GEMM's."""
+        monkeypatch.setattr(ops, "FC_BLOCK", 2)
         pair = ops.affine(np.ones((2, 3)), np.ones((3, 2)), np.zeros(2))
-        for with_dx in (True, False):
-            with pytest.raises(ValueError, match="at least 2 rows"):
-                pair.param_pullback(np.ones((2, 2)), block, with_dx)
-        assert len(list(pair.param_pullback(np.ones((2, 2)), 2, False)[2])) == 1  # 3 rows: the tail row joins
+        assert len(list(pair.param_pullback(np.ones((2, 2)), False)[2])) == 1  # 3 rows: the tail row joins
 
 
-ROW_BLOCK_PROGRAM = """
+def cpu_flags() -> set[str]:
+    """The instruction-set flags /proc/cpuinfo lists (none where it is absent)."""
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return {flag for line in text.splitlines() if line.startswith("flags") for flag in line.partition(":")[2].split()}
+
+
+# OpenBLAS core types a DYNAMIC_ARCH build can be forced to, with the
+# instruction sets each one's kernels execute: forcing one the CPU lacks
+# would kill the child with an illegal instruction.
+CORETYPES = {"Haswell": {"avx2", "fma"}, "SkylakeX": {"avx512f", "avx512bw", "avx512dq", "avx512vl"}}
+
+
+def blas_cases():
+    """(threads, core type) for a child-process byte test: the kernel
+    OpenBLAS picks at 1 and 2 threads, then each core type of CORETYPES
+    forced at both, skipped on a CPU that cannot execute it."""
+    flags = cpu_flags()
+    cases = [pytest.param(threads, None, id=str(threads)) for threads in (1, 2)]
+    for core, needs in CORETYPES.items():
+        marks = [] if needs <= flags else [pytest.mark.skip(reason=f"this CPU cannot execute OpenBLAS core type {core}")]
+        cases += [pytest.param(threads, core, id=f"{threads}-{core}", marks=marks) for threads in (1, 2)]
+    return cases
+
+
+def run_child(program: str, threads: int, coretype: str | None):
+    """Run program in a child Python at `threads` OpenBLAS threads and, when
+    given, under core type `coretype`, both set in the child's environment
+    only; returns the JSON its last line prints."""
+    here = Path(__file__).resolve().parent
+    src = str(Path(ops.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, str(here), os.environ.get("PYTHONPATH")]))}
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    done = subprocess.run([sys.executable, "-c", program], env=env, check=True,
+                          capture_output=True, text=True, timeout=600)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+FC_GRADIENT_PROGRAM = """
 import json
 import numpy as np
-from sentnet import ops
-from sentnet.optim import FC_BLOCK
+from sentnet.checkpoint import Checkpoint
+from sentnet.network import (LayerKind, LayerSpec, NetworkSpec, backward, backward_walk, forward,
+                             parameter_shapes, reference_spec, reference_spec_small)
+from sentnet.surgery import PRESETS, plan_spec
 
-# (rows, units): reference fc6, fc7, fc8 (1000-way and 2-way); small fc6/fc7, fc8
-WIDTHS = [(9216, 4096), (4096, 4096), (4096, 1000), (4096, 2), (128, 128), (128, 2)]
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+# every FC weight shape the presets train, on both archs and their 1000-way source
+shapes = set()
+for arch in (reference_spec(1000), reference_spec_small(1000)):
+    for spec in (arch, *(plan_spec(plan, arch) for plan in PRESETS.values())):
+        shapes |= {parameter_shapes(spec)[layer.name][0] for layer in spec.layers if layer.kind == LayerKind.FC}
 mismatches = []
-for d, m in WIDTHS:
-    w = np.zeros((d, m), dtype=np.float32)  # the weight gradient reads no weight
+for d, m in sorted(shapes):
+    spec = NetworkSpec(input_shape=(d, 1, 1),
+                       layers=(LayerSpec("fc", LayerKind.FC, units=m), LayerSpec("prob", LayerKind.SOFTMAX)))
+    # the weight gradient reads no weight; zeros cost no memory until written
+    ckpt = Checkpoint({"fc": (np.zeros((d, m), dtype=np.float32), np.zeros(m, dtype=np.float32))})
     for n in (1, 6, 8, 32, 60):
         rng = np.random.default_rng([d, m, n])
-        x = rng.standard_normal((n, d), dtype=np.float32)
-        pair = ops.affine(x, w, np.zeros(m, dtype=np.float32))
+        x = rng.standard_normal((n, d, 1, 1), dtype=np.float32)
         g = rng.standard_normal((n, m), dtype=np.float32)
-        whole = x.T @ g
-        # None: one whole block; 97 leaves fc6's 9216 rows a one-row tail
-        for block in (None, 97, *sorted({256, 1000, FC_BLOCK})):
-            with_dx = block is None  # with and without dx
-            dx, _, blocks = pair.param_pullback(g, block, with_dx)
-            if any(rows.tobytes() != whole[start : start + len(rows)].tobytes() for start, rows in blocks):
-                mismatches.append([d, m, n, block])
-            if (dx is None) == with_dx:
-                mismatches.append([d, m, n, block, "dx"])
+        state = forward(spec, ckpt, x, retain=True)
+        for form in ("backward", "pullback"):
+            dw = backward(spec, state, g)["fc"][0] if form == "backward" else state.aux["fc"][0].pullback(g)[1]
+            end = 0
+            for _, start, rows, _ in backward_walk(spec, state, g):  # training's blocks, in order
+                alone = x.reshape(n, d)[:, start : start + len(rows)].T @ g
+                if start != end or len(rows) < 2 or not (
+                    same_bits(rows, alone) and same_bits(rows, dw[start : start + len(rows)])
+                ):
+                    mismatches.append([d, m, n, form, start, len(rows)])
+                end = start + len(rows)
+                del rows, alone
+            if dw.shape != (d, m) or end != d:
+                mismatches.append([d, m, n, form, "rows", end])
+            del dw
 print(json.dumps(mismatches))
 """
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_fc_weight_gradient_row_blocks_equal_the_whole_gemm(threads):
-    """Training updates FC weights one row block of x.T @ g at a time, so its
-    bytes rest on the BLAS giving each block's rows the bits of the whole
-    GEMM. That is a property of the BLAS build, not of numpy, so it is
-    pinned here at both thread counts, on every FC shape the presets train.
-    It fails for a one-row block, which numpy runs as a GEMV, so a one-row
-    tail joins the block before it."""
-    src = str(Path(ops.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", ROW_BLOCK_PROGRAM], env=env, check=True,
-                          capture_output=True, text=True, timeout=600)
-    assert json.loads(done.stdout.strip().splitlines()[-1]) == []
+@pytest.mark.parametrize("threads,coretype", blas_cases())
+def test_every_fc_weight_gradient_is_the_training_row_blocks(threads, coretype):
+    """An FC weight gradient is defined as its row blocks: training applies
+    them one at a time, and network.backward and GradPair.pullback fill one
+    dw from the same products, so the three agree byte for byte on any BLAS
+    kernel. Checked on every FC shape the presets train, at the batch sizes
+    a run uses, under each kernel this CPU runs: each block is the product
+    x[:, s:e].T @ g issued alone and none is one row, which numpy would run
+    as a GEMV."""
+    assert run_child(FC_GRADIENT_PROGRAM, threads, coretype) == []
 
 
 STREAMED_CONV_PROGRAM = """
@@ -650,8 +705,8 @@ for n, chw, k, kernel, stride, pad in SHAPES:
     g = rng.standard_normal(want.shape, dtype=np.float32)
     want_dx, want_dw, want_db = want_pullback(g)
     got, expected = [pair.value, *pair.pullback(g)], [want, want_dx, want_dw, want_db]
-    for with_dx, block in ((True, None), (False, 5)):  # with and without dx; conv's dw is one block
-        dx, db, ((start, dw),) = pair.param_pullback(g, block, with_dx)
+    for with_dx in (True, False):  # conv's dw is one block
+        dx, db, ((start, dw),) = pair.param_pullback(g, with_dx)
         got += [dw, db, *([dx] if with_dx else [])]
         expected += [*want_param_pullback(g), *([want_dx] if with_dx else [])]
         if start or (dx is None) == with_dx:
@@ -663,20 +718,15 @@ print(json.dumps(mismatches))
 """
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_streamed_conv_gradients_equal_the_whole_batch_gemms(threads):
+@pytest.mark.parametrize("threads,coretype", blas_cases())
+def test_streamed_conv_gradients_equal_the_whole_batch_gemms(threads, coretype):
     """A reference-sized conv runs one example at a time: its dw adds one
-    GEMM per example and its dx is built per example. Their bytes rest on the BLAS giving each
-    per-example GEMM the bits of the batched call, a property of the BLAS
-    build, so it is pinned here at both thread counts on the reference conv1
-    and conv2 (value, pullback and param_pullback)."""
-    here = Path(__file__).resolve().parent
-    src = str(Path(ops.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, str(here), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", STREAMED_CONV_PROGRAM], env=env, check=True,
-                          capture_output=True, text=True, timeout=600)
-    assert json.loads(done.stdout.strip().splitlines()[-1]) == []
+    GEMM per example and its dx is built per example. Their bytes rest on
+    the BLAS giving each per-example GEMM the bits of the batched call, a
+    property of the BLAS build, so it is pinned here at both thread counts,
+    under each kernel this CPU runs, on the reference conv1 and conv2
+    (value, pullback and param_pullback)."""
+    assert run_child(STREAMED_CONV_PROGRAM, threads, coretype) == []
 
 
 class TestRelu:

@@ -21,7 +21,6 @@ from sentnet.network import (
 )
 from sentnet.optim import (
     BLOCK,
-    FC_BLOCK,
     HistoryRow,
     OptState,
     TrainConfig,
@@ -415,8 +414,9 @@ def run_steps(spec, gradients, steps=4, n=8, strip_param_pullback=False):
     return ckpt, opt
 
 
-def fused(block):
-    return lambda spec, ckpt, state, g: backward_walk(spec, state, g, block)
+def fused(spec, ckpt, state, g):
+    """The backward walk, each item applied as it arrives."""
+    return backward_walk(spec, state, g)
 
 
 def whole_pass(spec, ckpt, state, g):
@@ -438,11 +438,12 @@ class TestUpdateDuringBackward:
     an update after the whole pass: parameters and velocities, over steps."""
 
     @pytest.mark.parametrize("mults", [{}, MIXED, FC_LOWEST], ids=["all", "mixed", "fc-lowest"])
-    @pytest.mark.parametrize("block", [FC_BLOCK, 48, None])
-    def test_fused_matches_unfused(self, mults, block):
+    @pytest.mark.parametrize("block", [ops.FC_BLOCK, 48, 1 << 30], ids=[str(ops.FC_BLOCK), "48", "whole"])
+    def test_fused_matches_unfused(self, mults, block, monkeypatch):
+        monkeypatch.setattr(ops, "FC_BLOCK", block)
         spec = with_lr_mult(reference_spec_small(num_classes=2), mults)
         want = run_steps(spec, whole_pass)
-        assert_same_bits(run_steps(spec, fused(block)), want)
+        assert_same_bits(run_steps(spec, fused), want)
         frozen = [name for name, mult in mults.items() if mult == 0.0]
         seeded = init_params(spec, seed=3)
         for name in frozen:
@@ -450,18 +451,20 @@ class TestUpdateDuringBackward:
         assert want[0].entries["fc8"][0].tobytes() != seeded.entries["fc8"][0].tobytes()
 
     @pytest.mark.parametrize("mults", [{}, MIXED, FC_LOWEST], ids=["all", "mixed", "fc-lowest"])
-    def test_pairs_without_param_pullback_take_the_whole_gradient_path(self, mults):
+    def test_pairs_without_param_pullback_take_the_whole_gradient_path(self, mults, monkeypatch):
+        monkeypatch.setattr(ops, "FC_BLOCK", 48)
         spec = with_lr_mult(reference_spec_small(num_classes=2), mults)
-        want = run_steps(spec, fused(48))
-        assert_same_bits(run_steps(spec, fused(48), strip_param_pullback=True), want)
+        want = run_steps(spec, fused)
+        assert_same_bits(run_steps(spec, fused, strip_param_pullback=True), want)
 
-    def test_walk_yields_fc_rows_in_blocks_and_the_dict_whole(self):
+    def test_walk_yields_fc_rows_in_blocks_and_the_dict_whole(self, monkeypatch):
+        monkeypatch.setattr(ops, "FC_BLOCK", 48)
         spec = with_lr_mult(reference_spec_small(num_classes=2), MIXED)
         ckpt = init_params(spec, seed=3)
         x = np.random.default_rng(1).normal(0, 30, size=(4, 3, 64, 64)).astype(np.float32)
         state = forward(spec, ckpt, x, retain=True)
         (g,) = ops.cross_entropy_loss(state.post[spec.top_name], np.array([0, 1, 1, 0])).pullback(np.float32(1.0))
-        items = [(name, start, len(dw), db is not None) for name, start, dw, db in backward_walk(spec, state, g, 48)]
+        items = [(name, start, len(dw), db is not None) for name, start, dw, db in backward_walk(spec, state, g)]
         blocks = [(0, 48, True), (48, 48, False), (96, 32, False)]  # 128 rows each
         assert items[:9] == [(name, *block) for name in ("fc8", "fc7", "fc6") for block in blocks]
         assert [name for name, *_ in items[9:]] == ["conv5", "conv4", "conv3", "conv2"]
@@ -475,7 +478,7 @@ class TestUpdateDuringBackward:
         source = ArraySource(rng.normal(0, 30, size=(12, 3, 64, 64)), np.arange(12) % 2)
         cfg = TrainConfig(base_lr=0.001, epochs=2, batch_size=5, seed=4)
         got, _ = train(spec, init_params(spec, seed=3), source, cfg)
-        monkeypatch.setattr(optim, "backward_walk", lambda spec, state, g, block: whole_pass(spec, None, state, g))
+        monkeypatch.setattr(optim, "backward_walk", lambda spec, state, g: whole_pass(spec, None, state, g))
         want, _ = train(spec, init_params(spec, seed=3), source, cfg)
         for name in want.entries:
             for a, b in zip(got.entries[name], want.entries[name]):
@@ -491,10 +494,10 @@ class TestUpdateDuringBackward:
         x = np.random.default_rng(0).normal(size=(4, *spec.input_shape)).astype(np.float32)
         state = forward(spec, ckpt, x, retain=True)
         (g,) = ops.cross_entropy_loss(state.post["f"], np.array([0, 1, 0, 1])).pullback(np.float32(1.0))
-        block_bytes = FC_BLOCK * 512 * 4  # 2 MiB of the weights' 16384 rows
+        block_bytes = ops.FC_BLOCK * 512 * 4  # 2 MiB of the weights' 16384 rows
 
         def update():
-            sgd_step(ckpt, backward_walk(spec, state, g, FC_BLOCK), opt, 0.001, {"f": 1.0}, 0.9, 0.0005)
+            sgd_step(ckpt, backward_walk(spec, state, g), opt, 0.001, {"f": 1.0}, 0.9, 0.0005)
 
         peak, _ = traced_peak(update)
         assert block_bytes <= peak < 1.5 * block_bytes, f"peak {peak} B for {block_bytes} B blocks"
@@ -513,7 +516,7 @@ class TestUpdateDuringBackward:
         def step():
             state = forward(spec, ckpt, x, retain=True)
             (g,) = ops.cross_entropy_loss(state.post[spec.top_name], np.arange(32) % 2).pullback(np.float32(1.0))
-            sgd_step(ckpt, backward_walk(spec, state, g, FC_BLOCK), opt, 0.001, lr_mults, 0.9, 0.0005)
+            sgd_step(ckpt, backward_walk(spec, state, g), opt, 0.001, lr_mults, 0.9, 0.0005)
 
         peak, _ = traced_peak(step)
         assert peak < 6 << 20, f"peak {peak / 2**20:.2f} MiB"

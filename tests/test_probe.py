@@ -215,6 +215,11 @@ class TestFitProbe:
         with pytest.raises(ConfigError, match="kind"):
             fit_probe(x, y, "forest", lambda_grid=(0.1,))
 
+    def test_kind_given_twice_rejected(self):
+        x, y = blobs(n=10)
+        with pytest.raises(ConfigError, match="kinds must name one or more.*each once"):
+            fit_probes([x], y, ("svm", "svm"), lambda_grid=(0.1,))
+
     def test_default_grid_is_log_spaced(self):
         assert DEFAULT_LAMBDA_GRID == (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
 
@@ -464,6 +469,27 @@ class TestProbeAllLayers:
         with pytest.raises(ConfigError, match="kind"):
             self.run_probe(kinds=("svm", "tree"))
 
+    @pytest.mark.parametrize("key,names", [("kinds", ("svm", "svm")), ("endpoints", ("f1", "f1"))])
+    def test_name_given_twice_rejected(self, key, names, monkeypatch):
+        """A repeated kind or endpoint would double its column or rows; it is
+        refused before any feature is extracted."""
+        extracted = []
+        monkeypatch.setattr(probe_mod, "extract_features", lambda *a, **k: extracted.append(a))
+        with pytest.raises(ConfigError, match=f"{key} must name one or more.*each once"):
+            self.run_probe(**{key: names})
+        assert extracted == []
+
+    @pytest.mark.parametrize("kw,words", [
+        ({"kinds": ()}, "kinds"), ({"endpoints": ()}, "endpoints"), ({"inner_folds": 1}, "inner_folds"),
+        ({"iters": 0}, "iters"), ({"lambda_grid": ()}, "lambda_grid"),
+    ], ids=["no-kind", "no-endpoint", "one-inner-fold", "no-iteration", "no-lambda"])
+    def test_unusable_arguments_rejected_before_extraction(self, kw, words, monkeypatch):
+        extracted = []
+        monkeypatch.setattr(probe_mod, "extract_features", lambda *a, **k: extracted.append(a))
+        with pytest.raises(ConfigError, match=words):
+            probe_all_layers(self.spec, self.ckpt, self.src, self.folds, **{"lambda_grid": (0.1,), **kw})
+        assert extracted == []
+
 
 def pinned_spec():
     """A Gram-path endpoint (c1, 256 wide) and narrow ones, two of equal width (f1, f2)."""
@@ -618,8 +644,11 @@ def test_fitting_memory_stays_one_set_at_a_time(monkeypatch):
     src = ViewSource(np.zeros((n, 3, 8, 8), dtype=np.float32), labels, crop=8)
     folds = np.arange(n) % 5
 
+    spec = NetworkSpec(input_shape=(3, 8, 8), layers=(
+        *(LayerSpec(e, LayerKind.FC, units=2) for e in endpoints), LayerSpec("prob", LayerKind.SOFTMAX)))
+
     def run():
-        probe_all_layers(mini_spec(), None, src, folds, endpoints=endpoints, lambda_grid=(0.01, 0.1, 1.0), iters=5)
+        probe_all_layers(spec, None, src, folds, endpoints=endpoints, lambda_grid=(0.01, 0.1, 1.0), iters=5)
 
     run()  # first-call imports and caches are not the fit's
     n_fit = int((folds != 0).sum())

@@ -53,8 +53,10 @@ def test_traced_tiny_run_passes(workload, tmp_path):
 
     The copy keeps the run's work directory out of the checkout. Traced and
     untraced iterations alternate, so reference-finetune covers both ways a
-    `reference` step updates its FC layers: whole gradients through the
-    tracer's rebuilt pairs, row blocks through the package's own.
+    `reference` step takes its FC gradients: the tracer's rebuilt pairs have
+    no param_pullback, so backward_walk takes each whole from the full
+    pullback, which fills it from the row blocks; the package's own pairs
+    give the row blocks one at a time.
     """
     shutil.copytree(ROOT / "bench", tmp_path / "bench", ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
