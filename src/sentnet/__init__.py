@@ -36,6 +36,6 @@ from .network import (
 from .ops import GradPair
 from .optim import OptState, TrainConfig, lr_at, sgd_step, train
 from .probe import ProbeReport, extract_features, fit_probe, probe_all_layers
-from .surgery import SurgeryPlan, SurgeryReport, apply, preset_plan
+from .surgery import SurgeryPlan, apply, preset_plan
 
 __version__ = "0.1.0"

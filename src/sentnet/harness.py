@@ -66,7 +66,7 @@ from .network import (
 )
 from .ops import softmax
 from .optim import TrainConfig, history_to_csv, train_in_place
-from .surgery import PRESETS, SurgeryPlan, apply as apply_surgery, preset_plan, plan_spec
+from .surgery import NEW_LAYER_LR_MULT, PRESETS, SurgeryPlan, apply as apply_surgery, preset_plan, plan_spec
 
 log = logging.getLogger(__name__)
 
@@ -89,6 +89,10 @@ class DatasetSection:
     manifest: str = ""
     k: int = 5
     means: str | None = None  # optional mean-file override
+
+    def __post_init__(self):
+        if self.k < 2:  # as prepare-data --folds refuses it, before any work
+            raise ConfigError(f"dataset.k must be at least 2, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -144,6 +148,14 @@ class ExperimentConfig:
     train: TrainSection = field(default_factory=TrainSection)
     experiment: ExperimentSection = field(default_factory=ExperimentSection)
     seeds: SeedsSection = field(default_factory=SeedsSection)
+
+    def __post_init__(self):
+        side = _arch_spec(self.experiment.arch, 2).input_shape[1]
+        if self.preprocess.crop != side:  # else every image decodes before the first batch is refused
+            raise ConfigError(
+                f"preprocess.crop {self.preprocess.crop} does not match the {self.experiment.arch} "
+                f"arch's input side {side}"
+            )
 
 
 def _fits(value: Any, hint: Any) -> bool:
@@ -355,9 +367,12 @@ def evaluate(
 def audit_folds(folds: Array, k: int | None = None) -> list[tuple[Array, Array]]:
     """(train, test) index pairs, one per fold id in ascending order: fold f
     tests the rows whose id is f and trains on all the others, so each pair
-    partitions the dataset. With k given, the ids must be exactly 0..k-1."""
+    partitions the dataset. With k given, the ids must be exactly 0..k-1.
+    Fewer than two ids leave a fold nothing to train on, so they are refused."""
     folds = np.asarray(folds)
     ids = sorted(int(f) for f in set(folds.tolist()))
+    if len(ids) < 2:
+        raise DataError(f"need at least 2 fold ids to cross-validate, got {ids}")
     if k is not None and ids != list(range(k)):
         raise DataError(f"fold ids {ids} do not cover 0..{k - 1}")
     return [(np.flatnonzero(folds != f), np.flatnonzero(folds == f)) for f in ids]
@@ -593,7 +608,7 @@ def _assumptions(config: ExperimentConfig, plan: SurgeryPlan, base_lr: float, fo
         f"momentum {t.momentum}, weight decay {t.weight_decay}, batch size {t.batch_size} "
         "are defaults not pinned by the protocol",
         f"folds: {folds_from}",
-        f"new-layer lr multiplier {plan.new_layer_lr_mult:g}, init Gaussian std 0.01",
+        f"new-layer lr multiplier {NEW_LAYER_LR_MULT:g}, init Gaussian std 0.01",
         f"base learning rate {base_lr:g}"
         + (" (preset default)" if config.train.base_lr is None and plan.default_base_lr else ""),
         "score fusion: mean of post-softmax view scores"
@@ -637,7 +652,7 @@ def run_fold(
     crop = config.preprocess.crop
     try:
         means = task.means(train_idx)
-        spec, ckpt, _ = apply_surgery(plan, task.base_spec, task.network(), seed=config.seeds.init + f)
+        spec, ckpt = apply_surgery(plan, task.base_spec, task.network(), seed=config.seeds.init + f)
         train_src = ViewSource(task.squares, task.labels, crop, means, rows=train_idx)
         test_src = ViewSource(task.squares, task.labels, crop, means, rows=test_idx)
         cfg = _train_config(config.train, resolve_base_lr(config.train, plan), config.seeds.train + f)

@@ -43,7 +43,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .data import EVAL_BATCH
-from .errors import ConfigError, DivergenceError, NonFiniteError
+from .errors import ConfigError, DataError, DivergenceError, NonFiniteError
 from .network import NetworkSpec, backward_walk, forward, infer
 from .ops import cross_entropy_loss
 
@@ -233,6 +233,8 @@ def train_in_place(
     learning rate and seconds.
     """
     spec.validate_for_training()
+    if source.n == 0:
+        raise DataError("cannot train on an empty image set")
     state = OptState.for_checkpoint(ckpt)
     lr_mults = {l.name: l.lr_mult for l in spec.parameterized}
     top = spec.top_name

@@ -1,98 +1,56 @@
 """Checkpoint-preserving architecture edits.
 
-A surgery plan is a short list of stack edits applied above a trained
-network: remove the top layer, replace it with a fresh head, or append a
-new head. Apply is pure: it returns a new (spec, checkpoint, report) and
-never touches the inputs. Retained layers keep their exact tensors, so
-everything the plan does not name survives byte-identical.
+Each of the paper's seven architectures is the base network through one
+layer (keep), then at most one fresh FC head (head), then the softmax.
+The head has HEAD_UNITS outputs, no ReLU and lr_mult NEW_LAYER_LR_MULT;
+when it reuses the name of a base layer, such as finetune's fc8, it
+replaces that layer. Apply is pure: it returns a new (spec, checkpoint)
+and never touches the inputs. Kept layers keep the base's own tensors,
+so they survive byte-identical.
 
-The paper's seven architectures are one table of frozen plans, PRESETS,
-each labelled with its key; preset_plan looks a name up there.
+The architectures are one table of frozen plans, PRESETS, each labelled
+with its key; preset_plan looks a name up there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
-
-import numpy as np
 
 from .checkpoint import Checkpoint
 from .errors import SurgeryError
-from .network import (
-    LayerKind,
-    LayerSpec,
-    NetworkSpec,
-    count_parameters,
-    init_layer_params,
-    parameter_shapes,
-)
+from .network import LayerKind, LayerSpec, NetworkSpec, init_layer_params, parameter_shapes
 
-
-@dataclass(frozen=True)
-class RemoveTop:
-    """Drop the top layer below the softmax; layer_name, when set, must match."""
-
-    layer_name: str | None = None
-
-
-@dataclass(frozen=True)
-class ReplaceTop:
-    """Swap the top FC below the softmax for a fresh head of new_units."""
-
-    new_units: int
-
-
-@dataclass(frozen=True)
-class Append:
-    """Add a fresh FC head named layer_name on top, below the softmax."""
-
-    layer_name: str
-    new_units: int
-
-
-Action = Union[RemoveTop, ReplaceTop, Append]
+HEAD_UNITS = 2
+NEW_LAYER_LR_MULT = 10.0
 
 
 @dataclass(frozen=True)
 class SurgeryPlan:
-    """Ordered edits, the policy for freshly created layers, and the report table (family).
+    """The base layer kept last, the fresh head above it (if any), and the
+    report table the preset belongs to (family).
 
     swap_binary_labels trains a wide retained head on binary data: positive
     as class index 0, negative as 1, the other outputs unused.
     """
 
-    actions: tuple[Action, ...]
-    label: str = ""
-    new_layer_lr_mult: float = 10.0
+    label: str
+    keep: str
+    head: str | None = None
     default_base_lr: float | None = None
     family: str = "other"
     swap_binary_labels: bool = False
 
 
-@dataclass(frozen=True)
-class SurgeryReport:
-    label: str
-    removed: tuple[str, ...]
-    retained: tuple[str, ...]
-    new: tuple[str, ...]
-    params_before: int
-    params_after: int
-    retained_bit_exact: bool
-
-
 # In report row order: harness.PRESET_ORDER is this table's key order.
 PRESETS: dict[str, SurgeryPlan] = {
-    "finetune": SurgeryPlan((ReplaceTop(2),), label="finetune", family="finetune"),
-    "fc7-4096": SurgeryPlan((RemoveTop(),), label="fc7-4096", family="ablation"),
-    "fc6-4096": SurgeryPlan((RemoveTop(), RemoveTop()), label="fc6-4096", family="ablation"),
-    "fc7-2": SurgeryPlan((RemoveTop(), ReplaceTop(2)), label="fc7-2", family="ablation"),
+    "finetune": SurgeryPlan("finetune", "fc7", "fc8", family="finetune"),
+    "fc7-4096": SurgeryPlan("fc7-4096", "fc7", family="ablation"),
+    "fc6-4096": SurgeryPlan("fc6-4096", "fc6", family="ablation"),
+    "fc7-2": SurgeryPlan("fc7-2", "fc6", "fc7", family="ablation"),
     # The 2-unit head directly off the first FC needs a gentler rate to stay stable.
-    "fc6-2": SurgeryPlan(
-        (RemoveTop(), RemoveTop(), ReplaceTop(2)), label="fc6-2", default_base_lr=0.0001, family="ablation"
-    ),
-    "fc8-1000": SurgeryPlan((), label="fc8-1000", family="addition", swap_binary_labels=True),
-    "fc9-2": SurgeryPlan((Append("fc9", 2),), label="fc9-2", family="addition"),
+    "fc6-2": SurgeryPlan("fc6-2", "pool5", "fc6", default_base_lr=0.0001, family="ablation"),
+    "fc8-1000": SurgeryPlan("fc8-1000", "fc8", family="addition", swap_binary_labels=True),
+    "fc9-2": SurgeryPlan("fc9-2", "fc8", "fc9", family="addition"),
 }
 
 
@@ -102,98 +60,25 @@ def preset_plan(name: str) -> SurgeryPlan:
     return PRESETS[name]
 
 
-def _transform(plan: SurgeryPlan, spec: NetworkSpec) -> tuple[NetworkSpec, list[str], list[str]]:
-    stack = list(spec.layers)
-    softmax = None
-    if stack and stack[-1].kind == LayerKind.SOFTMAX:
-        softmax = stack.pop()
-    removed: list[str] = []
-    fresh: list[str] = []
-
-    for action in plan.actions:
-        if not stack:
-            raise SurgeryError("plan removes more layers than the spec has")
-        if isinstance(action, RemoveTop):
-            top = stack[-1]
-            if action.layer_name is not None and action.layer_name != top.name:
-                raise SurgeryError(f"plan removes {action.layer_name!r} but top is {top.name!r}")
-            if top.kind != LayerKind.FC:
-                raise SurgeryError(f"cannot remove {top.name!r}: top layer is not FC")
-            if sum(1 for l in stack if l.kind == LayerKind.FC) <= 1:
-                raise SurgeryError("cannot remove the last FC layer")
-            stack.pop()
-            removed.append(top.name)
-        elif isinstance(action, ReplaceTop):
-            top = stack[-1]
-            if top.kind != LayerKind.FC:
-                raise SurgeryError(f"cannot replace {top.name!r}: top layer is not FC")
-            stack[-1] = LayerSpec(
-                top.name, LayerKind.FC, units=action.new_units, relu=False,
-                lr_mult=plan.new_layer_lr_mult,
-            )
-            removed.append(top.name)
-            fresh.append(top.name)
-        elif isinstance(action, Append):
-            if any(l.name == action.layer_name for l in stack):
-                raise SurgeryError(f"layer {action.layer_name!r} already exists")
-            stack.append(
-                LayerSpec(
-                    action.layer_name, LayerKind.FC, units=action.new_units, relu=False,
-                    lr_mult=plan.new_layer_lr_mult,
-                )
-            )
-            fresh.append(action.layer_name)
-        else:
-            raise SurgeryError(f"unknown surgery action {action!r}")
-
-    if softmax is not None:
-        stack.append(softmax)
-    new_spec = NetworkSpec(input_shape=spec.input_shape, layers=tuple(stack))
-    return new_spec, removed, fresh
-
-
 def plan_spec(plan: SurgeryPlan, spec: NetworkSpec) -> NetworkSpec:
     """The spec a plan would produce, without touching any tensors."""
-    new_spec, _, _ = _transform(plan, spec)
-    return new_spec
+    top = spec.layers.index(spec.layer(plan.keep))
+    layers = list(spec.layers[: top + 1])
+    if plan.head is not None:
+        layers.append(LayerSpec(plan.head, LayerKind.FC, units=HEAD_UNITS, relu=False, lr_mult=NEW_LAYER_LR_MULT))
+    layers += [l for l in spec.layers if l.kind == LayerKind.SOFTMAX]
+    return NetworkSpec(input_shape=spec.input_shape, layers=tuple(layers))
 
 
-def apply(
-    plan: SurgeryPlan,
-    spec: NetworkSpec,
-    ckpt: Checkpoint,
-    seed: int = 0,
-) -> tuple[NetworkSpec, Checkpoint, SurgeryReport]:
-    """Apply a plan, returning (new spec, new checkpoint, report)."""
+def apply(plan: SurgeryPlan, spec: NetworkSpec, ckpt: Checkpoint, seed: int = 0) -> tuple[NetworkSpec, Checkpoint]:
+    """Apply a plan, returning (new spec, new checkpoint): the kept layers
+    hold the base's own arrays, the head init_layer_params(new spec, head, seed)."""
     ckpt.validate_against(parameter_shapes(spec))
-    new_spec, removed, fresh = _transform(plan, spec)
-    new_shapes = parameter_shapes(new_spec)
-
-    entries: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    retained: list[str] = []
-    for layer in new_spec.parameterized:
-        if layer.name in fresh:
-            entries[layer.name] = init_layer_params(new_spec, layer.name, seed)
-        else:
-            entries[layer.name] = ckpt.entries[layer.name]
-            retained.append(layer.name)
-    new_ckpt = Checkpoint(
-        entries=entries,
-        metadata={
-            **ckpt.metadata,
-            "spec": new_spec.fingerprint(),
-            "surgery": plan.label or "custom",
-        },
-    )
-    new_ckpt.validate_against(new_shapes)
-
-    report = SurgeryReport(
-        label=plan.label or "custom",
-        removed=tuple(removed),
-        retained=tuple(retained),
-        new=tuple(fresh),
-        params_before=count_parameters(spec),
-        params_after=count_parameters(new_spec),
-        retained_bit_exact=all(entries[name] is ckpt.entries[name] for name in retained),
-    )
-    return new_spec, new_ckpt, report
+    new_spec = plan_spec(plan, spec)
+    entries = {
+        l.name: init_layer_params(new_spec, l.name, seed) if l.name == plan.head else ckpt.entries[l.name]
+        for l in new_spec.parameterized
+    }
+    # Below the head the stack is the base's, so each kept layer has the shapes just validated.
+    metadata = {**ckpt.metadata, "spec": new_spec.fingerprint(), "surgery": plan.label}
+    return new_spec, Checkpoint(entries=entries, metadata=metadata)

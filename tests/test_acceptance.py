@@ -44,7 +44,7 @@ from sentnet.ops import (
 )
 from sentnet.optim import TrainConfig, lr_at, train
 from sentnet.probe import extract_features, fit_probe
-from sentnet.surgery import ReplaceTop, SurgeryPlan, apply as apply_surgery, preset_plan
+from sentnet.surgery import apply as apply_surgery, preset_plan
 from sentnet.synth import generate_arrays, write_synthetic_dataset
 
 from oracles import conv2d_loops, conv2d_patches, grad_check
@@ -253,8 +253,9 @@ class TestAcceptance:
             test_src = ViewSource(squares[te], labels[te], CROP, means)
             config = TrainConfig(base_lr=1e-4, epochs=30, step_epochs=25, batch_size=32, seed=seed)
 
-            plan = SurgeryPlan(actions=(ReplaceTop(2),), label="head2")
-            spec_ft, ckpt_ft, _ = apply_surgery(plan, source_network.spec, source_network.ckpt, seed=seed)
+            spec_ft, ckpt_ft = apply_surgery(
+                preset_plan("finetune"), source_network.spec, source_network.ckpt, seed=seed
+            )
             tuned, _ = train(spec_ft, ckpt_ft, train_src, config)
             acc_transfer = evaluate(spec_ft, tuned, test_src).accuracy
 
@@ -280,8 +281,7 @@ class TestAcceptance:
         means = compute_channel_means(squares[i] for i in ft_idx)
         train_src = ViewSource(squares[ft_idx], labels[ft_idx], CROP, means)
 
-        plan = SurgeryPlan(actions=(ReplaceTop(2),), label="head2")
-        spec_ft, ckpt_ft, _ = apply_surgery(plan, source_network.spec, source_network.ckpt, seed=0)
+        spec_ft, ckpt_ft = apply_surgery(preset_plan("finetune"), source_network.spec, source_network.ckpt, seed=0)
         config = TrainConfig(base_lr=1e-4, epochs=30, step_epochs=25, batch_size=32, seed=0)
         tuned, _ = train(spec_ft, ckpt_ft, train_src, config)
 
@@ -331,16 +331,17 @@ class TestAcceptance:
         ckpt = init_params(spec, seed=11)
         failures = []
         for preset, want in expected.items():
-            new_spec, new_ckpt, report = apply_surgery(preset_plan(preset), spec, ckpt, seed=3)
+            plan = preset_plan(preset)
+            new_spec, new_ckpt = apply_surgery(plan, spec, ckpt, seed=3)
             got = count_parameters(new_spec)
             if got != want:
                 failures.append(f"{preset}: {got} params, want {want}")
-            for name in report.retained:
+            for name in [n for n in new_ckpt.entries if n != plan.head]:
+                if new_ckpt.entries[name] is not ckpt.entries[name]:
+                    failures.append(f"{preset}: retained {name} is not the base's own tensors")
                 for old, new in zip(ckpt.entries[name], new_ckpt.entries[name]):
                     if old.tobytes() != new.tobytes():
                         failures.append(f"{preset}: retained {name} not byte-identical")
-            if not report.retained_bit_exact:
-                failures.append(f"{preset}: report flags retained weights as modified")
         elapsed = time.monotonic() - started
         detail = (
             f"7 presets, retained tensors byte-identical, counts match formulas, "

@@ -307,6 +307,11 @@ class TestAuditFolds:
         with pytest.raises(DataError, match="cover"):
             audit_folds(np.array([0, 2, 0, 2]), k=3)
 
+    @pytest.mark.parametrize("folds", [[3, 3, 3], []])
+    def test_fewer_than_two_fold_ids_rejected(self, folds):
+        with pytest.raises(DataError, match="at least 2 fold ids"):
+            audit_folds(np.array(folds))
+
 
 # JSON kinds that a config annotation admits: a float field also takes an int
 ADMITTED = {"None": {type(None)}, "bool": {bool}, "int": {int}, "float": {int, float}, "str": {str}}
@@ -408,6 +413,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="kind"):
             resolve_preset(config_from_dict({"experiment": {"kind": "probe"}}))
 
+    @pytest.mark.parametrize("arch, sections, crop, side", [
+        ("small", {"preprocess": {"channel_means": [1.0, 2.0, 3.0]}}, 227, 64),
+        ("small", {"preprocess": {"resize_to": 72, "crop": 60}}, 60, 64),
+        ("reference", {}, 64, 227),
+    ], ids=["small-means-only", "small-60", "reference-default"])
+    def test_crop_must_be_the_arch_input_side(self, arch, sections, crop, side):
+        with pytest.raises(ConfigError, match=f"preprocess.crop {crop} .* input side {side}"):
+            config_from_dict({"experiment": {"arch": arch}, **sections})
+        assert config_from_dict({"experiment": {"arch": arch},
+                                 "preprocess": {"resize_to": 256, "crop": side}}).preprocess.crop == side
+
     def test_oversample_false_rejected(self):
         with pytest.raises(ConfigError, match="experiment.oversample"):
             config_from_dict({"experiment": {"oversample": False}})
@@ -434,7 +450,7 @@ class TestConfig:
 
     def test_float_field_keeps_an_int_as_written(self):
         config = config_from_dict({"train": {"gamma": 1, "base_lr": 0},
-                                   "preprocess": {"channel_means": [1, 2, 3]}})
+                                   "preprocess": {"resize_to": 72, "crop": 64, "channel_means": [1, 2, 3]}})
         assert type(config.train.gamma) is int and type(config.train.base_lr) is int
         saved = config_to_dict(config)
         assert saved["train"]["gamma"] == 1 and saved["preprocess"]["channel_means"] == (1, 2, 3)
@@ -977,6 +993,13 @@ def malformed_config(root, case, manifest):
     return root / "c.json"
 
 
+def one_fold_manifest(corpus, path):
+    """The corpus with every row in fold 0, which leaves that fold no training rows."""
+    rows = [line.rsplit(",", 1)[0] for line in corpus.read_text().splitlines()[1:]]
+    path.write_text("path,label,fold\n" + "".join(f"{corpus.parent / row},0\n" for row in rows))
+    return path
+
+
 class TestCli:
     @pytest.mark.parametrize("case", MALFORMED_INPUTS)
     def test_malformed_input_exits_with_one_line(self, case, tiny_corpus, tmp_path, capsys):
@@ -1146,7 +1169,7 @@ class TestCli:
         write_means(tmp_path / "m.txt", np.array([1.0, 2.0, 3.0], dtype=np.float32))
         both = config_from_dict({
             "dataset": {"manifest": "x.csv", "means": str(tmp_path / "m.txt")},
-            "preprocess": {"channel_means": [4.0, 5.0, 6.0]},
+            "preprocess": {"resize_to": 72, "crop": 64, "channel_means": [4.0, 5.0, 6.0]},
         })
         assert resolve_means(both).tolist() == [4.0, 5.0, 6.0]
         file_only = config_from_dict({"dataset": {"manifest": "x.csv", "means": str(tmp_path / "m.txt")}})
@@ -1274,13 +1297,7 @@ class TestCli:
         assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0], False]
 
     def test_probe_with_an_empty_training_fold_exits_two(self, tiny_corpus, tmp_path, capsys):
-        # a manifest whose rows all sit in fold 0 leaves that fold no training rows
-        lines = tiny_corpus.read_text().splitlines()
-        rows = [line.rsplit(",", 1)[0] for line in lines[1:]]
-        manifest = tmp_path / "one_fold.csv"
-        manifest.write_text(
-            "path,label,fold\n" + "".join(f"{tiny_corpus.parent / row},0\n" for row in rows)
-        )
+        manifest = one_fold_manifest(tiny_corpus, tmp_path / "one_fold.csv")
         config = config_from_dict(
             {
                 "dataset": {"manifest": str(manifest)},
@@ -1292,6 +1309,43 @@ class TestCli:
         code = cli.main(["probe", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "p")])
         assert code == 2
         assert "no rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("means", ["fixed", "computed"])
+    def test_finetune_with_one_fold_id_exits_two_before_any_fold(self, means, tiny_corpus, tmp_path, capsys):
+        payload = {"dataset": {"manifest": str(one_fold_manifest(tiny_corpus, tmp_path / "one_fold.csv"))},
+                   "train": {"epochs": 1}}
+        if means == "fixed":
+            payload["preprocess"] = {"resize_to": 72, "crop": 64, "channel_means": [100.0, 100.0, 100.0]}
+        (tmp_path / "c.json").write_text(json.dumps(payload))
+        code = cli.main(["finetune", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "ft")])
+        err = capsys.readouterr().err
+        assert code == 2 and "need at least 2 fold ids" in err and "Traceback" not in err, err
+        assert not (tmp_path / "ft" / "fold0").exists()
+
+    @pytest.mark.parametrize("command", ["finetune", "probe"])
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_dataset_k_below_two_exits_one_before_any_work(self, command, k, tiny_corpus, tmp_path, capsys):
+        manifest = fold_manifest(tiny_corpus, range(16), tmp_path / "no_folds.csv")
+        (tmp_path / "c.json").write_text(json.dumps({"dataset": {"manifest": str(manifest), "k": k}}))
+        code = cli.main([command, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1 and f"dataset.k must be at least 2, got {k}" in err and "Traceback" not in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "probe"])
+    def test_crop_other_than_the_arch_input_exits_one_before_any_work(self, command, tiny_corpus, tmp_path,
+                                                                       monkeypatch, capsys):
+        """A preprocess section that sets only the means keeps PreprocessConfig's
+        256/227, which the small arch's 64-pixel input cannot take."""
+        decoded = []
+        monkeypatch.setattr(harness, "decode_squares", lambda *args: decoded.append(args))
+        payload = {"dataset": {"manifest": str(tiny_corpus), "k": 2},
+                   "preprocess": {"channel_means": [100.0, 100.0, 100.0]}}
+        (tmp_path / "c.json").write_text(json.dumps(payload))
+        code = cli.main([command, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1 and "preprocess.crop 227" in err and "input side 64" in err, err
+        assert decoded == [] and not (tmp_path / "out").exists()
 
     def test_surgery_without_a_preset_exits_one(self, tiny_corpus, tmp_path, capsys):
         save_config(tiny_config(tiny_corpus), tmp_path / "c.json")

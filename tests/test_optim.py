@@ -7,7 +7,7 @@ import pytest
 
 from sentnet import ops, optim
 from sentnet.checkpoint import Checkpoint
-from sentnet.errors import ConfigError, DivergenceError
+from sentnet.errors import ConfigError, DataError, DivergenceError
 from sentnet.network import (
     LayerKind,
     LayerSpec,
@@ -260,6 +260,13 @@ class TestBlockedUpdateMatchesWholeArray:
 
 
 class TestTrainLoop:
+    def test_empty_source_rejected(self):
+        # zero rows would leave the epoch's train accuracy 0 / 0
+        spec = linear_spec()
+        empty = ArraySource(np.zeros((0, 1, 2, 2)), [])
+        with pytest.raises(DataError, match="empty"):
+            train_in_place(spec, init_params(spec, seed=0), empty, TrainConfig(base_lr=0.01, epochs=1))
+
     def test_input_checkpoint_never_mutated(self):
         spec = linear_spec()
         ckpt = init_params(spec, seed=0)
