@@ -6,6 +6,7 @@ from .data import (
     ManifestRecord,
     PreprocessConfig,
     ViewSource,
+    audit_folds,
     load_manifest,
     stratified_kfold,
     ten_crop,

@@ -117,7 +117,7 @@ def _cmd_cross_validate(args, kind: str) -> int:
     preset = getattr(args, "preset", None) or config.experiment.preset
     experiment = dataclasses.replace(config.experiment, kind=kind, preset=preset)
     summary = harness.cross_validate(dataclasses.replace(config, experiment=experiment), args.out)
-    print(json.dumps({"label": summary.label, "mean": summary.mean,
+    print(json.dumps({"label": summary.preset, "mean": summary.mean,
                       "mean_oversampled": summary.mean_oversampled}))
     return EXIT_OK
 

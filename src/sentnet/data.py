@@ -84,7 +84,8 @@ def load_manifest(path: str | Path, allow_multiclass: bool = False) -> DatasetMa
 
     Labels accept positive/negative/1/0; with allow_multiclass=True any
     token of decimal digits is accepted (used only for source-task
-    pretraining data). Errors carry 1-based line numbers.
+    pretraining data). The fold column is filled on every row or on none.
+    Errors carry 1-based line numbers.
     """
     path = Path(path)
     if not path.exists():
@@ -100,6 +101,7 @@ def load_manifest(path: str | Path, allow_multiclass: bool = False) -> DatasetMa
     if header[:2] != ["path", "label"] or (len(header) > 2 and header[2] != "fold"):
         raise DataError(f"{path}: header must be path,label[,fold], got {header}")
     has_fold = len(header) > 2
+    first_blank_fold: int | None = None  # the first line whose fold cell is empty
     records: list[ManifestRecord] = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or all(not c.strip() for c in row):
@@ -124,9 +126,13 @@ def load_manifest(path: str | Path, allow_multiclass: bool = False) -> DatasetMa
                 raise DataError(f"{path}:{lineno}: bad fold {row[2]!r}") from None
             if fold < 0:
                 raise DataError(f"{path}:{lineno}: negative fold {fold}")
+        elif has_fold and first_blank_fold is None:
+            first_blank_fold = lineno
         records.append(ManifestRecord(rec_path, label, fold))
     if not records:
         raise DataError(f"{path}: manifest has no records")
+    if first_blank_fold is not None and any(r.fold is not None for r in records):
+        raise DataError(f"{path}:{first_blank_fold}: blank fold; fill the fold column on every row or on none")
     manifest = DatasetManifest(records=tuple(records), root=path.parent)
     counts = manifest.class_counts()
     log.info(
@@ -391,6 +397,18 @@ def stratified_kfold(labels: Array, k: int, seed: int) -> Array:
         idx = rng.permutation(idx)
         folds[idx] = np.arange(len(idx)) % k
     return folds
+
+
+def audit_folds(folds: Array) -> list[tuple[Array, Array]]:
+    """(train, test) rows of each outer fold, one pair per fold id: fold f
+    tests the rows holding the f-th smallest id and trains on all others, so
+    folds are numbered 0..K-1 whatever their ids. Fewer than two ids leave a
+    fold nothing to train on, so they are refused."""
+    folds = np.asarray(folds)
+    ids = sorted(int(f) for f in set(folds.tolist()))
+    if len(ids) < 2:
+        raise DataError(f"need at least 2 fold ids to cross-validate, got {ids}")
+    return [(np.flatnonzero(folds != f), np.flatnonzero(folds == f)) for f in ids]
 
 
 # -- views -----------------------------------------------------------------

@@ -1,18 +1,18 @@
 """Cross-validated experiments: configs, tasks, evaluation, fold loop, reports.
 
 Every command loads its task in one place, load_task: the arch spec, the
-preset's network and labels, the decoded images, the channel means, and
-where the network comes from (the base checkpoint or seeded weights). The
-task holds no network: each fold, and each command that reads one, gets
-its own from Task.network and trains it in place. The config fixes the means
-(preprocess.channel_means, then dataset.means); otherwise a CV fold takes
-them from its training rows, pretrain and probe from every image, and
-evaluate from the means.txt training wrote. An experiment applies a
-surgery preset per fold, trains on the fold's training split (run_fold),
+preset's network and labels, the outer folds, the decoded images, the
+channel means, and where the network comes from (the base checkpoint or
+seeded weights). The task holds no network: each fold, and each command that
+reads one, gets its own from Task.network and trains it in place. The config
+fixes the means (preprocess.channel_means, then dataset.means); otherwise a
+CV fold takes them from its training rows, pretrain and probe from every
+image, and evaluate from the means.txt training wrote. An experiment applies
+a surgery preset per fold, trains on the fold's training split (run_fold),
 and evaluates the held-out fold with and without ten-crop oversampling.
-Every random draw is seeded from the config, fold failures are isolated,
-and all artifacts (per-fold checkpoints, history CSVs, summary JSON,
-reports) are deterministic byte for byte.
+Every random draw is seeded from the config, fold failures are isolated, and
+all artifacts (per-fold checkpoints, history CSVs, summary JSON, reports)
+are deterministic byte for byte.
 
 Every statistic over folds, in summary.json and in the report, follows one
 rule, probe.fold_stats: the mean and sample standard deviation over the
@@ -42,9 +42,9 @@ from .checkpoint import Checkpoint, load_checkpoint, read_checkpoint_header, sav
 from .data import (
     EVAL_BATCH,
     TEN_CROP_CENTER,
-    DatasetManifest,
     PreprocessConfig,
     ViewSource,
+    audit_folds,
     compute_channel_means,
     decode_squares,
     load_manifest,
@@ -364,20 +364,6 @@ def evaluate(
     return dataclasses.replace(_result(fused_scores, source.labels), plain=plain)
 
 
-def audit_folds(folds: Array, k: int | None = None) -> list[tuple[Array, Array]]:
-    """(train, test) index pairs, one per fold id in ascending order: fold f
-    tests the rows whose id is f and trains on all the others, so each pair
-    partitions the dataset. With k given, the ids must be exactly 0..k-1.
-    Fewer than two ids leave a fold nothing to train on, so they are refused."""
-    folds = np.asarray(folds)
-    ids = sorted(int(f) for f in set(folds.tolist()))
-    if len(ids) < 2:
-        raise DataError(f"need at least 2 fold ids to cross-validate, got {ids}")
-    if k is not None and ids != list(range(k)):
-        raise DataError(f"fold ids {ids} do not cover 0..{k - 1}")
-    return [(np.flatnonzero(folds != f), np.flatnonzero(folds == f)) for f in ids]
-
-
 # -- tasks ------------------------------------------------------------------
 
 
@@ -415,7 +401,8 @@ class Task:
     checkpoint: str | None  # the checkpoint file network() loads, or None for seeded weights
     init_seed: int  # the seed of those weights
     preset: str | None
-    manifest: DatasetManifest  # folds stratify on its labels, whatever the preset
+    folds: list[tuple[Array, Array]] | None  # each outer fold's (train, test) rows (audit_folds); None if multiclass
+    folds_note: str | None  # where the folds came from, for the run's notes
     labels: Array  # the labels the preset trains and is scored on
     squares: Array  # every image, decoded and squared once: [n, 3, S, S], uint8 if all are whole bytes, else float32
     fixed_means: Array | None  # the config's means (or a trained checkpoint's)
@@ -448,9 +435,11 @@ def load_task(
     `trained` it is one training wrote: its metadata names the preset (a
     different `preset` is an error) and, if the config fixes no means, the
     means.txt beside it holds them. `multiclass` admits any class index in
-    the manifest. Only the checkpoint's header is read here, to check its
-    shapes and metadata (Task.network loads the tensors); it and the means
-    load before the manifest, so their errors come first.
+    the manifest and makes no outer folds; without it they come from the
+    manifest's fold column, else from stratified_kfold, and pass audit_folds
+    before any image is decoded. Only the checkpoint's header is read here,
+    to check its shapes and metadata (Task.network loads the tensors); it
+    and the means load before the manifest, so their errors come first.
     """
     exp = config.experiment
     header = None
@@ -472,6 +461,13 @@ def load_task(
             )
         means = read_means(beside)
     manifest = load_manifest(config.dataset.manifest, allow_multiclass=multiclass)
+    folds = folds_note = None
+    if not multiclass:  # folds stratify on the manifest's labels, whatever the preset
+        ids, folds_note = manifest.folds, "provided by the manifest"
+        if ids is None:
+            k, seed = config.dataset.k, config.seeds.folds
+            ids, folds_note = stratified_kfold(manifest.labels, k, seed), f"stratified k={k}, seed {seed}"
+        folds = audit_folds(ids)
     if header is None:
         base_spec = _arch_spec(exp.arch, max(2, int(manifest.labels.max()) + 1))
     spec, labels = base_spec, manifest.labels
@@ -488,7 +484,9 @@ def load_task(
             f"seeded {exp.arch} weights do not fit preset {preset!r}'s network: set experiment.base_checkpoint"
         )
     squares = decode_squares(manifest, config.preprocess)
-    return Task(base_spec, spec, exp.base_checkpoint, config.seeds.init, preset, manifest, labels, squares, means)
+    return Task(
+        base_spec, spec, exp.base_checkpoint, config.seeds.init, preset, folds, folds_note, labels, squares, means
+    )
 
 
 def _train_config(train: TrainSection, base_lr: float, seed: int) -> TrainConfig:
@@ -515,10 +513,10 @@ def pretrain(config: ExperimentConfig, out_dir: str | Path) -> Path:
     (experiment.base_checkpoint is not read); returns the checkpoint's path."""
     base_lr = config.train.base_lr if config.train.base_lr is not None else 0.01
     cfg = _train_config(config.train, base_lr, config.seeds.train)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     seeded = dataclasses.replace(config.experiment, base_checkpoint=None)
     task = load_task(dataclasses.replace(config, experiment=seeded), multiclass=True)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     source = ViewSource(task.squares, task.labels, config.preprocess.crop, task.means())
     _train_and_write(task.spec, task.network(), source, cfg, out / "pretrained.nsrg")
     return out / "pretrained.nsrg"
@@ -569,7 +567,6 @@ class FoldOutcome:
 
 @dataclass
 class CVSummary:
-    label: str
     preset: str
     folds: list[FoldOutcome]
     mean: float
@@ -580,7 +577,7 @@ class CVSummary:
     assumptions: list[str]
 
     def to_dict(self) -> dict[str, Any]:
-        return {"kind": "train-cv", **dataclasses.asdict(self)}
+        return {"kind": "train-cv", "label": self.preset, **dataclasses.asdict(self)}
 
 
 def resolve_preset(config: ExperimentConfig) -> str:
@@ -618,13 +615,6 @@ def _assumptions(config: ExperimentConfig, plan: SurgeryPlan, base_lr: float, fo
     if plan.swap_binary_labels:
         notes.append("label mapping: positive -> class 0, negative -> class 1 (wide retained head)")
     return notes
-
-
-def _load_folds(manifest: DatasetManifest, config: ExperimentConfig) -> tuple[Array, str]:
-    if manifest.folds is not None:
-        return manifest.folds, "provided by the manifest"
-    k, seed = config.dataset.k, config.seeds.folds
-    return stratified_kfold(manifest.labels, k, seed), f"stratified k={k}, seed {seed}"
 
 
 def run_fold(
@@ -675,26 +665,24 @@ def run_fold(
     return outcome
 
 
-def cross_validate(config: ExperimentConfig, out_dir: str | Path, label: str | None = None) -> CVSummary:
+def cross_validate(config: ExperimentConfig, out_dir: str | Path) -> CVSummary:
     """Run the configured k-fold experiment, writing artifacts under out_dir."""
     preset = resolve_preset(config)
     plan = preset_plan(preset)
     base_lr = resolve_base_lr(config.train, plan)
     _train_config(config.train, base_lr, config.seeds.train)  # the recipe's errors come before any work
+    task = load_task(config, preset, surgery=True)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    task = load_task(config, preset, surgery=True)
-    folds, folds_note = _load_folds(task.manifest, config)
     outcomes = [
         run_fold(task, config, f, train_idx, test_idx, out / f"fold{f}")
-        for f, (train_idx, test_idx) in enumerate(audit_folds(folds))
+        for f, (train_idx, test_idx) in enumerate(task.folds)
     ]
 
     done = [o for o in outcomes if o.error is None]
     mean, std = probe_mod.fold_stats([o.accuracy for o in done])
     mean_os, std_os = probe_mod.fold_stats([o.accuracy_oversampled for o in done])
     summary = CVSummary(
-        label=label or preset,
         preset=preset,
         folds=outcomes,
         mean=mean,
@@ -702,7 +690,7 @@ def cross_validate(config: ExperimentConfig, out_dir: str | Path, label: str | N
         mean_oversampled=mean_os,
         std_oversampled=std_os,
         base_lr=base_lr,
-        assumptions=_assumptions(config, plan, base_lr, folds_note),
+        assumptions=_assumptions(config, plan, base_lr, task.folds_note),
     )
     payload = summary.to_dict()
     payload["config"] = config_to_dict(config)
@@ -710,7 +698,7 @@ def cross_validate(config: ExperimentConfig, out_dir: str | Path, label: str | N
     return summary
 
 
-def run_probe_experiment(config: ExperimentConfig, out_dir: str | Path, label: str | None = None) -> probe_mod.ProbeReport:
+def run_probe_experiment(config: ExperimentConfig, out_dir: str | Path) -> probe_mod.ProbeReport:
     """Probe every endpoint of the configured network across the outer folds."""
     exp, probe = config.experiment, config.experiment.probe
     spec = _arch_spec(exp.arch, 2)  # the width of fc8 does not change a layer's name
@@ -720,28 +708,20 @@ def run_probe_experiment(config: ExperimentConfig, out_dir: str | Path, label: s
         probe.kinds, probe.lambda_grid, probe.inner_folds, probe.iters, probe.endpoints, spec.endpoints,
         prefix="experiment.probe.",
     )
+    task = load_task(config, config.experiment.preset)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    task = load_task(config, config.experiment.preset)
-    folds, folds_note = _load_folds(task.manifest, config)
     # Means over every image, the outer test folds' too (README, "Linear probes").
     source = ViewSource(task.squares, task.labels, config.preprocess.crop, task.means())
     report = probe_mod.probe_all_layers(
-        task.spec, task.network(), source, folds, seed=config.seeds.folds,
+        task.spec, task.network(), source, task.folds, seed=config.seeds.folds,
         **dataclasses.asdict(config.experiment.probe),
     )
     (out / "probe_report.csv").write_text(report.to_csv())
     (out / "probe_report.md").write_text(report.to_markdown())
     payload = {
-        "kind": "probe",
-        "label": label or "probe",
-        "endpoints": list(report.endpoints),
-        "kinds": list(report.kinds),
-        "pre_activation": report.pre_activation,
-        "standardize": report.standardize,
-        "folds_note": folds_note,
-        "rows": [dataclasses.asdict(r) for r in report.rows],
-        "config": config_to_dict(config),
+        "kind": "probe", "label": "probe", "folds_note": task.folds_note, "config": config_to_dict(config),
+        **dataclasses.asdict(report),
     }
     (out / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return report

@@ -525,7 +525,7 @@ def probe_all_layers(
     spec: NetworkSpec,
     ckpt: Checkpoint,
     source: ViewSource,
-    folds: Array,
+    splits: Sequence[tuple[Array, Array]],
     endpoints: Sequence[str] | None = None,
     kinds: Sequence[str] = PROBE_KINDS,
     lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
@@ -537,25 +537,24 @@ def probe_all_layers(
 ) -> ProbeReport:
     """Outer-CV probe accuracy for every endpoint and probe kind.
 
-    For each outer fold, lambda is re-selected by nested CV on that fold's
-    training rows only, so no test row ever influences selection or
-    standardization.
+    `splits` holds each outer fold's (train, test) rows, as data.audit_folds
+    gives them; the f-th pair is fold f. For each outer fold, lambda is
+    re-selected by nested CV on that fold's training rows only, so no test
+    row ever influences selection or standardization.
     """
-    folds = np.asarray(folds)
     labels = source.labels
-    if len(folds) != len(labels):
-        raise DataError(f"{len(folds)} fold ids for {len(labels)} examples")
+    for train, test in splits:
+        if len(train) + len(test) != len(labels):
+            raise DataError(f"a fold splits {len(train) + len(test)} rows of {len(labels)} examples")
     names = tuple(endpoints) if endpoints is not None else spec.endpoints
     check_probe_args(kinds, lambda_grid, inner_folds, iters, names, spec.endpoints)
-    fold_ids = sorted(int(f) for f in set(folds.tolist()))
     by_endpoint = extract_features(spec, ckpt, source, names, pre_activation=pre_activation)
     found: dict[tuple[str, str, int], ProbeRow] = {}
-    for f in fold_ids:
-        test = folds == f
+    for f, (train, test) in enumerate(splits):
         started = time.perf_counter()
         fitted = fit_probes(
             list(by_endpoint.values()), labels, kinds, lambda_grid, inner_folds, standardize, seed, iters,
-            rows=np.flatnonzero(~test),
+            rows=train,
         )
         selected = time.perf_counter()
         for endpoint, features in by_endpoint.items():
@@ -569,7 +568,7 @@ def probe_all_layers(
             f, len(by_endpoint), len(kinds), selected - started, time.perf_counter() - selected,
         )
     return ProbeReport(
-        rows=[found[endpoint, kind, f] for endpoint in names for kind in kinds for f in fold_ids],
+        rows=[found[endpoint, kind, f] for endpoint in names for kind in kinds for f in range(len(splits))],
         endpoints=names,
         kinds=tuple(kinds),
         pre_activation=pre_activation,

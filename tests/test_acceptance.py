@@ -14,9 +14,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sentnet.data import ViewSource, compute_channel_means, stratified_kfold, ten_crop
+from sentnet.data import ViewSource, audit_folds, compute_channel_means, stratified_kfold, ten_crop
 from sentnet.harness import (
-    audit_folds,
     config_from_dict,
     cross_validate,
     evaluate,
@@ -394,7 +393,8 @@ class TestAcceptance:
         neg = [int(((folds == f) & (labels == 0)).sum()) for f in range(5)]
         counts_ok = pos == [116] * 5 and sorted(neg) == [60, 60, 60, 60, 61]
 
-        splits = audit_folds(folds, k=5)  # raises unless the ids are 0..4
+        ids_ok = sorted(set(folds.tolist())) == [0, 1, 2, 3, 4]
+        splits = audit_folds(folds)
         ratio_ok = True
         global_ratio = labels.mean()
         for _, test in splits:
@@ -402,10 +402,10 @@ class TestAcceptance:
             if abs(labels[test].sum() - expected) > 1.0:
                 ratio_ok = False
         detail = (
-            f"580/301 at k=5: positives {pos}, negatives {sorted(neg)}, "
+            f"580/301 at k=5: positives {pos}, negatives {sorted(neg)}, fold ids 0..4 {ids_ok}, "
             f"per-fold ratio within 1 sample {ratio_ok}, {len(splits)} leak-free splits"
         )
-        gate(10, counts_ok and ratio_ok, detail)
+        gate(10, counts_ok and ids_ok and ratio_ok, detail)
 
     def test_criterion_11_determinism(self, tmp_path):
         manifest = write_synthetic_dataset(tmp_path / "corpus", "binary", 16, 72, seed=5, k_folds=2)

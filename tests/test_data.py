@@ -13,6 +13,7 @@ from sentnet.data import (
     ManifestRecord,
     PreprocessConfig,
     ViewSource,
+    audit_folds,
     center_square,
     compute_channel_means,
     decode_squares,
@@ -53,6 +54,17 @@ class TestManifest:
         p = write_text(tmp_path / "m.csv", "path,label,fold\na.ppm,1,0\nb.ppm,0,4\n")
         m = load_manifest(p)
         np.testing.assert_array_equal(m.folds, [0, 4])
+
+    def test_blank_fold_column_means_no_folds(self, tmp_path):
+        p = write_text(tmp_path / "m.csv", "path,label,fold\na.ppm,1,\nb.ppm,0, \n")
+        assert load_manifest(p).folds is None
+
+    @pytest.mark.parametrize("rows,line", [("a.ppm,1,0\nb.ppm,0,\nc.ppm,1,\n", 3), ("a.ppm,1,\nb.ppm,0,1\n", 2)])
+    def test_fold_column_filled_on_some_rows_rejected(self, rows, line, tmp_path):
+        """One blank cell would otherwise drop every given fold id for a stratified split."""
+        p = write_text(tmp_path / "m.csv", "path,label,fold\n" + rows)
+        with pytest.raises(DataError, match=rf"m\.csv:{line}: blank fold"):
+            load_manifest(p)
 
     def test_blank_lines_skipped(self, tmp_path):
         p = write_text(tmp_path / "m.csv", "path,label\na.ppm,1\n\n  \nb.ppm,0\n")
@@ -515,6 +527,26 @@ class TestStratifiedKfold:
             per = [int(((folds == f) & (labels == cls)).sum()) for f in range(3)]
             assert sum(per) == c
             assert max(per) - min(per) <= 1
+
+
+class TestAuditFolds:
+    def test_splits_partition(self):
+        folds = np.array([0, 1, 2, 0, 1, 2, 0])
+        splits = audit_folds(folds)
+        assert len(splits) == 3
+        for trainv, test in splits:
+            assert len(np.intersect1d(trainv, test)) == 0
+            assert len(trainv) + len(test) == 7
+        np.testing.assert_array_equal(splits[0][1], [0, 3, 6])
+
+    def test_ids_number_the_folds_in_ascending_order(self):
+        splits = audit_folds(np.array([5, 0, 5, 0, 2]))
+        assert [test.tolist() for _, test in splits] == [[1, 3], [4], [0, 2]]
+
+    @pytest.mark.parametrize("folds", [[3, 3, 3], []])
+    def test_fewer_than_two_fold_ids_rejected(self, folds):
+        with pytest.raises(DataError, match="at least 2 fold ids"):
+            audit_folds(np.array(folds))
 
 
 class TestViewSource:

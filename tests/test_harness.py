@@ -38,7 +38,6 @@ from sentnet.harness import (
     PRESET_ORDER,
     ExperimentConfig,
     TrainSection,
-    audit_folds,
     config_from_dict,
     config_to_dict,
     cross_validate,
@@ -293,26 +292,6 @@ class TestFoldStats:
         assert np.isnan(summary.std) and np.isnan(summary.std_oversampled)
 
 
-class TestAuditFolds:
-    def test_splits_partition(self):
-        folds = np.array([0, 1, 2, 0, 1, 2, 0])
-        splits = audit_folds(folds, k=3)
-        assert len(splits) == 3
-        for trainv, test in splits:
-            assert len(np.intersect1d(trainv, test)) == 0
-            assert len(trainv) + len(test) == 7
-        np.testing.assert_array_equal(splits[0][1], [0, 3, 6])
-
-    def test_missing_fold_id_rejected(self):
-        with pytest.raises(DataError, match="cover"):
-            audit_folds(np.array([0, 2, 0, 2]), k=3)
-
-    @pytest.mark.parametrize("folds", [[3, 3, 3], []])
-    def test_fewer_than_two_fold_ids_rejected(self, folds):
-        with pytest.raises(DataError, match="at least 2 fold ids"):
-            audit_folds(np.array(folds))
-
-
 # JSON kinds that a config annotation admits: a float field also takes an int
 ADMITTED = {"None": {type(None)}, "bool": {bool}, "int": {int}, "float": {int, float}, "str": {str}}
 JSON_VALUES = {
@@ -529,9 +508,9 @@ def cv_run(tiny_corpus, tmp_path_factory):
 
 class TestCrossValidate:
     def test_summary_structure(self, cv_run):
-        summary, _ = cv_run
+        summary, out = cv_run
         assert summary.preset == "finetune"
-        assert summary.label == "finetune"
+        assert json.loads((out / "summary.json").read_text())["label"] == "finetune"
         assert len(summary.folds) == 2
         assert all(o.error is None for o in summary.folds)
         assert any("folds: provided by the manifest" in a for a in summary.assumptions)
@@ -951,6 +930,7 @@ MALFORMED_INPUTS = {  # case: (command, exit code, words of its one error line)
     "config is not UTF-8": ("finetune", 1, "unreadable config"),
     "manifest is a directory": ("pretrain", 2, "Is a directory"),
     "manifest label int rejects": ("pretrain", 2, "m.csv:2: bad label"),
+    "manifest fold blank on one row": ("finetune", 2, "m.csv:3: blank fold"),
     "means file is binary": ("pretrain", 2, "unreadable means file"),
     "PPM of 0x0 pixels": ("pretrain", 2, "empty.ppm: image has no pixels"),
     "raw tensor of 3x0x5": ("pretrain", 2, "empty.rawt: image has no pixels"),
@@ -971,6 +951,9 @@ def malformed_config(root, case, manifest):
         payload["dataset"]["manifest"] = str(root)
     elif case == "manifest label int rejects":
         (root / "m.csv").write_text("path,label\na.ppm,\u00b2\n", encoding="utf-8")
+        payload["dataset"]["manifest"] = str(root / "m.csv")
+    elif case == "manifest fold blank on one row":
+        (root / "m.csv").write_text("path,label,fold\na.ppm,1,0\nb.ppm,0,\n")
         payload["dataset"]["manifest"] = str(root / "m.csv")
     elif case == "means file is binary":
         (root / "means.txt").write_bytes(b"\x93NUMPY\x01\x00")
@@ -1308,19 +1291,42 @@ class TestCli:
         save_config(config, tmp_path / "c.json")
         code = cli.main(["probe", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "p")])
         assert code == 2
-        assert "no rows" in capsys.readouterr().err
+        assert "need at least 2 fold ids" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["finetune"], ["surgery", "--preset", "fc7-2"], ["probe"]],
+                             ids=["finetune", "surgery", "probe"])
     @pytest.mark.parametrize("means", ["fixed", "computed"])
-    def test_finetune_with_one_fold_id_exits_two_before_any_fold(self, means, tiny_corpus, tmp_path, capsys):
+    def test_finetune_with_one_fold_id_exits_two_before_any_fold(self, command, means, tiny_corpus, tmp_path,
+                                                                  monkeypatch, capsys):
+        decoded = []
+        monkeypatch.setattr(harness, "decode_squares", lambda *args: decoded.append(args))
         payload = {"dataset": {"manifest": str(one_fold_manifest(tiny_corpus, tmp_path / "one_fold.csv"))},
                    "train": {"epochs": 1}}
         if means == "fixed":
             payload["preprocess"] = {"resize_to": 72, "crop": 64, "channel_means": [100.0, 100.0, 100.0]}
         (tmp_path / "c.json").write_text(json.dumps(payload))
-        code = cli.main(["finetune", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "ft")])
+        code = cli.main([*command, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 2 and "need at least 2 fold ids" in err and "Traceback" not in err, err
-        assert not (tmp_path / "ft" / "fold0").exists()
+        assert decoded == [] and not (tmp_path / "out").exists()
+
+    def test_sparse_fold_ids_number_cv_and_probe_folds_alike(self, tiny_corpus, tmp_path):
+        """Fold ids {0, 5} are folds 0 and 1 in the CV result.json files and in probe_report.csv."""
+        lines = tiny_corpus.read_text().splitlines()
+        rows = [line.rsplit(",", 1) for line in lines[1:]]
+        sparse = tmp_path / "sparse.csv"
+        sparse.write_text(lines[0] + "\n" + "".join(f"{tiny_corpus.parent / row},{5 * int(f)}\n" for row, f in rows))
+        payload = config_to_dict(tiny_config(sparse))
+        payload["train"]["epochs"] = 1
+        payload["experiment"]["probe"] = {"endpoints": ["fc8"], "kinds": ["svm"], "lambda_grid": [0.1], "iters": 5}
+        config = config_from_dict(payload)
+        summary = cross_validate(config, tmp_path / "cv")
+        run_probe_experiment(config, tmp_path / "probe")
+        cv_folds = [json.loads((tmp_path / "cv" / f"fold{o.fold}" / "result.json").read_text())["fold"]
+                    for o in summary.folds]
+        probe_rows = (tmp_path / "probe" / "probe_report.csv").read_text().splitlines()[1:]
+        assert cv_folds == [0, 1]
+        assert sorted({int(row.split(",")[2]) for row in probe_rows}) == cv_folds
 
     @pytest.mark.parametrize("command", ["finetune", "probe"])
     @pytest.mark.parametrize("k", [1, 0])

@@ -16,7 +16,7 @@ from oracles import (
     traced_peak,
 )
 from sentnet import probe as probe_mod
-from sentnet.data import ViewSource, stratified_kfold
+from sentnet.data import ViewSource, audit_folds, stratified_kfold
 from sentnet.errors import ConfigError, DataError
 from sentnet.network import LayerKind, LayerSpec, NetworkSpec, init_params
 from sentnet.probe import (
@@ -121,7 +121,7 @@ class TestExtractFeatures:
 
         forward = probe_mod.forward
         monkeypatch.setattr(probe_mod, "forward", counting_forward)
-        probe_all_layers(spec, ckpt, src, np.arange(40) % 2, lambda_grid=(0.1,), iters=5)
+        probe_all_layers(spec, ckpt, src, audit_folds(np.arange(40) % 2), lambda_grid=(0.1,), iters=5)
         assert calls == [32, 8]  # ceil(40 / 32) passes cover every endpoint
 
 
@@ -387,7 +387,7 @@ class TestProbeAllLayers:
         self.spec = mini_spec()
         self.ckpt = init_params(self.spec, seed=0)
         self.src = mini_source(n=18, seed=1)
-        self.folds = np.arange(18) % 3
+        self.folds = audit_folds(np.arange(18) % 3)
 
     def run_probe(self, **kw):
         return probe_all_layers(
@@ -446,7 +446,7 @@ class TestProbeAllLayers:
 
         def chosen(feats):
             monkeypatch.setattr(probe_mod, "extract_features", lambda *a, **k: {"f1": feats})
-            report = probe_all_layers(self.spec, self.ckpt, src, folds, endpoints=("f1",), kinds=("svm",),
+            report = probe_all_layers(self.spec, self.ckpt, src, audit_folds(folds), endpoints=("f1",), kinds=("svm",),
                                       lambda_grid=(1e-3, 1e-2, 1e-1, 1.0), iters=60)
             return {r.fold: r.lam for r in report.rows}
 
@@ -463,7 +463,7 @@ class TestProbeAllLayers:
 
     def test_fold_length_mismatch(self):
         with pytest.raises(DataError, match="fold"):
-            probe_all_layers(self.spec, self.ckpt, self.src, np.arange(5) % 3)
+            probe_all_layers(self.spec, self.ckpt, self.src, audit_folds(np.arange(5) % 3))
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
@@ -533,7 +533,7 @@ class TestPinnedProbeBytes:
         self.folds = np.arange(36) % 3
 
     def report(self, grid):
-        return probe_all_layers(self.spec, self.ckpt, self.src, self.folds, lambda_grid=grid, iters=60)
+        return probe_all_layers(self.spec, self.ckpt, self.src, audit_folds(self.folds), lambda_grid=grid, iters=60)
 
     @pytest.mark.parametrize("grid", [GRID, (0.1,)], ids=["four-lambdas", "one-lambda"])
     def test_report_bytes(self, grid):
@@ -648,7 +648,8 @@ def test_fitting_memory_stays_one_set_at_a_time(monkeypatch):
         *(LayerSpec(e, LayerKind.FC, units=2) for e in endpoints), LayerSpec("prob", LayerKind.SOFTMAX)))
 
     def run():
-        probe_all_layers(spec, None, src, folds, endpoints=endpoints, lambda_grid=(0.01, 0.1, 1.0), iters=5)
+        probe_all_layers(spec, None, src, audit_folds(folds), endpoints=endpoints, lambda_grid=(0.01, 0.1, 1.0),
+                         iters=5)
 
     run()  # first-call imports and caches are not the fit's
     n_fit = int((folds != 0).sum())
