@@ -84,6 +84,8 @@ def _load_config(args) -> harness.ExperimentConfig:
 
 def _cmd_prepare_data(args) -> int:
     out = Path(args.out)
+    if args.seed < 0:  # numpy refuses it only once out/ is made
+        raise ConfigError(f"--seed must be at least 0, got {args.seed}")
     if args.synthetic and args.manifest:
         raise ConfigError("pass either --synthetic or --manifest, not both")
     if args.synthetic:

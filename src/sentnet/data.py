@@ -413,8 +413,6 @@ def audit_folds(folds: Array) -> list[tuple[Array, Array]]:
 
 # -- views -----------------------------------------------------------------
 
-EVAL_BATCH = 64  # center views per plain forward pass; it sets the FC rows' bits (README "Evaluation")
-
 
 class ViewSource:
     """BatchSource over pre-decoded square images, kept as given when uint8
@@ -474,7 +472,8 @@ class ViewSource:
         flips = rng.integers(0, 2, size=len(indices))
         return self.views(indices, tops, lefts, flips), self.labels[indices]
 
-    def eval_batches(self, batch_size: int = EVAL_BATCH):
+    def eval_batches(self, batch_size: int):
+        """The center views and labels, batch_size images at a time, in order."""
         for start in range(0, self.n, batch_size):
             idx = np.arange(start, min(start + batch_size, self.n))
             offsets = np.full(len(idx), self.center)

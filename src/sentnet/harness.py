@@ -4,12 +4,15 @@ Every command loads its task in one place, load_task: the arch spec, the
 preset's network and labels, the outer folds, the decoded images, the
 channel means, and where the network comes from (the base checkpoint or
 seeded weights). The task holds no network: each fold, and each command that
-reads one, gets its own from Task.network and trains it in place. The config
-fixes the means (preprocess.channel_means, then dataset.means); otherwise a
-CV fold takes them from its training rows, pretrain and probe from every
-image, and evaluate from the means.txt training wrote. An experiment applies
-a surgery preset per fold, trains on the fold's training split (run_fold),
-and evaluates the held-out fold with and without ten-crop oversampling.
+reads one, gets its own from Task.network and trains it in place. Every
+view source comes from Task.source, the one place its means are chosen: the
+config's (preprocess.channel_means, then dataset.means) or, for evaluate,
+the means.txt training wrote; otherwise those of the source's rows, so
+pretrain and probe take every image's and a CV fold its training rows',
+for its test source too. An experiment applies a surgery preset per fold,
+trains on the fold's training split (run_fold), and evaluates the held-out
+fold with and without ten-crop oversampling. evaluate is the one scorer of
+held-out views: it also gives history.csv's val_acc under train.track_val.
 Every random draw is seeded from the config, fold failures are isolated, and
 all artifacts (per-fold checkpoints, history CSVs, summary JSON, reports)
 are deterministic byte for byte.
@@ -40,7 +43,6 @@ import numpy as np
 from . import probe as probe_mod
 from .checkpoint import Checkpoint, load_checkpoint, read_checkpoint_header, save_checkpoint
 from .data import (
-    EVAL_BATCH,
     TEN_CROP_CENTER,
     PreprocessConfig,
     ViewSource,
@@ -139,6 +141,11 @@ class SeedsSection:
     folds: int = 0
     init: int = 0
     train: int = 0
+
+    def __post_init__(self):
+        for key in ("folds", "init", "train"):  # numpy refuses a negative seed, after --out is made
+            if getattr(self, key) < 0:
+                raise ConfigError(f"seeds.{key} must be at least 0, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)
@@ -259,6 +266,7 @@ class EvalResult:
     plain: EvalResult | None = None  # the center-view result of an oversampled evaluation
 
 
+EVAL_BATCH = 64  # center views per plain forward pass; it sets the FC rows' bits (README "Evaluation")
 TEN_CROP_CHUNK = 6  # images per oversampled forward pass (60 views)
 
 
@@ -379,7 +387,7 @@ def resolve_means(config: ExperimentConfig) -> Array | None:
     """Channel means fixed by the config, or None.
 
     preprocess.channel_means wins over the dataset.means file. None leaves
-    the means to the command (see load_task and Task.means).
+    the means to the command (see load_task and Task.source).
     """
     if config.preprocess.channel_means is not None:
         return np.asarray(config.preprocess.channel_means, dtype=np.float32)
@@ -414,11 +422,15 @@ class Task:
             return init_params(self.base_spec, self.init_seed)
         return load_checkpoint(self.checkpoint)
 
-    def means(self, rows: Sequence[int] | None = None) -> Array:
-        """The fixed means, else the channel means of these rows (all by default)."""
-        if self.fixed_means is not None:
-            return self.fixed_means
-        return compute_channel_means(self.squares if rows is None else (self.squares[i] for i in rows))
+    def source(self, rows: Sequence[int] | None = None, means: Array | None = None) -> ViewSource:
+        """A view source over these rows of the task's images (all by default),
+        read through the index. Its means are the given ones, else the fixed
+        means, else the channel means of these rows."""
+        if means is None:
+            means = self.fixed_means
+        if means is None:
+            means = compute_channel_means(self.squares if rows is None else (self.squares[i] for i in rows))
+        return ViewSource(self.squares, self.labels, self.spec.input_shape[1], means, rows=rows)
 
 
 def load_task(
@@ -497,12 +509,12 @@ def _train_config(train: TrainSection, base_lr: float, seed: int) -> TrainConfig
 
 def _train_and_write(
     spec: NetworkSpec, ckpt: Checkpoint, source: ViewSource, cfg: TrainConfig, path: Path,
-    val_source: ViewSource | None = None,
+    validate: typing.Callable[[Checkpoint], float] | None = None,
 ) -> list:
     """Train ckpt in place, writing means.txt first, then the checkpoint at
     path and history.csv beside it; returns the history."""
     write_means(path.parent / "means.txt", source.means)
-    _, history = train_in_place(spec, ckpt, source, cfg, val_source)
+    _, history = train_in_place(spec, ckpt, source, cfg, validate)
     save_checkpoint(ckpt, path)
     (path.parent / "history.csv").write_text(history_to_csv(history))
     return history
@@ -517,8 +529,7 @@ def pretrain(config: ExperimentConfig, out_dir: str | Path) -> Path:
     task = load_task(dataclasses.replace(config, experiment=seeded), multiclass=True)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    source = ViewSource(task.squares, task.labels, config.preprocess.crop, task.means())
-    _train_and_write(task.spec, task.network(), source, cfg, out / "pretrained.nsrg")
+    _train_and_write(task.spec, task.network(), task.source(), cfg, out / "pretrained.nsrg")
     return out / "pretrained.nsrg"
 
 
@@ -528,9 +539,8 @@ def evaluate_checkpoint(config: ExperimentConfig, out_dir: str | Path, oversampl
     if config.experiment.base_checkpoint is None:
         raise ConfigError("evaluate needs --checkpoint or experiment.base_checkpoint")
     task = load_task(config, config.experiment.preset, trained=True, multiclass=True)
-    source = ViewSource(task.squares, task.labels, config.preprocess.crop, task.means())
     result = evaluate(
-        task.spec, task.network(), source, oversample=oversample,
+        task.spec, task.network(), task.source(), oversample=oversample,
         pre_softmax_fusion=config.experiment.pre_softmax_fusion,
     )
     plain = result.plain or result
@@ -639,15 +649,13 @@ def run_fold(
         test_indices=[int(i) for i in test_idx],
     )
     plan = preset_plan(task.preset)
-    crop = config.preprocess.crop
     try:
-        means = task.means(train_idx)
+        train_src = task.source(train_idx)
+        test_src = task.source(test_idx, train_src.means)
         spec, ckpt = apply_surgery(plan, task.base_spec, task.network(), seed=config.seeds.init + f)
-        train_src = ViewSource(task.squares, task.labels, crop, means, rows=train_idx)
-        test_src = ViewSource(task.squares, task.labels, crop, means, rows=test_idx)
         cfg = _train_config(config.train, resolve_base_lr(config.train, plan), config.seeds.train + f)
-        val_src = test_src if config.train.track_val else None
-        history = _train_and_write(spec, ckpt, train_src, cfg, fold_dir / "checkpoint.nsrg", val_src)
+        validate = (lambda net: evaluate(spec, net, test_src).accuracy) if config.train.track_val else None
+        history = _train_and_write(spec, ckpt, train_src, cfg, fold_dir / "checkpoint.nsrg", validate)
         outcome.epochs_run = len(history)
         fused = evaluate(
             spec, ckpt, test_src, oversample=True,
@@ -712,9 +720,8 @@ def run_probe_experiment(config: ExperimentConfig, out_dir: str | Path) -> probe
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # Means over every image, the outer test folds' too (README, "Linear probes").
-    source = ViewSource(task.squares, task.labels, config.preprocess.crop, task.means())
     report = probe_mod.probe_all_layers(
-        task.spec, task.network(), source, task.folds, seed=config.seeds.folds,
+        task.spec, task.network(), task.source(), task.folds, seed=config.seeds.folds,
         **dataclasses.asdict(config.experiment.probe),
     )
     (out / "probe_report.csv").write_text(report.to_csv())

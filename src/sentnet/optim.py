@@ -29,6 +29,10 @@ bit-identical to the whole-array expression. Parameters and velocities
 must be C-contiguous, as every checkpoint the package builds is.
 Velocities start as np.zeros: a large one is fresh zero pages from the
 allocator, so no pass writes it before the first update does.
+
+The loop scores no held-out views: a validation accuracy comes from the
+caller's validate(ckpt), which the harness makes from harness.evaluate on
+a view source that Task.source built, with the training rows' means.
 """
 
 from __future__ import annotations
@@ -37,14 +41,13 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .data import EVAL_BATCH
 from .errors import ConfigError, DataError, DivergenceError, NonFiniteError
-from .network import NetworkSpec, backward_walk, forward, infer
+from .network import NetworkSpec, backward_walk, forward
 from .ops import cross_entropy_loss
 
 log = logging.getLogger(__name__)
@@ -168,9 +171,6 @@ class BatchSource(Protocol):
     def train_batch(self, indices: Array, rng: np.random.Generator) -> tuple[Array, Array]:
         """Augmented training views and labels for the given example indices."""
 
-    def eval_batches(self, batch_size: int) -> Iterable[tuple[Array, Array]]:
-        """Deterministic evaluation views over the whole set, in order."""
-
 
 @dataclass
 class HistoryRow:
@@ -188,30 +188,18 @@ def history_to_csv(rows: Iterable[HistoryRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def accuracy_on(spec: NetworkSpec, ckpt: Checkpoint, source: BatchSource, batch_size: int = EVAL_BATCH) -> float:
-    """Fraction of correct argmax predictions over deterministic eval views."""
-    correct = 0
-    total = 0
-    top = spec.top_name
-    for x, y in source.eval_batches(batch_size):
-        preds = infer(spec, ckpt, x, (top,))[top].argmax(axis=1)
-        correct += int((preds == y).sum())
-        total += len(y)
-    return correct / total if total else 0.0
-
-
 def train(
     spec: NetworkSpec,
     ckpt: Checkpoint,
     source: BatchSource,
     config: TrainConfig,
-    val_source: BatchSource | None = None,
+    validate: Callable[[Checkpoint], float] | None = None,
 ) -> tuple[Checkpoint, list[HistoryRow]]:
     """Train a copy of ckpt on source; returns (new checkpoint, history).
 
     The input checkpoint is never mutated: this is train_in_place on a copy.
     """
-    return train_in_place(spec, ckpt.copy(), source, config, val_source)
+    return train_in_place(spec, ckpt.copy(), source, config, validate)
 
 
 def train_in_place(
@@ -219,7 +207,7 @@ def train_in_place(
     ckpt: Checkpoint,
     source: BatchSource,
     config: TrainConfig,
-    val_source: BatchSource | None = None,
+    validate: Callable[[Checkpoint], float] | None = None,
 ) -> tuple[Checkpoint, list[HistoryRow]]:
     """Train ckpt's own tensors on source; returns (ckpt, history).
 
@@ -230,7 +218,8 @@ def train_in_place(
     DivergenceError, naming the epoch, the batch within it and the layer
     (the softmax layer for the loss), before any parameter of that step
     changes. Each epoch logs one INFO line with its loss, train accuracy,
-    learning rate and seconds.
+    learning rate and seconds. With `validate`, each epoch's val_acc is
+    validate(ckpt).
     """
     spec.validate_for_training()
     if source.n == 0:
@@ -270,7 +259,7 @@ def train_in_place(
             # so the next forward runs with no state of this step alive
             del fwd, pair, walk, logits, dlogits, x, y
         train_acc = correct / source.n
-        val_acc = accuracy_on(spec, ckpt, val_source) if val_source is not None else None
+        val_acc = validate(ckpt) if validate is not None else None
         history.append(HistoryRow(epoch, loss_sum / source.n, train_acc, val_acc))
         log.info(
             "epoch %d: loss %.6f, train accuracy %.4f, lr %g, %.2f s",

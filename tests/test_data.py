@@ -348,7 +348,7 @@ class TestPreprocess:
 
     def test_test_mode_takes_center(self):
         img = np.random.default_rng(7).normal(size=(3, 16, 16)).astype(np.float32)
-        x, _ = next(self.source(img).eval_batches())
+        x, _ = next(self.source(img).eval_batches(1))
         np.testing.assert_array_equal(x[0], img[:, 2:14, 2:14])
 
     def test_train_mode_is_seeded(self):
@@ -364,7 +364,7 @@ class TestPreprocess:
         means = np.array([10.0, 20.0, 30.0], dtype=np.float32)
         img[:] = means.reshape(3, 1, 1)
         src = self.source(img, means)
-        x, _ = next(src.eval_batches())
+        x, _ = next(src.eval_batches(1))
         np.testing.assert_array_equal(x, np.zeros((1, 3, 12, 12), dtype=np.float32))
         x, _ = src.train_batch(np.zeros(4, dtype=np.int64), np.random.default_rng(0))
         np.testing.assert_array_equal(x, np.zeros((4, 3, 12, 12), dtype=np.float32))

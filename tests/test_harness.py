@@ -279,10 +279,10 @@ class TestFoldStats:
     def test_cross_validate_gives_one_finished_fold_alone(self, tiny_corpus, tmp_path, monkeypatch):
         inner = harness.train_in_place
 
-        def diverge_second_fold(spec, ckpt, source, cfg, val_source=None):
+        def diverge_second_fold(spec, ckpt, source, cfg, validate=None):
             if cfg.seed == 1:
                 raise DivergenceError("loss became nan")
-            return inner(spec, ckpt, source, cfg, val_source)
+            return inner(spec, ckpt, source, cfg, validate)
 
         monkeypatch.setattr(harness, "train_in_place", diverge_second_fold)
         summary = cross_validate(tiny_config(tiny_corpus), tmp_path / "cv")
@@ -555,6 +555,20 @@ class TestCrossValidate:
         assert lines[0].startswith("epoch,")
         assert len(lines) == 3  # header + 2 epochs
 
+    def test_tracked_validation_ends_at_the_fold_accuracy(self, tiny_corpus, tmp_path):
+        """With train.track_val every epoch has a val_acc, scored by evaluate
+        on the fold's test rows, so the last one is the fold's plain accuracy."""
+        payload = config_to_dict(tiny_config(tiny_corpus))
+        payload["train"]["track_val"] = True
+        summary = cross_validate(config_from_dict(payload), tmp_path / "cv")
+        assert all(o.error is None for o in summary.folds)
+        for f in range(2):
+            fold = tmp_path / "cv" / f"fold{f}"
+            rows = [line.split(",") for line in (fold / "history.csv").read_text().splitlines()[1:]]
+            assert len(rows) == 2 and all(row[3] for row in rows)
+            accuracy = json.loads((fold / "result.json").read_text())["accuracy"]
+            assert rows[-1][3] == f"{accuracy:.6f}"
+
     def test_reruns_are_byte_identical(self, tiny_corpus, tmp_path):
         out_a = tmp_path / "a" / "exp"
         out_b = tmp_path / "b" / "exp"
@@ -616,14 +630,14 @@ class TestCrossValidate:
             loaded.append(network(task))
             return loaded[-1]
 
-        def checked(spec, ckpt, source, cfg, val_source=None):
+        def checked(spec, ckpt, source, cfg, validate=None):
             reachable = list(_reachable(tasks[0]))
             assert not any(isinstance(o, Checkpoint) for o in reachable)
             arrays = [o for o in reachable if isinstance(o, np.ndarray)]
             params = [t for pair in ckpt.entries.values() for t in pair]
             assert not any(np.may_share_memory(t, a) for t in params for a in arrays)
             assert source.squares is tasks[0].squares
-            trained, history = inner(spec, ckpt, source, cfg, val_source)
+            trained, history = inner(spec, ckpt, source, cfg, validate)
             trained_loaded.append(trained.entries["fc6"][0] is loaded[-1].entries["fc6"][0])
             return trained, history
 
@@ -1066,6 +1080,27 @@ class TestCli:
         assert code == 1 and f"need at least 2 folds, got {folds}" in err and "Traceback" not in err, err
         assert read == [] and not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("command,seeds,args", [
+        ("finetune", {}, ["--seed", "-1"]),
+        ("finetune", {"train": -2}, []),
+        ("pretrain", {"folds": -1}, []),
+        ("prepare-data", None, ["--synthetic", "binary", "--seed", "-3"]),
+        ("prepare-data", None, ["--manifest", "MANIFEST", "--seed", "-3"]),
+    ], ids=["finetune-flag", "finetune-config", "pretrain-config", "prepare-synthetic", "prepare-manifest"])
+    def test_negative_seed_exits_one_before_any_output(self, command, seeds, args, tiny_corpus, tmp_path, capsys):
+        """numpy takes no negative seed, so one is refused before --out is made."""
+        args = [str(tiny_corpus) if a == "MANIFEST" else a for a in args]
+        if seeds is not None:
+            payload = {"dataset": {"manifest": str(tiny_corpus), "k": 2}, "train": {"epochs": 1, "batch_size": 8},
+                       "seeds": seeds}
+            (tmp_path / "c.json").write_text(json.dumps(payload))
+            args += ["--config", str(tmp_path / "c.json")]
+        assert cli.main([command, *args, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if line.startswith("sentnet:")]
+        assert len(lines) == 1 and "must be at least 0" in lines[0] and "Traceback" not in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_prepare_data_needs_a_source(self, tmp_path, capsys):
         code = cli.main(["prepare-data", "--out", str(tmp_path)])
         assert code == 1
@@ -1191,9 +1226,9 @@ class TestCli:
         seen = []
 
         class RecordingSource(ViewSource):
-            def __init__(self, squares, labels, crop, means=None):
+            def __init__(self, squares, labels, crop, means=None, rows=None):
                 seen.append(np.asarray(means, dtype=np.float32))
-                super().__init__(squares, labels, crop, means)
+                super().__init__(squares, labels, crop, means, rows)
 
         monkeypatch.setattr(harness, "ViewSource", RecordingSource)
         fold_ckpt = cv_out / "fold0" / "checkpoint.nsrg"

@@ -113,3 +113,42 @@ def test_finds_an_unread_private_name():
 def test_every_private_module_name_is_read():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+# The package's layering: the modules each module may import from within the
+# package. A new edge is a design decision, made here on purpose. The train
+# loop scores no held-out views, so optim needs nothing from data.
+LAYERS = {
+    "__init__": {"checkpoint", "data", "errors", "harness", "network", "ops", "optim", "probe", "surgery"},
+    "checkpoint": {"errors", "network"},
+    "cli": {"data", "errors", "harness", "synth"},
+    "data": {"checkpoint", "errors"},
+    "errors": set(),
+    "harness": {"checkpoint", "data", "errors", "network", "ops", "optim", "probe", "surgery"},
+    "network": {"checkpoint", "errors", "ops"},
+    "ops": {"errors"},
+    "optim": {"checkpoint", "errors", "network", "ops"},
+    "probe": {"checkpoint", "data", "errors", "network"},
+    "surgery": {"checkpoint", "errors", "network"},
+    "synth": {"data", "errors"},
+}
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules a module imports: `from .m import ...` and `from . import m`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def test_finds_package_imports():
+    source = "import os\nfrom . import probe as p, ops\nfrom .data import x\ndef f():\n    from .network import y\n"
+    assert package_imports(source) == {"probe", "ops", "data", "network"}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_module_imports_only_its_layers(module):
+    assert module in LAYERS, f"{module} is not in the layering table"
+    assert package_imports((PACKAGE / f"{module}.py").read_text()) <= LAYERS[module]

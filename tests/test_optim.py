@@ -24,7 +24,6 @@ from sentnet.optim import (
     HistoryRow,
     OptState,
     TrainConfig,
-    accuracy_on,
     history_to_csv,
     lr_at,
     sgd_step,
@@ -56,10 +55,6 @@ class ArraySource:
 
     def train_batch(self, indices, rng):
         return self.x[indices], self.y[indices]
-
-    def eval_batches(self, batch_size):
-        for start in range(0, self.n, batch_size):
-            yield self.x[start : start + batch_size], self.y[start : start + batch_size]
 
 
 def toy_source(n=16, seed=0):
@@ -371,10 +366,18 @@ class TestTrainLoop:
     def test_validation_accuracy_tracked(self):
         spec = linear_spec()
         ckpt = init_params(spec, seed=0)
-        cfg = TrainConfig(base_lr=0.02, epochs=2, batch_size=8, seed=0)
-        _, hist = train(spec, ckpt, toy_source(), cfg, val_source=toy_source(seed=1))
-        assert all(h.val_acc is not None for h in hist)
-        assert all(0.0 <= h.val_acc <= 1.0 for h in hist)
+        cfg = TrainConfig(base_lr=0.02, epochs=3, batch_size=8, seed=0)
+        seen = []
+
+        def validate(net):
+            seen.append((net, net.entries["f"][0].copy()))
+            return len(seen) / 4
+
+        out, hist = train(spec, ckpt, toy_source(), cfg, validate=validate)
+        assert [h.val_acc for h in hist] == [0.25, 0.5, 0.75]
+        assert all(net is out for net, _ in seen)  # once per epoch, with the checkpoint being trained
+        assert seen[-1][1].tobytes() == out.entries["f"][0].tobytes()
+        assert not np.array_equal(seen[0][1], seen[1][1])  # each call sees that epoch's weights
 
     def test_one_log_line_per_epoch(self, caplog):
         spec = linear_spec()
@@ -568,16 +571,3 @@ class TestHistoryCsv:
         assert lines[0] == "epoch,loss,train_acc,val_acc"
         assert lines[1] == "0,0.500000,0.750000,"
         assert lines[2] == "1,0.250000,1.000000,0.500000"
-
-    def test_accuracy_on_counts_correctly(self):
-        spec = linear_spec()
-        ckpt = init_params(spec, seed=0)
-        src = toy_source()
-        acc = accuracy_on(spec, ckpt, src, batch_size=5)
-        correct = 0
-        from sentnet.network import forward
-
-        for start in range(0, src.n, 5):
-            state = forward(spec, ckpt, src.x[start : start + 5])
-            correct += int((state.post["f"].argmax(axis=1) == src.y[start : start + 5]).sum())
-        assert acc == correct / src.n
